@@ -63,13 +63,6 @@ Q12X8_WIDE_STRICT = QMatrix(
 )
 
 
-def _blocks(*rows_then_counts) -> np.ndarray:
-    out = []
-    for row, count in rows_then_counts:
-        out.extend([row] * count)
-    return np.array(out)
-
-
 def incomplete_20x3_family() -> tuple[QMatrix, QMatrix, QMatrix]:
     """20 x 3 truth lacking the third unit row, plus two alternatives that
     replace its all-ones rows by progressively smaller rows."""

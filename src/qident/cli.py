@@ -24,7 +24,7 @@ from .io import (
     load_q,
     load_responses_csv,
     save_dataset_csv,
-    save_q,
+    save_search_csv,
 )
 from .qmatrix import Scenario, classify_dina, classify_gdina, enumerate_canonical, strip_zero_rows
 from .rlcm import simulate, theta_table
@@ -56,16 +56,19 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     (out_dir / "manifest.json").write_text(dump_report(manifest))
 
 
-def _emit(args, obj, filename: str) -> None:
-    text = dump_report(obj, schema=SCHEMA)
+def _emit(args, report, filename: str, summary: str = "") -> None:
+    """Write a report into ``--out`` with a manifest, or print it.  A string
+    report is written as is, anything else as deterministic JSON."""
+    text = report if isinstance(report, str) else dump_report(report, schema=SCHEMA)
+    as_json = getattr(args, "json", False)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text)
         _write_manifest(out_dir, args)
-        if not args.json:
-            print(f"wrote {out_dir / filename}")
-    if args.json or not args.out:
+        if not as_json:
+            print(f"wrote {out_dir / filename}{summary}")
+    if as_json or not args.out:
         print(text, end="")
 
 
@@ -101,15 +104,7 @@ def cmd_enumerate(args) -> int:
             verdict = classify_dina(q) if args.model == "dina" else classify_gdina(q)
             row += f",{verdict.scenario.value}"
         lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "designs.csv").write_text(text)
-        _write_manifest(out_dir, args)
-        print(f"wrote {out_dir / 'designs.csv'} ({len(mats)} designs)")
-    else:
-        print(text, end="")
+    _emit(args, "\n".join(lines) + "\n", "designs.csv", f" ({len(mats)} designs)")
     return 0
 
 
@@ -189,8 +184,6 @@ def cmd_search(args) -> int:
         payload["truthIsArgmax"] = q_equivalent(report.argmax_q, first)
     _emit(args, payload, "search.json")
     if args.out:
-        from .io import save_search_csv
-
         save_search_csv(report, Path(args.out) / "search.csv")
     return 0
 
@@ -273,25 +266,17 @@ def cmd_tmatrix(args) -> int:
     lines = ["response_bits," + ",".join(str(a) for a in range(t.shape[1]))]
     for r in range(t.shape[0]):
         lines.append(f"{r}," + ",".join(repr(float(v)) for v in t[r]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "tmatrix.csv").write_text(text)
-        _write_manifest(out_dir, args)
-        print(f"wrote {out_dir / 'tmatrix.csv'}")
-    else:
-        print(text, end="")
+    _emit(args, "\n".join(lines) + "\n", "tmatrix.csv")
     return 0
 
 
-def _add_common(sub, *, seed=True, out=True):
+def _add_common(sub, *, seed=True, threads=False):
     if seed:
         sub.add_argument("--seed", type=int, default=0)
-    if out:
-        sub.add_argument("--out", type=str, default=None, help="output directory")
-        sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-    sub.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
+    sub.add_argument("--out", type=str, default=None, help="output directory")
+    sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")
+    if threads:
+        sub.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--classify", action="store_true")
     sub.add_argument("--model", choices=["dina", "gdina"], default="dina")
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("simulate", help="draw a dataset from a model")
@@ -336,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--counts", action="store_true", help="data is a pattern-count table")
     sub.add_argument("--restarts", type=int, default=10)
     sub.add_argument("--tol", type=float, default=1e-8)
-    _add_common(sub)
+    _add_common(sub, threads=True)
     sub.set_defaults(func=cmd_fit)
 
     sub = subs.add_parser("search", help="exhaustive likelihood sweep over candidate designs")
@@ -348,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=10)
     sub.add_argument("--tol", type=float, default=1e-7)
     sub.add_argument("--stringent", action="store_true",
-                     help="exclude fits violating the strict subset order from the argmax")
-    _add_common(sub)
+                     help="exclude fits violating the subset order from the argmax")
+    _add_common(sub, threads=True)
     sub.set_defaults(func=cmd_search)
 
     sub = subs.add_parser("witness", help="construct certified indistinguishable alternatives")

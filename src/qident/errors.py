@@ -34,16 +34,9 @@ class WrongShape(QidentError):
     """A witness construction got a design matrix without the required form."""
 
 
-class InvalidCbar(QidentError):
-    """The free slipping value leads to an invalid alternative model."""
-
-
-class InvalidGbar(QidentError):
-    """The free guessing value leads to an invalid alternative model."""
-
-
 class InvalidFreeValues(QidentError):
-    """Free item-parameter values lead to an invalid alternative model."""
+    """Free values of a witness construction (item parameters or mixing
+    weights) lead to an invalid alternative model."""
 
 
 class ConstraintHolds(QidentError):

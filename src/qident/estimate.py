@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, TooManyAttributes
-from .qmatrix import QMatrix, gamma_matrix
+from .errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
+from .qmatrix import QMatrix, _bit_permutation_table, gamma_matrix
 from .rlcm import (
     Dataset,
     DinaParams,
-    dina_theta_table,
-    dino_theta_table,
+    monotonicity_violation,
     simulate,
-    stringent_ok,
+    stringent_violation,
+    theta_table,
 )
 
 __all__ = [
@@ -71,25 +71,22 @@ class FitResult:
 
     @property
     def monotonicity_ok(self) -> bool:
+        """Covering/non-covering order with ties allowed (``rlcm.monotonicity_ok``
+        is strict)."""
         return self.monotonicity_violation <= 0
 
     @property
     def stringent_ok(self) -> bool:
+        """Subset order with ties allowed, unlike the strict
+        ``rlcm.stringent_ok``: a two-parameter fit gives all non-covering
+        cells of an item the same value, so those cells always tie, and
+        ``search --stringent`` filters on this weak order."""
         return self.stringent_violation <= 0
 
 
 def _pattern_bits(patterns: np.ndarray, n_items: int) -> np.ndarray:
     ks = np.arange(n_items, dtype=np.int64)
     return ((patterns[:, None] >> ks[None, :]) & 1).astype(float)
-
-
-def _gate(model: str, q: QMatrix) -> np.ndarray:
-    """Boolean (J, 2^K) capable-subject gate for the two-parameter models."""
-    if model == "dina":
-        return gamma_matrix(q).astype(bool)
-    masks = q.row_masks
-    pats = np.arange(1 << q.n_attributes, dtype=np.int64)
-    return (pats[None, :] & masks[:, None]) != 0
 
 
 def _cells(q: QMatrix) -> list[np.ndarray]:
@@ -99,43 +96,13 @@ def _cells(q: QMatrix) -> list[np.ndarray]:
     return [pats & int(masks[j]) for j in range(q.n_items)]
 
 
-def _mono_violation(theta: np.ndarray, q: QMatrix) -> float:
-    """Largest violation of the covering/non-covering order (<= 0 when ok)."""
-    worst = -np.inf
-    masks = q.row_masks
-    pats = np.arange(theta.shape[1])
-    for j in range(q.n_items):
-        mask = int(masks[j])
-        if mask == 0:
-            continue
-        covers = (pats & mask) == mask
-        worst = max(worst, float(theta[j, ~covers].max() - theta[j, covers].min()))
-    return worst if worst > -np.inf else 0.0
-
-
-def _stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
-    if stringent_ok(theta, q):
-        return 0.0
-    worst = 0.0
-    masks = q.row_masks
-    pats = np.arange(theta.shape[1])
-    for j in range(q.n_items):
-        reduced = np.unique(pats & int(masks[j]))
-        for a in reduced:
-            for b in reduced:
-                if a != b and (int(a) & int(b)) == int(b):
-                    worst = max(worst, float(theta[j, int(b)] - theta[j, int(a)]))
-    return worst
-
-
 def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
     J, K = q.n_items, q.n_attributes
     p = rng.dirichlet(np.ones(1 << K))
     if model in ("dina", "dino"):
         s = rng.uniform(0.05, 0.35, size=J)
         g = rng.uniform(0.05, 0.35, size=J)
-        table = dina_theta_table if model == "dina" else dino_theta_table
-        return table(q, DinaParams(s, g)), p
+        return theta_table(model, q, DinaParams(s, g)), p
     theta = np.empty((J, 1 << K))
     cells = _cells(q)
     for j in range(J):
@@ -223,7 +190,7 @@ def em_fit(
     p = np.clip(p, _CLAMP, None)
     p /= p.sum()
 
-    gate = _gate(model, q) if model in ("dina", "dino") else None
+    gate = gamma_matrix(q, model).astype(bool) if model in ("dina", "dino") else None
     cells = _cells(q) if model == "gdina" else None
 
     path = []
@@ -278,6 +245,7 @@ def em_fit(
             g_vec[j] = theta[j][~gate[j]].min() if (~gate[j]).any() else theta[j, 0]
         s, g = 1.0 - c_vec, g_vec
 
+    mono = monotonicity_violation(theta, q)
     return FitResult(
         model=model,
         loglik=final_loglik,
@@ -287,8 +255,8 @@ def em_fit(
         p=p,
         iterations=iterations,
         converged=converged,
-        monotonicity_violation=_mono_violation(theta, q),
-        stringent_violation=_stringent_violation(theta, q),
+        monotonicity_violation=mono if mono > -np.inf else 0.0,
+        stringent_violation=max(0.0, stringent_violation(theta, q)),
         loglik_path=np.array(path),
     )
 
@@ -371,7 +339,7 @@ def _fit_candidate(task):
             index=idx, q=cand, loglik=fit.loglik,
             stringent_ok=fit.stringent_ok, converged=fit.converged,
         )
-    except (DimensionMismatch, EmptyData, ValueError) as exc:
+    except QidentError as exc:
         return SearchEntry(
             index=idx, q=cand, loglik=-np.inf,
             stringent_ok=False, converged=False, error=str(exc),
@@ -393,9 +361,10 @@ def exhaustive_search(
 
     With ``require_stringent`` the argmax is taken only over candidates whose
     fitted table satisfies the strict subset order (the rest stay in the
-    report but are excluded from the argmax).  Fit failures are recorded per
-    candidate without aborting the sweep.  Exact ties break toward fewer
-    ones in the design, then lexicographically.
+    report but are excluded from the argmax).  A fit that raises a domain
+    error (:class:`QidentError`) is recorded per candidate without aborting
+    the sweep; any other exception propagates.  Exact ties break toward
+    fewer ones in the design, then lexicographically.
 
     Candidate fits are independent; with ``workers > 1`` they run in a
     process pool.  Per-candidate seeds derive from (seed, index), so the
@@ -435,14 +404,6 @@ def exhaustive_search(
     )
 
 
-def _permute_pattern_bits(pattern: int, perm, K: int) -> int:
-    out = 0
-    for k in range(K):
-        if pattern >> k & 1:
-            out |= 1 << perm[k]
-    return out
-
-
 def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
     """Relabel the estimated proportions by the attribute permutation that
     minimizes the total squared parameter error against the truth.
@@ -461,10 +422,7 @@ def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
         base += float(np.sum((estimate.g - truth["g"]) ** 2))
     best = None
     for perm in itertools.permutations(range(n_attributes)):
-        table = np.array(
-            [_permute_pattern_bits(a, perm, n_attributes) for a in range(1 << n_attributes)]
-        )
-        p_aligned = estimate.p[table]
+        p_aligned = estimate.p[_bit_permutation_table(perm, n_attributes)]
         err = base + float(np.sum((p_aligned - truth["p"]) ** 2))
         if best is None or err < best[2]:
             best = (perm, p_aligned, err)
@@ -473,11 +431,16 @@ def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
 
 @dataclass
 class MseRecord:
+    """Mean squared errors of one (truth, n) cell over its replications;
+    ``unconverged`` counts the replications whose best fit stopped at
+    ``max_iter``."""
+
     truth_index: int
     n: int
     mse_s: float
     mse_g: float
     mse_p: float
+    unconverged: int
 
 
 @dataclass
@@ -496,18 +459,6 @@ class MseReport:
             (r for r in self.records if r.n == n), key=lambda r: r.truth_index
         )
         return np.array([r.mse_p for r in recs])
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "truth": r.truth_index,
-                "n": r.n,
-                "mseS": r.mse_s,
-                "mseG": r.mse_g,
-                "mseP": r.mse_p,
-            }
-            for r in self.records
-        ]
 
 
 def mse_experiment(
@@ -528,6 +479,7 @@ def mse_experiment(
     truth and every n in the grid, ``replications`` datasets are simulated
     and fit by multistart EM; the estimate is aligned to the truth over
     attribute permutations and squared errors are averaged per component.
+    Each cell also counts the replications whose fit hit ``max_iter``.
     """
     root = np.random.SeedSequence(seed)
     sampler_rng = np.random.default_rng(root.spawn(1)[0])
@@ -540,6 +492,7 @@ def mse_experiment(
         report.truths.append({"s": params.s, "g": params.g, "p": p})
         for n in n_grid:
             errs = np.zeros(3)
+            unconverged = 0
             for rep in range(replications):
                 stream = np.random.default_rng((seed, idx, int(n), rep))
                 data = simulate(model, q, params, p, int(n), seed=stream)
@@ -553,11 +506,13 @@ def mse_experiment(
                 errs[0] += float(np.mean((fit.s - params.s) ** 2))
                 errs[1] += float(np.mean((fit.g - params.g) ** 2))
                 errs[2] += float(np.mean((p_aligned - p) ** 2))
+                unconverged += not fit.converged
             errs /= replications
             report.records.append(
                 MseRecord(
                     truth_index=idx, n=int(n),
                     mse_s=float(errs[0]), mse_g=float(errs[1]), mse_p=float(errs[2]),
+                    unconverged=unconverged,
                 )
             )
     return report

@@ -39,32 +39,33 @@ def _tokenize_row(raw: str):
     return raw.replace(",", " ").split()
 
 
+def _binary_rows(lines, first_line: int, entry: str, compact: bool = False) -> list[list[int]]:
+    """Parse rows of 0/1 entries of equal length; errors carry line and
+    column, counted from ``first_line``.  With ``compact`` a lone token such
+    as "0110" is read as one entry per character."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first_line):
+        tokens = _tokenize_row(raw)
+        if compact and len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) > 1:
+            tokens = list(tokens[0])
+        for colno, tok in enumerate(tokens, start=1):
+            if tok not in ("0", "1"):
+                raise ParseError(
+                    f"invalid {entry} {tok!r}, expected 0 or 1", line=lineno, column=colno
+                )
+        if rows and len(tokens) != len(rows[0]):
+            raise ParseError(f"row has {len(tokens)} entries, expected {len(rows[0])}", line=lineno)
+        rows.append([int(tok) for tok in tokens])
+    return rows
+
+
 def parse_q_text(text: str) -> QMatrix:
     """Parse a design matrix from text (multi-line, or ';'-separated rows)."""
     if ";" in text and "\n" not in text.strip():
         lines = [part for part in text.strip().split(";") if part.strip()]
     else:
         lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows = []
-    width = None
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokenize_row(raw)
-        if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) > 1:
-            tokens = list(tokens[0])  # compact "0110" form
-        row = []
-        for colno, tok in enumerate(tokens, start=1):
-            if tok not in ("0", "1"):
-                raise ParseError(
-                    f"invalid entry {tok!r}, expected 0 or 1", line=lineno, column=colno
-                )
-            row.append(int(tok))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"row has {len(row)} entries, expected {width}", line=lineno
-            )
-        rows.append(row)
+    rows = _binary_rows(lines, 1, "entry", compact=True)
     if not rows:
         raise ParseError("no rows found")
     return QMatrix.from_rows(rows)
@@ -90,44 +91,40 @@ def load_responses_csv(path) -> Dataset:
     if not lines:
         raise ParseError("empty dataset file")
     start = 1 if _looks_like_header(_tokenize_row(lines[0])) else 0
-    rows = []
-    width = None
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        tokens = _tokenize_row(raw)
-        row = []
-        for colno, tok in enumerate(tokens, start=1):
-            if tok not in ("0", "1"):
-                raise ParseError(
-                    f"invalid response {tok!r}", line=lineno, column=colno
-                )
-            row.append(int(tok))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"row has {len(row)} entries, expected {width}", line=lineno)
-        rows.append(row)
+    rows = _binary_rows(lines[start:], start + 1, "response")
     if not rows:
         raise ParseError("dataset file has a header but no data rows")
     return Dataset.from_matrix(np.array(rows))
 
 
 def load_pattern_counts_csv(path, n_items: int) -> Dataset:
-    """Two columns: pattern bit-mask (little-endian) and count."""
+    """Two columns: pattern bit-mask (little-endian) and count.  Each pattern
+    appears once, inside [0, 2^n_items), with a nonnegative count."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty dataset file")
     start = 1 if _looks_like_header(_tokenize_row(lines[0])) else 0
-    patterns, counts = [], []
+    counts: dict[int, int] = {}
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         tokens = _tokenize_row(raw)
         if len(tokens) != 2:
             raise ParseError("expected two columns: pattern_bits,count", line=lineno)
         try:
-            patterns.append(int(tokens[0]))
-            counts.append(int(tokens[1]))
+            pattern, count = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer entry in {tokens}", line=lineno) from None
-    return Dataset(n_items, np.array(patterns, dtype=np.int64), np.array(counts, dtype=np.int64))
+        if not 0 <= pattern < 1 << n_items:
+            raise ParseError(f"pattern {pattern} out of range for {n_items} items", line=lineno)
+        if count < 0:
+            raise ParseError(f"negative count {count}", line=lineno)
+        if pattern in counts:
+            raise ParseError(f"pattern {pattern} listed twice", line=lineno)
+        counts[pattern] = count
+    return Dataset(
+        n_items,
+        np.array(list(counts), dtype=np.int64),
+        np.array(list(counts.values()), dtype=np.int64),
+    )
 
 
 def save_dataset_csv(data: Dataset, path, header: bool = True) -> None:
@@ -185,14 +182,6 @@ def save_search_csv(report, path) -> None:
     lines = ["index,loglik,stringent_ok,converged"]
     for e in report.entries:
         lines.append(f"{e.index},{e.loglik!r},{int(e.stringent_ok)},{int(e.converged)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_mse_csv(report, path) -> None:
-    """Plot-ready error decay: one row per (truth, sample size)."""
-    lines = ["truth,n,mse_s,mse_g,mse_p"]
-    for r in report.records:
-        lines.append(f"{r.truth_index},{r.n},{r.mse_s!r},{r.mse_g!r},{r.mse_p!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

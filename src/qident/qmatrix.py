@@ -206,15 +206,23 @@ class IdentifiabilityVerdict:
         }
 
 
-def gamma_matrix(q: QMatrix) -> np.ndarray:
-    """Ideal-response matrix: entry (j, a) is 1 iff pattern a covers row j.
+def gamma_matrix(q: QMatrix, model: str = "dina") -> np.ndarray:
+    """Ideal-response matrix: entry (j, a) is 1 iff a subject of pattern a is
+    capable on item j, the gate of the two-parameter models.
 
-    Columns are indexed by attribute-pattern bit masks; the all-ones pattern
-    yields an all-ones column and the all-zeros pattern marks zero rows.
+    Conjunctive (``"dina"``): pattern a covers row j, so a zero row is always
+    capable, the all-ones pattern yields an all-ones column and the all-zeros
+    pattern marks zero rows.  Disjunctive (``"dino"``): a shares at least one
+    required attribute, so a zero row is never capable.  Columns are indexed
+    by attribute-pattern bit masks.
     """
-    masks = q.row_masks
-    patterns = np.arange(1 << q.n_attributes, dtype=np.int64)
-    return ((patterns[None, :] & masks[:, None]) == masks[:, None]).astype(np.uint8)
+    masks = q.row_masks[:, None]
+    shared = np.arange(1 << q.n_attributes, dtype=np.int64)[None, :] & masks
+    if model == "dina":
+        return (shared == masks).astype(np.uint8)
+    if model == "dino":
+        return (shared != 0).astype(np.uint8)
+    raise ValueError(f"unknown model {model!r}")
 
 
 def strip_zero_rows(q: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:

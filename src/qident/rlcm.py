@@ -23,6 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .qmatrix import QMatrix, gamma_matrix
+from .tmatrix import _product_table
 
 __all__ = [
     "Proportions",
@@ -30,11 +31,11 @@ __all__ = [
     "GdinaParams",
     "Dataset",
     "RlcmModel",
-    "theta_dina",
-    "theta_dino",
     "dina_theta_table",
     "dino_theta_table",
     "theta_table",
+    "monotonicity_violation",
+    "stringent_violation",
     "monotonicity_ok",
     "stringent_ok",
     "beta_to_theta",
@@ -159,74 +160,71 @@ class GdinaParams:
             raise ValueError("theta violates the stringent monotonicity order")
 
 
-def theta_dina(params: DinaParams, q: QMatrix, item: int, pattern: int) -> float:
-    """Conjunctive response probability: 1 - s when the pattern covers the row."""
-    mask = int(q.row_masks[item])
-    return float(params.c[item]) if (pattern & mask) == mask else float(params.g[item])
-
-
-def theta_dino(params: DinaParams, q: QMatrix, item: int, pattern: int) -> float:
-    """Disjunctive response probability: 1 - s when the pattern shares any
-    required attribute (a zero row never fires the gate)."""
-    mask = int(q.row_masks[item])
-    return float(params.c[item]) if (pattern & mask) != 0 else float(params.g[item])
-
-
 def dina_theta_table(q: QMatrix, params: DinaParams) -> np.ndarray:
-    if params.n_items != q.n_items:
-        raise DimensionMismatch("parameter length does not match item count")
-    gamma = gamma_matrix(q).astype(float)
-    return gamma * params.c[:, None] + (1.0 - gamma) * params.g[:, None]
+    return theta_table("dina", q, params)
 
 
 def dino_theta_table(q: QMatrix, params: DinaParams) -> np.ndarray:
-    if params.n_items != q.n_items:
-        raise DimensionMismatch("parameter length does not match item count")
-    masks = q.row_masks
-    patterns = np.arange(1 << q.n_attributes, dtype=np.int64)
-    gate = ((patterns[None, :] & masks[:, None]) != 0).astype(float)
-    return gate * params.c[:, None] + (1.0 - gate) * params.g[:, None]
+    return theta_table("dino", q, params)
 
 
 def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
-    """Uniform entry point: the J x 2^K response-probability table."""
-    if model == "dina":
-        return dina_theta_table(q, params)
-    if model == "dino":
-        return dino_theta_table(q, params)
+    """Uniform entry point: the J x 2^K response-probability table.
+
+    The two-parameter models answer 1 - s where ``gamma_matrix`` marks the
+    subject capable and g elsewhere.
+    """
     if model == "gdina":
         theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
         if theta.shape != (q.n_items, 1 << q.n_attributes):
             raise DimensionMismatch("theta shape does not match the Q-matrix")
         return theta
-    raise ValueError(f"unknown model {model!r}")
+    gate = gamma_matrix(q, model)
+    if params.n_items != q.n_items:
+        raise DimensionMismatch("parameter length does not match item count")
+    return np.where(gate, params.c[:, None], params.g[:, None])
+
+
+def monotonicity_violation(theta: np.ndarray, q: QMatrix) -> float:
+    """Largest excess of a non-covering over a covering pattern's response
+    probability, over the items with a nonzero row; -inf when there is none.
+
+    Negative means covering patterns answer strictly better, zero is a tie.
+    """
+    covers = gamma_matrix(q).astype(bool)
+    rows = q.row_masks != 0
+    if not rows.any():
+        return -np.inf
+    worst_non = np.where(covers, -np.inf, theta)[rows].max(axis=1)
+    best_cap = np.where(covers, theta, np.inf)[rows].min(axis=1)
+    return float((worst_non - best_cap).max())
+
+
+def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
+    """Largest excess of theta[j, b] over theta[j, a] for patterns a > b in
+    the strict order of subsets of item j's required attributes; -inf when
+    no item requires an attribute.
+
+    Negative means strict increase along the order, zero is a tie.
+    """
+    pats = np.arange(theta.shape[1], dtype=np.int64)
+    below = (pats[:, None] & pats[None, :]) == pats[None, :]  # below[a, b]: b within a
+    np.fill_diagonal(below, False)
+    inside = (pats[None, :] & ~q.row_masks[:, None]) == 0  # pattern within item j's row
+    pairs = below[None] & inside[:, :, None] & inside[:, None, :]
+    if not pairs.any():
+        return -np.inf
+    return float((theta[:, None, :] - theta[:, :, None])[pairs].max())
 
 
 def monotonicity_ok(theta: np.ndarray, q: QMatrix) -> bool:
     """Covering patterns must answer strictly better than non-covering ones."""
-    masks = q.row_masks
-    patterns = np.arange(theta.shape[1])
-    for j in range(q.n_items):
-        mask = int(masks[j])
-        covers = (patterns & mask) == mask
-        if mask and theta[j, covers].min() <= theta[j, ~covers].max():
-            return False
-    return True
+    return monotonicity_violation(theta, q) < 0
 
 
 def stringent_ok(theta: np.ndarray, q: QMatrix) -> bool:
     """Strict increase along the partial order of required-attribute subsets."""
-    masks = q.row_masks
-    patterns = np.arange(theta.shape[1])
-    for j in range(q.n_items):
-        mask = int(masks[j])
-        reduced = patterns & mask
-        for a in np.unique(reduced):
-            for b in np.unique(reduced):
-                if a != b and (a & b) == b:  # a strictly contains b
-                    if theta[j, int(a)] <= theta[j, int(b)]:
-                        return False
-    return True
+    return stringent_violation(theta, q) < 0
 
 
 def beta_to_theta(betas: list[dict], q: QMatrix) -> GdinaParams:
@@ -284,28 +282,17 @@ def theta_to_beta(params: GdinaParams | np.ndarray, q: QMatrix) -> list[dict]:
 
 
 def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact length-2^J distribution of the response pattern.
-
-    Accumulates, per attribute pattern, the product measure of the J
-    Bernoulli responses by successive doubling (bit j of the index is the
-    response to item j+1).
-    """
+    """Exact length-2^J distribution of the response pattern (bit j of the
+    index is the response to item j+1): the product table of theta or
+    1 - theta per item, weighted by p and summed over attribute patterns."""
     J = theta.shape[0]
     if J > _MAX_FULL_J:
         raise TooLarge(f"full distribution guarded to J <= {_MAX_FULL_J}")
     out = np.zeros(1 << J)
     buf = np.empty(1 << J)
-    for a in range(theta.shape[1]):
-        if p[a] == 0.0:
-            continue
-        buf[0] = p[a]
-        size = 1
-        for j in range(J):
-            t = theta[j, a]
-            buf[size : 2 * size] = buf[:size] * t
-            buf[:size] *= 1.0 - t
-            size *= 2
-        out += buf
+    miss = 1.0 - theta
+    for a in np.flatnonzero(p):
+        out += _product_table(buf, theta[:, a], miss[:, a], p[a])
     return out
 
 
@@ -315,24 +302,19 @@ def full_distribution(model: str, q: QMatrix, params, p: Proportions | np.ndarra
 
 
 def pmf(model: str, q: QMatrix, params, p: Proportions | np.ndarray, r: int) -> float:
-    """Probability of one response pattern (bit j = item j+1)."""
+    """Probability of one response pattern (bit j = item j+1), row by row:
+    an independent reference for ``response_distribution``."""
     theta = theta_table(model, q, params)
     pvec = p.p if isinstance(p, Proportions) else np.asarray(p, float)
-    total = 0.0
-    for a in range(theta.shape[1]):
-        if pvec[a] == 0.0:
-            continue
-        prob = pvec[a]
-        for j in range(theta.shape[0]):
-            t = theta[j, a]
-            prob *= t if r >> j & 1 else 1.0 - t
-        total += prob
-    return total
+    hits = np.array([r >> j & 1 for j in range(theta.shape[0])], dtype=bool)
+    factors = np.where(hits[:, None], theta, 1.0 - theta)
+    keep = pvec != 0.0
+    return float(np.sum(pvec[keep] * np.prod(factors[:, keep], axis=0)))
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed response patterns with multiplicities."""
+    """Observed response patterns, each listed once, with multiplicities."""
 
     n_items: int
     patterns: np.ndarray  # unique pattern masks, int64
@@ -347,6 +329,8 @@ class Dataset:
             raise ValueError("counts must be nonnegative")
         if len(patterns) and ((patterns < 0).any() or (patterns >= (1 << self.n_items)).any()):
             raise ValueError("pattern mask out of range for the item count")
+        if len(np.unique(patterns)) != len(patterns):
+            raise ValueError("pattern masks must be distinct")
         patterns.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "patterns", patterns)

@@ -9,12 +9,12 @@ set ``r`` positively.  ``T @ p`` therefore stacks the survival probabilities
 P(R >= r).  The parameter-shift transform maps T built from ``theta`` to T
 built from ``theta - theta_star`` through an explicit unitriangular matrix,
 which is the main tool behind the identifiability arguments; here it is
-constructed from inclusion-exclusion and checked numerically.
+constructed from inclusion-exclusion and checked numerically.  One doubling
+kernel fills every 2^J product table: T columns, the survival vector and
+the exact distribution of ``rlcm.response_distribution``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -22,19 +22,34 @@ from .errors import NoPartition, TooLarge
 
 __all__ = [
     "build_t",
-    "t_row",
     "tp_vector",
     "shift_t",
     "shift_matrix",
     "rank",
-    "kruskal_rank",
     "identifiable_subset_check",
 ]
 
 _MAX_T_J = 20
 _MAX_D_J = 12
 _RANK_TOL = 1e-10
-_KRUSKAL_BUDGET = 200_000
+
+
+def _product_table(out: np.ndarray, hi, lo=None, weight=1.0) -> np.ndarray:
+    """Fill the length-2^J buffer ``out`` with
+
+        out[r] = weight * prod over items j of (hi[j] if bit j of r else lo[j])
+
+    by successive doubling and return it.  ``lo=None`` stands for ones (the
+    T-matrix), which leaves one multiply per doubling step.
+    """
+    out[0] = weight
+    size = 1
+    for j in range(len(hi)):
+        out[size : 2 * size] = out[:size] * hi[j]
+        if lo is not None:
+            out[:size] *= lo[j]
+        size *= 2
+    return out
 
 
 def build_t(theta: np.ndarray) -> np.ndarray:
@@ -44,30 +59,8 @@ def build_t(theta: np.ndarray) -> np.ndarray:
         raise TooLarge(f"dense T-matrix guarded to J <= {_MAX_T_J}")
     t = np.empty((1 << J, n_alpha))
     for a in range(n_alpha):
-        col = t[:, a]
-        col[0] = 1.0
-        size = 1
-        for j in range(J):
-            col[size : 2 * size] = col[:size] * theta[j, a]
-            size *= 2
+        _product_table(t[:, a], theta[:, a])
     return t
-
-
-def t_row(theta: np.ndarray, response: int) -> np.ndarray:
-    """One row of the marginal-probability matrix, computed on demand.
-
-    Works for any J, so callers beyond the dense guard can still stream the
-    rows they need (bit j of ``response`` selects item j+1).
-    """
-    out = np.ones(theta.shape[1])
-    j = 0
-    r = int(response)
-    while r:
-        if r & 1:
-            out *= theta[j]
-        r >>= 1
-        j += 1
-    return out
 
 
 def tp_vector(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -77,15 +70,8 @@ def tp_vector(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise TooLarge(f"survival vector guarded to J <= {_MAX_T_J}")
     out = np.zeros(1 << J)
     buf = np.empty(1 << J)
-    for a in range(theta.shape[1]):
-        if p[a] == 0.0:
-            continue
-        buf[0] = p[a]
-        size = 1
-        for j in range(J):
-            buf[size : 2 * size] = buf[:size] * theta[j, a]
-            size *= 2
-        out += buf
+    for a in np.flatnonzero(p):
+        out += _product_table(buf, theta[:, a], weight=p[a])
     return out
 
 
@@ -118,19 +104,7 @@ def shift_matrix(theta_star: np.ndarray) -> np.ndarray:
 
 def shift_t(theta: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
     """T built from the shifted table theta - theta_star (per item)."""
-    shifted = theta - np.asarray(theta_star, float)[:, None]
-    J, n_alpha = shifted.shape
-    if J > _MAX_T_J:
-        raise TooLarge(f"dense T-matrix guarded to J <= {_MAX_T_J}")
-    t = np.empty((1 << J, n_alpha))
-    for a in range(n_alpha):
-        col = t[:, a]
-        col[0] = 1.0
-        size = 1
-        for j in range(J):
-            col[size : 2 * size] = col[:size] * shifted[j, a]
-            size *= 2
-    return t
+    return build_t(theta - np.asarray(theta_star, float)[:, None])
 
 
 def rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
@@ -160,27 +134,6 @@ def rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
         m[r + 1 :] -= np.outer(m[r + 1 :, c] / m[r, c], m[r])
         r += 1
     return r
-
-
-def kruskal_rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
-    """Largest I such that every set of I columns is linearly independent.
-
-    Subset enumeration is exponential; the search aborts with
-    :class:`TooLarge` when the budget is exceeded.
-    """
-    m = np.asarray(matrix, dtype=float)
-    n_cols = m.shape[1]
-    if n_cols > 64:
-        raise TooLarge("Kruskal rank guarded to at most 64 columns")
-    work = 0
-    for size in range(1, n_cols + 1):
-        for subset in itertools.combinations(range(n_cols), size):
-            work += 1
-            if work > _KRUSKAL_BUDGET:
-                raise TooLarge("Kruskal rank subset budget exceeded")
-            if rank(m[:, subset], tol) < size:
-                return size - 1
-    return n_cols
 
 
 def identifiable_subset_check(

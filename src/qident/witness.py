@@ -40,28 +40,20 @@ import numpy as np
 
 from .errors import (
     ConstraintHolds,
-    InvalidCbar,
     InvalidFreeValues,
-    InvalidGbar,
     NotCertified,
     NotSubsumed,
     TooLarge,
     WrongShape,
 )
 from .qmatrix import QMatrix, gamma_matrix, q_equivalent
-from .rlcm import (
-    DinaParams,
-    RlcmModel,
-    dina_theta_table,
-    response_distribution,
-)
+from .rlcm import DinaParams, RlcmModel, dina_theta_table
 
 __all__ = [
     "CERT_TOL",
     "DISTINCT_FLOOR",
     "WitnessPair",
     "certify",
-    "certify_sampled",
     "q24_constraint_gap",
     "dina_one_item_attr",
     "dina_scenario_a",
@@ -105,10 +97,7 @@ def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> 
     two models do not genuinely differ.
     """
     if pair.truth.q.n_items > _MAX_CERT_J:
-        raise TooLarge(
-            f"exact certification guarded to J <= {_MAX_CERT_J}; "
-            "use certify_sampled for a Monte-Carlo bound"
-        )
+        raise TooLarge(f"exact certification guarded to J <= {_MAX_CERT_J}")
     base = (
         truth_distribution
         if truth_distribution is not None
@@ -126,26 +115,6 @@ def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> 
             f"(distinctness floor {DISTINCT_FLOOR:.0e})"
         )
     return diff
-
-
-def certify_sampled(pair: WitnessPair, n_patterns: int = 4096, seed=0) -> float:
-    """Monte-Carlo lower bound on the maximum difference (non-exact).
-
-    Only a screening fallback for designs beyond the exact-enumeration
-    guard; the result is the max difference over sampled patterns.
-    """
-    rng = np.random.default_rng(seed)
-    J = pair.truth.q.n_items
-    from .rlcm import pmf
-
-    worst = 0.0
-    for r in rng.integers(0, 1 << J, size=n_patterns, dtype=np.int64):
-        a = pmf("gdina", pair.truth.q, pair.truth.theta, pair.truth.p, int(r))
-        b = pmf("gdina", pair.alternative.q, pair.alternative.theta, pair.alternative.p, int(r))
-        worst = max(worst, abs(a - b))
-    pair.certified_max_diff = worst
-    pair.details["certification"] = "sampled"
-    return worst
 
 
 def _split_by_bit(n_patterns: int, bit: int):
@@ -197,14 +166,14 @@ def dina_one_item_attr(
     j, k = target
     c_j, g_j = float(params.c[j]), float(params.g[j])
     if not (g_j < c_bar < 1.0):
-        raise InvalidCbar(f"c_bar must lie in (g, 1) = ({g_j}, 1)")
+        raise InvalidFreeValues(f"c_bar must lie in (g, 1) = ({g_j}, 1)")
     ratio = (c_j - g_j) / (c_bar - g_j)
     low, high = _split_by_bit(len(p), k)
     p_bar = np.empty_like(p)
     p_bar[high] = p[high] * ratio
     p_bar[low] = p[low] + p[high] - p_bar[high]
     if (p_bar < -1e-15).any() or (p_bar > 1 + 1e-15).any():
-        raise InvalidCbar("resulting proportions leave [0, 1]")
+        raise InvalidFreeValues("resulting proportions leave [0, 1]")
     p_bar = np.clip(p_bar, 0.0, 1.0)
 
     s_bar = params.s.copy()
@@ -251,7 +220,7 @@ def dina_scenario_a(
     c1, g1 = float(params.c[j1]), float(params.g[j1])
     c2, g2 = float(params.c[j2]), float(params.g[j2])
     if not (0.0 < g1_bar < c1):
-        raise InvalidGbar(f"g1_bar must lie in (0, c1) = (0, {c1})")
+        raise InvalidFreeValues(f"g1_bar must lie in (0, c1) = (0, {c1})")
 
     low, high = _split_by_bit(len(p), k)
     ratio = (g1 - c1) / (g1_bar - c1)
@@ -259,16 +228,16 @@ def dina_scenario_a(
     p_bar[low] = p[low] * ratio
     p_bar[high] = p[low] + p[high] - p_bar[low]
     if (p_bar < -1e-15).any() or (p_bar > 1 + 1e-15).any():
-        raise InvalidGbar("resulting proportions leave [0, 1]")
+        raise InvalidFreeValues("resulting proportions leave [0, 1]")
     p_bar = np.clip(p_bar, 0.0, 1.0)
 
     top_low = full & ~(1 << k)  # pattern with every attribute except k
     top_high = full
     if p_bar[top_high] <= 0:
-        raise InvalidGbar("degenerate proportion at the all-attributes pattern")
+        raise InvalidFreeValues("degenerate proportion at the all-attributes pattern")
     c2_bar = (g2 * (p[top_low] - p_bar[top_low]) + c2 * p[top_high]) / p_bar[top_high]
     if not (g2 < c2_bar < 1.0):
-        raise InvalidGbar(f"re-solved capable probability {c2_bar} leaves (g2, 1)")
+        raise InvalidFreeValues(f"re-solved capable probability {c2_bar} leaves (g2, 1)")
 
     s_bar = params.s.copy()
     g_bar = params.g.copy()

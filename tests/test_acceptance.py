@@ -54,7 +54,7 @@ from qident.witness import (
     q24_constraint_gap,
 )
 
-from conftest import (
+from tests.conftest import (
     brute_force_generic_complete,
     gap_z_score,
     random_q,

@@ -16,7 +16,7 @@ from qident.estimate import (
 )
 from qident.rlcm import Dataset, dina_theta_table, full_distribution
 
-from conftest import dina_information, dina_jacobian, gap_z_score
+from tests.conftest import dina_information, dina_jacobian, gap_z_score
 
 
 def _simulated(rng, q, n=5000, seed=0):
@@ -137,6 +137,12 @@ class TestSearch:
         assert report.entries[1].error is not None
         assert report.argmax_index == 0
 
+    def test_programming_errors_propagate(self, rng):
+        # only domain errors become per-candidate entries
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
+        with pytest.raises(ValueError, match="unknown model"):
+            exhaustive_search("xyz", data, [Q5X2_SINGLE_IDENTITY], restarts=1, seed=19)
+
     def test_stringent_filter_gdina(self):
         # entrywise supersets nest the saturated model, so unfiltered sweeps
         # always prefer them in-sample; the strict subset order is what
@@ -233,6 +239,19 @@ class TestMseExperiment:
             small = next(r for r in report.records if r.truth_index == idx and r.n == 100)
             large = next(r for r in report.records if r.truth_index == idx and r.n == 10_000)
             assert large.mse_p < small.mse_p
+
+
+    def test_counts_unconverged_replications(self):
+        def sampler(rng):
+            params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))
+            return params, rng.dirichlet(np.full(4, 3.0))
+
+        kwargs = dict(n_truths=2, n_grid=[100, 1000], replications=3, seed=5, restarts=2)
+        capped = mse_experiment(Q4X2_PAIRED, sampler, max_iter=5, **kwargs)
+        assert [r.unconverged for r in capped.records] == [3, 3, 3, 3]
+        # a loose tolerance stops every fit at its second sweep
+        loose = mse_experiment(Q4X2_PAIRED, sampler, tol=1e3, **kwargs)
+        assert [r.unconverged for r in loose.records] == [0, 0, 0, 0]
 
 
 class TestFisherInformation:

@@ -66,6 +66,35 @@ class TestDatasetFormats:
         assert (back.patterns == data.patterns).all()
         assert (back.counts == data.counts).all()
 
+    def test_counts_duplicate_pattern(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("pattern_bits,count\n0,5\n0,3\n")
+        with pytest.raises(ParseError) as exc:
+            load_pattern_counts_csv(path, 3)
+        assert exc.value.line == 3
+        with pytest.raises(ValueError):
+            Dataset(3, np.array([0, 0]), np.array([5, 3]))
+
+    def test_counts_negative(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("0,5\n1,-2\n")
+        with pytest.raises(ParseError) as exc:
+            load_pattern_counts_csv(path, 2)
+        assert exc.value.line == 2
+        qfile = tmp_path / "q.txt"
+        save_q(QMatrix.from_rows([[1, 0], [0, 1]]), qfile)
+        assert main([
+            "fit", "--model", "dina", "--q", str(qfile), "--data", str(path), "--counts",
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: negative count")
+
+    def test_counts_pattern_out_of_range(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("pattern_bits,count\n7,1\n8,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_pattern_counts_csv(path, 3)
+        assert exc.value.line == 3
+
     def test_bad_response_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("item1,item2\n1,2\n")

@@ -38,7 +38,7 @@ from qident.errors import (
     TooLarge,
 )
 
-from conftest import brute_force_generic_complete, random_q
+from tests.conftest import brute_force_generic_complete, random_q
 
 
 class TestConditionA:

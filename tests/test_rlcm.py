@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qident import (
@@ -26,11 +28,9 @@ from qident.rlcm import (
     pattern_string,
     response_distribution,
     stringent_ok,
-    theta_dina,
-    theta_dino,
 )
 
-from conftest import random_q
+from tests.conftest import random_q
 
 
 class TestParams:
@@ -78,22 +78,25 @@ class TestThetaTables:
     def test_dina_values(self):
         q = QMatrix.from_rows([[1, 0], [1, 1]])
         params = DinaParams(np.array([0.2, 0.2]), np.array([0.2, 0.2]))
-        assert theta_dina(params, q, 0, 0b01) == pytest.approx(0.8)
-        assert theta_dina(params, q, 1, 0b01) == pytest.approx(0.2)
+        theta = theta_table("dina", q, params)
+        assert theta[0, 0b01] == pytest.approx(0.8)
+        assert theta[1, 0b01] == pytest.approx(0.2)
         # the all-ones pattern is always capable
-        assert theta_dina(params, q, 1, 0b11) == pytest.approx(0.8)
+        assert theta[1, 0b11] == pytest.approx(0.8)
 
     def test_dina_zero_row_always_capable(self):
         q = QMatrix.from_rows([[0, 0]])
         params = DinaParams(np.array([0.1]), np.array([0.3]))
+        theta = theta_table("dina", q, params)
         for a in range(4):
-            assert theta_dina(params, q, 0, a) == pytest.approx(0.9)
+            assert theta[0, a] == pytest.approx(0.9)
 
     def test_dino_gate(self):
         q = QMatrix.from_rows([[1, 1]])
         params = DinaParams(np.array([0.2]), np.array([0.3]))
-        assert theta_dino(params, q, 0, 0b01) == pytest.approx(0.8)  # one shared attr
-        assert theta_dino(params, q, 0, 0b00) == pytest.approx(0.3)
+        theta = theta_table("dino", q, params)
+        assert theta[0, 0b01] == pytest.approx(0.8)  # one shared attr
+        assert theta[0, 0b00] == pytest.approx(0.3)
 
     def test_dino_duality_with_dina(self, rng):
         # the disjunctive model is the conjunctive one with capable and
@@ -176,17 +179,24 @@ class TestDistribution:
         value = pmf("dina", q, params, p, 0b11)
         assert value == pytest.approx(0.8 * 0.7)
 
-    def test_normalization(self, rng):
-        for _ in range(5):
-            j = int(rng.integers(1, 7))
-            k = int(rng.integers(1, 4))
-            q = random_q(rng, j, k)
-            params = DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
-            p = rng.dirichlet(np.ones(1 << k))
-            dist = full_distribution("dina", q, params, p)
-            assert abs(dist.sum() - 1.0) < 1e-10
-            r = int(rng.integers(0, 1 << j))
-            assert dist[r] == pytest.approx(pmf("dina", q, params, p, r), abs=1e-14)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 3)),
+        model=st.sampled_from(["dina", "dino"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normalization(self, shape, model, seed):
+        # the product table against the row-by-row reference, every pattern
+        j, k = shape
+        rng = np.random.default_rng(seed)
+        q = random_q(rng, j, k)
+        params = DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
+        p = rng.dirichlet(np.ones(1 << k))
+        p[rng.random(1 << k) < 0.25] = 0.0  # classes without mass are skipped
+        dist = full_distribution(model, q, params, p)
+        assert abs(dist.sum() - p.sum()) < 1e-10
+        for r in range(1 << j):
+            assert dist[r] == pytest.approx(pmf(model, q, params, p, r), abs=1e-14)
 
     def test_dina_embeds_in_gdina(self, rng):
         q = random_q(rng, 5, 3, ensure_nonzero_rows=True)

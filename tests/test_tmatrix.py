@@ -10,17 +10,15 @@ from qident.errors import NoPartition, TooLarge
 from qident.rlcm import dina_theta_table, response_distribution
 from qident.tmatrix import (
     build_t,
-    kruskal_rank,
     rank,
     identifiable_subset_check,
     shift_matrix,
     shift_t,
-    t_row,
     tp_vector,
 )
 from qident.witness import q24_constraint_gap
 
-from conftest import random_q
+from tests.conftest import random_q
 
 
 def _random_model(rng, j, k):
@@ -65,17 +63,6 @@ class TestBuild:
         with pytest.raises(TooLarge):
             build_t(np.full((21, 2), 0.5))
 
-    def test_row_on_demand_matches_dense(self, rng):
-        _, theta, _ = _random_model(rng, 5, 2)
-        dense = build_t(theta)
-        for r in (0, 1, 0b10110, 31):
-            assert_allclose(t_row(theta, r), dense[r], atol=0)
-
-    def test_row_on_demand_beyond_dense_guard(self):
-        theta = np.full((24, 2), 0.5)
-        row = t_row(theta, (1 << 24) - 1)
-        assert row == pytest.approx([0.5**24, 0.5**24])
-
 
 class TestShift:
     def test_zero_shift_is_identity(self, rng):
@@ -108,6 +95,7 @@ class TestShift:
             shift = rng.uniform(-0.5, 0.5, j)
             d = shift_matrix(shift)
             assert np.max(np.abs(d @ build_t(theta) - shift_t(theta, shift))) < 1e-10
+            assert np.array_equal(shift_t(theta, shift), build_t(theta - shift[:, None]))
             assert abs(abs(np.linalg.det(d)) - 1.0) < 1e-9
 
     def test_guessing_shift_zeroes_noncapable(self, rng):
@@ -154,14 +142,6 @@ class TestRank:
             assert t.shape == (1 << k, 1 << k)
             assert rank(t) == 1 << k
             assert abs(np.linalg.det(t)) > 1e-12
-
-    def test_duplicate_columns_cap_kruskal(self):
-        m = np.array([[1.0, 1.0, 0.5], [0.3, 0.3, 0.2], [0.8, 0.8, 0.1]])
-        assert kruskal_rank(m) == 1
-
-    def test_kruskal_equals_rank_for_generic(self, rng):
-        m = rng.random((6, 4))
-        assert kruskal_rank(m) == rank(m) == 4
 
     def test_rank_deficient(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])

@@ -12,8 +12,7 @@ from qident.catalog import (
 )
 from qident.errors import (
     ConstraintHolds,
-    InvalidCbar,
-    InvalidGbar,
+    InvalidFreeValues,
     NotCertified,
     NotSubsumed,
     WrongShape,
@@ -23,7 +22,6 @@ from qident.witness import (
     CERT_TOL,
     WitnessPair,
     certify,
-    certify_sampled,
     dina_one_item_attr,
     dina_q24_two_solutions,
     dina_scenario_a,
@@ -63,22 +61,6 @@ class TestCertify:
             certify(pair)
         assert pair.certified_max_diff > 1e-4
 
-    def test_sampled_fallback_bounds_exact(self, rng):
-        params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
-        p = rng.dirichlet(np.ones(4))
-        truth = _dina_model(Q5X2_LONELY_ATTRIBUTE, params, p)
-        theta_bad = truth.theta.copy()
-        theta_bad[0] = theta_bad[0] + 0.01
-        pair = WitnessPair(
-            truth=truth,
-            alternative=RlcmModel(truth.q, theta_bad, truth.p, kind="dina"),
-            construction="corrupted",
-        )
-        sampled = certify_sampled(pair, n_patterns=64, seed=1)
-        exact = float(np.max(np.abs(truth.distribution() - pair.alternative.distribution())))
-        assert 0.0 < sampled <= exact + 1e-15
-        assert pair.details["certification"] == "sampled"
-
 
 class TestDinaOneItemAttr:
     def test_degenerate_choice_rejected(self, rng):
@@ -101,7 +83,7 @@ class TestDinaOneItemAttr:
                 continue
             try:
                 pair = dina_one_item_attr(q, params, p, float(c_bar))
-            except InvalidCbar:
+            except InvalidFreeValues:
                 continue
             assert pair.certified_max_diff < CERT_TOL
             assert abs(pair.alternative.p.sum() - 1.0) < 1e-12
@@ -115,7 +97,7 @@ class TestDinaOneItemAttr:
     def test_out_of_range_rejected(self, rng):
         params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
         p = rng.dirichlet(np.ones(4))
-        with pytest.raises(InvalidCbar):
+        with pytest.raises(InvalidFreeValues):
             dina_one_item_attr(Q5X2_LONELY_ATTRIBUTE, params, p, 0.05)
 
     def test_wrong_shape(self, rng):
@@ -150,7 +132,7 @@ class TestDinaScenarioA:
     def test_degenerate_rejected(self, rng):
         params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))
         p = rng.dirichlet(np.ones(4))
-        with pytest.raises((NotCertified, InvalidGbar)):
+        with pytest.raises((NotCertified, InvalidFreeValues)):
             dina_scenario_a(Q4X2_PAIR_WITH_FULL_ROW, params, p, float(params.g[0]))
 
     def test_wrong_shape(self, rng):
