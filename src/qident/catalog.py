@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, _cells
 
 __all__ = [
     "Q4X2_PAIRED",
@@ -156,17 +156,6 @@ def equal_effects_theta(q: QMatrix, lo: float = 0.2, hi: float = 0.8) -> np.ndar
 
         theta[j, a] = lo + (hi - lo) * (2^overlap - 1) / (2^m - 1).
     """
-    masks = q.row_masks
-    n = 1 << q.n_attributes
-    theta = np.empty((q.n_items, n))
-    patterns = np.arange(n, dtype=np.int64)
-    for j in range(q.n_items):
-        m = int(bin(int(masks[j])).count("1"))
-        if m == 0:
-            theta[j, :] = lo
-            continue
-        overlap = np.array(
-            [bin(int(a) & int(masks[j])).count("1") for a in patterns]
-        )
-        theta[j] = lo + (hi - lo) * (np.exp2(overlap) - 1.0) / (2.0**m - 1.0)
-    return theta
+    overlap = (_cells(q)[:, :, None] >> np.arange(q.n_attributes) & 1).sum(axis=2)
+    m = overlap[:, -1:]  # the all-ones pattern holds every required attribute
+    return lo + (hi - lo) * (np.exp2(overlap) - 1.0) / np.maximum(np.exp2(m) - 1.0, 1.0)

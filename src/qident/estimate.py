@@ -1,13 +1,14 @@
 """Maximum-likelihood estimation and the simulation-evidence harnesses.
 
 ``em_fit`` runs expectation-maximization on a pattern-count dataset at a
-fixed design matrix, with closed-form M-steps for both model families:
-slipping/guessing updates through the ideal-response gate for the
-conjunctive and disjunctive models, per-cell weighted means for the
-saturated general model.  ``multistart_fit`` takes the best of several
-random initializations, ``exhaustive_search`` sweeps a candidate list of
-designs, and ``mse_experiment`` measures how estimation error decays with
-the sample size.
+fixed design matrix, with one closed-form M-step for every model: a
+weighted mean per (item, cell) of the response table, the cells being
+capable and not capable for the conjunctive and disjunctive models and the
+restrictions a & row_mask[j] for the saturated general model.
+``multistart_fit`` takes the best of several random initializations,
+``exhaustive_search`` sweeps a candidate list of designs, and
+``mse_experiment`` measures how estimation error decays with the sample
+size.
 
 The observed-data log-likelihood is nondecreasing across iterations (up to
 a small numerical slack); tests rely on this invariant.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
-from .qmatrix import QMatrix, _bit_permutation_table, gamma_matrix
+from .qmatrix import QMatrix, _bit_permutation_table, _cells, gamma_matrix
 from .rlcm import (
     Dataset,
     DinaParams,
@@ -89,13 +90,6 @@ def _pattern_bits(patterns: np.ndarray, n_items: int) -> np.ndarray:
     return ((patterns[:, None] >> ks[None, :]) & 1).astype(float)
 
 
-def _cells(q: QMatrix) -> list[np.ndarray]:
-    """Per item, the pattern grouping by required-attribute restriction."""
-    masks = q.row_masks
-    pats = np.arange(1 << q.n_attributes, dtype=np.int64)
-    return [pats & int(masks[j]) for j in range(q.n_items)]
-
-
 def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
     J, K = q.n_items, q.n_attributes
     p = rng.dirichlet(np.ones(1 << K))
@@ -103,15 +97,15 @@ def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
         s = rng.uniform(0.05, 0.35, size=J)
         g = rng.uniform(0.05, 0.35, size=J)
         return theta_table(model, q, DinaParams(s, g)), p
-    theta = np.empty((J, 1 << K))
     cells = _cells(q)
+    theta = np.empty(cells.shape)
     for j in range(J):
         uniq = np.unique(cells[j])
         vals = np.sort(rng.uniform(0.1, 0.9, size=len(uniq)))
         # monotone start: cells with more required attributes get larger values
         order = np.argsort([bin(int(u)).count("1") for u in uniq], kind="stable")
-        lookup = {int(uniq[i]): vals[rank] for rank, i in enumerate(order)}
-        theta[j] = [lookup[int(c)] for c in cells[j]]
+        theta[j, uniq[order]] = vals
+        theta[j] = theta[j, cells[j]]
     return theta, p
 
 
@@ -191,7 +185,10 @@ def em_fit(
     p /= p.sum()
 
     gate = gamma_matrix(q, model).astype(bool) if model in ("dina", "dino") else None
-    cells = _cells(q) if model == "gdina" else None
+    # the M-step pools theta[j, a] over the patterns sharing its label, so
+    # (item, label) flattens into one bincount bin
+    labels = _cells(q) if gate is None else gate
+    bins = (labels + labels.shape[1] * np.arange(q.n_items)[:, None]).ravel()
 
     path = []
     loglik = -np.inf
@@ -203,24 +200,10 @@ def em_fit(
         m1 = wpost.T @ X  # positive-response mass per (class, item)
         m_tot = wpost.sum(axis=0)  # mass per class
 
-        if model in ("dina", "dino"):
-            cap = gate.T  # (n_alpha, J)
-            pos_cap = (m1 * cap).sum(axis=0)
-            tot_cap = (m_tot[:, None] * cap).sum(axis=0)
-            pos_non = (m1 * ~cap).sum(axis=0)
-            tot_non = (m_tot[:, None] * ~cap).sum(axis=0)
-            c_new = np.where(tot_cap > 0, pos_cap / np.maximum(tot_cap, 1e-300), 0.5)
-            g_new = np.where(tot_non > 0, pos_non / np.maximum(tot_non, 1e-300), 0.5)
-            c_new = np.clip(c_new, _CLAMP, 1 - _CLAMP)
-            g_new = np.clip(g_new, _CLAMP, 1 - _CLAMP)
-            theta = np.where(gate, c_new[:, None], g_new[:, None])
-        else:
-            for j in range(q.n_items):
-                cell = cells[j]
-                pos = np.bincount(cell, weights=m1[:, j], minlength=theta.shape[1])
-                tot = np.bincount(cell, weights=m_tot, minlength=theta.shape[1])
-                val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
-                theta[j] = np.clip(val, _CLAMP, 1 - _CLAMP)[cell]
+        pos = np.bincount(bins, m1.T.ravel())
+        tot = np.bincount(bins, np.tile(m_tot, q.n_items))
+        val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
+        theta = np.clip(val, _CLAMP, 1 - _CLAMP)[bins].reshape(labels.shape)
 
         p = np.clip(m_tot / n, _CLAMP / theta.shape[1], None)
         p /= p.sum()
@@ -364,7 +347,9 @@ def exhaustive_search(
     report but are excluded from the argmax).  A fit that raises a domain
     error (:class:`QidentError`) is recorded per candidate without aborting
     the sweep; any other exception propagates.  Exact ties break toward
-    fewer ones in the design, then lexicographically.
+    fewer ones in the design, then lexicographically.  When no candidate
+    can be fit (or none is given) the sweep raises :class:`QidentError`
+    quoting the first candidate's error.
 
     Candidate fits are independent; with ``workers > 1`` they run in a
     process pool.  Per-candidate seeds derive from (seed, index), so the
@@ -387,7 +372,10 @@ def exhaustive_search(
         if e.error is None and (not require_stringent or e.stringent_ok)
     ]
     if not eligible:
-        eligible = [e for e in entries if e.error is None] or entries
+        eligible = [e for e in entries if e.error is None]
+    if not eligible:
+        reason = entries[0].error if entries else "no candidates given"
+        raise QidentError(f"no candidate design could be fit: {reason}")
 
     def sort_key(e: SearchEntry):
         return (-e.loglik, int(e.q.entries.sum()), e.q.entries.tobytes())

@@ -206,6 +206,13 @@ class IdentifiabilityVerdict:
         }
 
 
+def _cells(q: QMatrix) -> np.ndarray:
+    """The (J, 2^K) map from (item, pattern) to the response-table cell the
+    item reads: the pattern restricted to the item's required attributes,
+    a & row_mask[j].  A saturated table is constant on each cell."""
+    return np.arange(1 << q.n_attributes, dtype=np.int64)[None, :] & q.row_masks[:, None]
+
+
 def gamma_matrix(q: QMatrix, model: str = "dina") -> np.ndarray:
     """Ideal-response matrix: entry (j, a) is 1 iff a subject of pattern a is
     capable on item j, the gate of the two-parameter models.
@@ -216,12 +223,11 @@ def gamma_matrix(q: QMatrix, model: str = "dina") -> np.ndarray:
     required attribute, so a zero row is never capable.  Columns are indexed
     by attribute-pattern bit masks.
     """
-    masks = q.row_masks[:, None]
-    shared = np.arange(1 << q.n_attributes, dtype=np.int64)[None, :] & masks
+    cells = _cells(q)
     if model == "dina":
-        return (shared == masks).astype(np.uint8)
+        return (cells == q.row_masks[:, None]).astype(np.uint8)
     if model == "dino":
-        return (shared != 0).astype(np.uint8)
+        return (cells != 0).astype(np.uint8)
     raise ValueError(f"unknown model {model!r}")
 
 

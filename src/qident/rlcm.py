@@ -22,8 +22,8 @@ from .errors import (
     IllegalCoefficient,
     TooLarge,
 )
-from .qmatrix import QMatrix, gamma_matrix
-from .tmatrix import _product_table
+from .qmatrix import QMatrix, _cells, gamma_matrix
+from .tmatrix import _product_table, shift_matrix
 
 __all__ = [
     "Proportions",
@@ -147,13 +147,11 @@ class GdinaParams:
     def validate_for(self, q: QMatrix, stringent: bool = False) -> None:
         if self.theta.shape != (q.n_items, 1 << q.n_attributes):
             raise DimensionMismatch("theta shape does not match the Q-matrix")
-        masks = q.row_masks
-        patterns = np.arange(self.theta.shape[1])
-        for j in range(q.n_items):
-            reduced = patterns & int(masks[j])
-            # equality: theta depends on a only through a & mask
-            if not np.allclose(self.theta[j], self.theta[j, reduced], atol=0, rtol=0):
-                raise ValueError(f"item {j + 1}: theta varies with non-required attributes")
+        # equality: theta depends on a only through a & mask
+        varies = (np.take_along_axis(self.theta, _cells(q), 1) != self.theta).any(axis=1)
+        if varies.any():
+            j = int(np.argmax(varies))
+            raise ValueError(f"item {j + 1}: theta varies with non-required attributes")
         if not monotonicity_ok(self.theta, q):
             raise ValueError("theta violates monotonicity")
         if stringent and not stringent_ok(self.theta, q):
@@ -210,7 +208,7 @@ def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
     pats = np.arange(theta.shape[1], dtype=np.int64)
     below = (pats[:, None] & pats[None, :]) == pats[None, :]  # below[a, b]: b within a
     np.fill_diagonal(below, False)
-    inside = (pats[None, :] & ~q.row_masks[:, None]) == 0  # pattern within item j's row
+    inside = _cells(q) == pats  # pattern within item j's row
     pairs = below[None] & inside[:, :, None] & inside[:, None, :]
     if not pairs.any():
         return -np.inf
@@ -254,31 +252,17 @@ def beta_to_theta(betas: list[dict], q: QMatrix) -> GdinaParams:
 
 
 def theta_to_beta(params: GdinaParams | np.ndarray, q: QMatrix) -> list[dict]:
-    """Invert the effect decomposition by subset-lattice inclusion-exclusion."""
+    """Invert the effect decomposition by Moebius inversion on the subset
+    lattice, which is the parameter shift by theta* = 1: beta[j, s] sums
+    (-1)^|s - t| theta[j, t] over the subsets t of s.  Keeps, per item, the
+    subsets of its row."""
     theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
-    out = []
-    for j in range(q.n_items):
-        mask = int(q.row_masks[j])
-        beta = {}
-        subset = mask
-        subsets = []
-        while True:
-            subsets.append(subset)
-            if subset == 0:
-                break
-            subset = (subset - 1) & mask
-        for s in subsets:
-            total = 0.0
-            t = s
-            while True:
-                sign = -1.0 if bin(s ^ t).count("1") % 2 else 1.0
-                total += sign * theta[j, t]
-                if t == 0:
-                    break
-                t = (t - 1) & s
-            beta[s] = total
-        out.append(beta)
-    return out
+    beta = theta @ shift_matrix(np.ones(q.n_attributes)).T
+    subsets = _cells(q) == np.arange(theta.shape[1])
+    return [
+        {int(s): beta[j, s] for s in np.flatnonzero(subsets[j])}
+        for j in range(q.n_items)
+    ]
 
 
 def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -387,7 +371,6 @@ class RlcmModel:
     q: QMatrix
     theta: np.ndarray
     p: np.ndarray
-    kind: str = "gdina"
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)

@@ -9,9 +9,10 @@ set ``r`` positively.  ``T @ p`` therefore stacks the survival probabilities
 P(R >= r).  The parameter-shift transform maps T built from ``theta`` to T
 built from ``theta - theta_star`` through an explicit unitriangular matrix,
 which is the main tool behind the identifiability arguments; here it is
-constructed from inclusion-exclusion and checked numerically.  One doubling
-kernel fills every 2^J product table: T columns, the survival vector and
-the exact distribution of ``rlcm.response_distribution``.
+built as a Kronecker product of one 2 x 2 factor per item and checked
+numerically.  One doubling kernel fills every 2^J product table: T
+columns, the survival vector and the exact distribution of
+``rlcm.response_distribution``.
 """
 
 from __future__ import annotations
@@ -84,21 +85,10 @@ def shift_matrix(theta_star: np.ndarray) -> np.ndarray:
     J = len(theta_star)
     if J > _MAX_D_J:
         raise TooLarge(f"dense shift matrix guarded to J <= {_MAX_D_J}")
-    d = np.zeros((1 << J, 1 << J))
-    for r in range(1 << J):
-        s = r
-        while True:
-            extra = r & ~s
-            val = 1.0
-            j = 0
-            while extra >> j:
-                if extra >> j & 1:
-                    val *= -theta_star[j]
-                j += 1
-            d[r, s] = val
-            if s == 0:
-                break
-            s = (s - 1) & r
+    d = np.ones((1, 1))
+    for t in theta_star:
+        # item j's factor [[1, 0], [-t, 1]] enters as bit j, the new high bit
+        d = np.block([[d, np.zeros_like(d)], [-t * d, d]])
     return d
 
 

@@ -180,8 +180,8 @@ def dina_one_item_attr(
     s_bar[j] = 1.0 - c_bar
     alt_params = DinaParams(s_bar, params.g.copy())
     pair = WitnessPair(
-        truth=RlcmModel(q, dina_theta_table(q, params), p, kind="dina"),
-        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar, kind="dina"),
+        truth=RlcmModel(q, dina_theta_table(q, params), p),
+        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
         construction="DinaOneItemAttr",
         details={"item": j + 1, "attribute": k + 1, "c_bar": c_bar},
     )
@@ -245,8 +245,8 @@ def dina_scenario_a(
     s_bar[j2] = 1.0 - c2_bar
     alt_params = DinaParams(s_bar, g_bar)
     pair = WitnessPair(
-        truth=RlcmModel(q, dina_theta_table(q, params), p, kind="dina"),
-        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar, kind="dina"),
+        truth=RlcmModel(q, dina_theta_table(q, params), p),
+        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
         construction="DinaScenarioA",
         details={
             "attribute": k + 1,
@@ -314,7 +314,7 @@ def dina_q24_two_solutions(
         2: ((1, 3), w2),  # items 2, 4 gate on attribute 2
     }
     truth_theta = dina_theta_table(q, params)
-    truth = RlcmModel(q, truth_theta, p, kind="dina")
+    truth = RlcmModel(q, truth_theta, p)
     base = truth.distribution()
 
     out: list[WitnessPair] = []
@@ -349,7 +349,7 @@ def dina_q24_two_solutions(
             )
             pair = WitnessPair(
                 truth=truth,
-                alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar, kind="dina"),
+                alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
                 construction="DinaQ24TwoSolutions",
                 details={"attribute": attr, "weight": w_bar},
             )
@@ -444,8 +444,8 @@ def gdina_one_item_attr(
 
     theta_bar, p_bar = solved
     pair = WitnessPair(
-        truth=RlcmModel(q, theta, p, kind="gdina"),
-        alternative=RlcmModel(q_bar, theta_bar, p_bar, kind="gdina"),
+        truth=RlcmModel(q, theta, p),
+        alternative=RlcmModel(q_bar, theta_bar, p_bar),
         construction="GdinaOneItemAttr",
         details={"item": j + 1, "attribute": k + 1},
     )
@@ -500,7 +500,7 @@ def gdina_two_item_attr(
     p0, p1 = p[low], p[high]
     top = int(np.flatnonzero(high == full)[0])  # cell whose high side is full mastery
 
-    truth = RlcmModel(q, theta, p, kind="gdina")
+    truth = RlcmModel(q, theta, p)
     base = truth.distribution()
     rng = np.random.default_rng(seed)
 
@@ -583,7 +583,7 @@ def gdina_two_item_attr(
             continue
         pair = WitnessPair(
             truth=truth,
-            alternative=RlcmModel(q_bar, theta_bar, p_bar, kind="gdina"),
+            alternative=RlcmModel(q_bar, theta_bar, p_bar),
             construction="GdinaTwoItemAttr",
             details={"attribute": k + 1, "items": (j1 + 1, j2 + 1)},
         )
@@ -637,8 +637,8 @@ def incomplete_gamma_merge(
     theta = dina_theta_table(q, params)
     theta_bar = dina_theta_table(q_bar, params)
     pair = WitnessPair(
-        truth=RlcmModel(q, theta, p, kind="dina"),
-        alternative=RlcmModel(q_bar, theta_bar, p_bar, kind="dina"),
+        truth=RlcmModel(q, theta, p),
+        alternative=RlcmModel(q_bar, theta_bar, p_bar),
         construction="IncompleteGammaMerge",
         details={"moved_mass": float(np.sum(np.abs(p_bar - p)) / 2)},
     )

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident import DinaParams, QMatrix, q_equivalent, simulate
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
-from qident.errors import DimensionMismatch, EmptyData, TooManyAttributes
+from qident.errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
 from qident.estimate import (
     align_to_truth,
     em_fit,
@@ -41,6 +43,66 @@ class TestEmFit:
         assert np.abs(fit.g - params.g).max() < 0.05
         assert np.abs(p_aligned - p).max() < 0.05
         assert fit.monotonicity_ok
+
+    def test_dino_recovers_parameters(self, rng):
+        q = Q5X2_SINGLE_IDENTITY
+        params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
+        p = rng.dirichlet(np.full(4, 3.0))
+        data = simulate("dino", q, params, p, 50_000, seed=26)
+        fit = multistart_fit("dino", q, data, restarts=6, seed=27)
+        assert np.abs(fit.s - params.s).max() < 0.05
+        assert np.abs(fit.g - params.g).max() < 0.05
+        assert (np.diff(fit.loglik_path) > -1e-9).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["dina", "dino", "gdina"]),
+        shape=st.tuples(st.integers(1, 4), st.integers(2, 3)),
+        data=st.data(),
+    )
+    def test_one_sweep_matches_oracle(self, model, shape, data):
+        # one EM sweep from a given start, recomputed here pattern by pattern;
+        # the all-ones row requires every attribute and, at K >= 2, is no
+        # unit row, so the attribute-flip canonicalization never fires
+        n_rest, K = shape
+        J, n_alpha = n_rest + 1, 1 << K
+        rows = data.draw(st.lists(st.integers(0, n_alpha - 1), min_size=n_rest, max_size=n_rest))
+        masks = [n_alpha - 1] + rows
+        q = QMatrix([[m >> k & 1 for k in range(K)] for m in masks])
+        seeds = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        theta0 = seeds.uniform(0.05, 0.95, size=(J, n_alpha))
+        p0 = seeds.uniform(0.1, 1.0, n_alpha)
+        p0 /= p0.sum()
+        counts = seeds.integers(0, 4, size=1 << J)
+        counts[seeds.integers(1 << J)] += 1
+        patterns = np.flatnonzero(counts)
+        dataset = Dataset(J, patterns, counts[patterns])
+
+        x = (patterns[:, None] >> np.arange(J)) & 1
+        post = np.array([
+            [p0[a] * np.prod(np.where(xi, theta0[:, a], 1 - theta0[:, a])) for a in range(n_alpha)]
+            for xi in x
+        ])
+        post *= (counts[patterns] / post.sum(axis=1))[:, None]
+        m_tot = post.sum(axis=0)
+        m1 = post.T @ x
+        label = {
+            "dina": lambda a, row: (a & row) == row,
+            "dino": lambda a, row: (a & row) != 0,
+            "gdina": lambda a, row: a & row,
+        }[model]
+        theta1 = np.empty((J, n_alpha))
+        for j, row in enumerate(masks):
+            for a in range(n_alpha):
+                cell = [b for b in range(n_alpha) if label(b, row) == label(a, row)]
+                theta1[j, a] = m1[cell, j].sum() / m_tot[cell].sum()
+        theta1 = np.clip(theta1, 1e-4, 1 - 1e-4)
+        p1 = np.clip(m_tot / counts.sum(), 1e-4 / n_alpha, None)
+        p1 /= p1.sum()
+
+        fit = em_fit(model, q, dataset, init=(theta0, p0), max_iter=1)
+        np.testing.assert_allclose(fit.theta, theta1, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(fit.p, p1, rtol=1e-10, atol=1e-14)
 
     def test_near_degenerate_mixture(self):
         # almost a point mass with nearly deterministic items: the fitted
@@ -136,6 +198,17 @@ class TestSearch:
         report = exhaustive_search("dina", data, candidates, restarts=2, seed=19)
         assert report.entries[1].error is not None
         assert report.argmax_index == 0
+
+    def test_no_fittable_candidate_raises(self, rng):
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
+        for candidates in ([Q4X2_PAIRED, Q4X2_PAIRED], [Q4X2_PAIRED]):
+            with pytest.raises(QidentError, match="no candidate.*has 5 items but the design has 4"):
+                exhaustive_search("dina", data, candidates, restarts=1, seed=19)
+
+    def test_empty_candidate_list_raises(self, rng):
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
+        with pytest.raises(QidentError, match="no candidates given"):
+            exhaustive_search("dina", data, [], restarts=1, seed=19)
 
     def test_programming_errors_propagate(self, rng):
         # only domain errors become per-candidate entries

@@ -232,6 +232,18 @@ class TestCli:
         capsys.readouterr()
         assert (out_a / "dataset.csv").read_bytes() == (out_b / "dataset.csv").read_bytes()
 
+    def test_search_without_fittable_candidate(self, tmp_path, capsys):
+        qfile, _ = self._write_paired_inputs(tmp_path)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("pattern_bits,count\n0,0\n")
+        assert main([
+            "search", "--model", "dina", "--data", str(counts), "--counts",
+            "--truth", str(qfile), "--restarts", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no candidate design could be fit")
+        assert captured.out == ""
+
     def test_search_small(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path, uniform=False)
         out = tmp_path / "sim"

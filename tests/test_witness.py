@@ -33,7 +33,7 @@ from qident.witness import (
 
 
 def _dina_model(q, params, p):
-    return RlcmModel(q, dina_theta_table(q, params), np.asarray(p, float), kind="dina")
+    return RlcmModel(q, dina_theta_table(q, params), np.asarray(p, float))
 
 
 class TestCertify:
@@ -54,7 +54,7 @@ class TestCertify:
         theta_bad[0] = theta_bad[0] + 0.01
         pair = WitnessPair(
             truth=truth,
-            alternative=RlcmModel(truth.q, theta_bad, truth.p, kind="dina"),
+            alternative=RlcmModel(truth.q, theta_bad, truth.p),
             construction="corrupted",
         )
         with pytest.raises(NotCertified):
@@ -272,7 +272,7 @@ class TestNegativeControl:
         for _ in range(50):
             theta_alt = np.clip(truth.theta + rng.uniform(-0.05, 0.05, truth.theta.shape), 0.01, 0.99)
             p_alt = rng.dirichlet(np.full(4, 3.0))
-            alt = RlcmModel(truth.q, theta_alt, p_alt, kind="dina")
+            alt = RlcmModel(truth.q, theta_alt, p_alt)
             diff = np.max(np.abs(base - response_distribution(theta_alt, p_alt)))
             assert diff > CERT_TOL
             del alt
