@@ -8,6 +8,8 @@ two alternatives that witness its non-identifiability.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .qmatrix import QMatrix, _cells
@@ -81,22 +83,9 @@ def incomplete_20x5_family() -> tuple[QMatrix, QMatrix, QMatrix]:
     """20 x 5 truth lacking the fifth unit row, plus two alternatives."""
 
     def build(special):
-        staircase = [
-            [1, 0, 0, 0, 0],
-            [1, 1, 0, 0, 0],
-            [1, 1, 1, 0, 0],
-            [1, 1, 1, 1, 0],
-        ]
-        rows = [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            special,
-        ]
-        rows += staircase + [special]
-        rows += staircase + [[1, 1, 1, 1, 1]]
-        rows += staircase + [[1, 1, 1, 1, 1]]
+        units = np.eye(5, dtype=int)[:4].tolist()
+        staircase = [[int(k <= i) for k in range(5)] for i in range(4)]
+        rows = units + [special] + staircase + [special] + 2 * (staircase + [[1, 1, 1, 1, 1]])
         return QMatrix.from_rows(rows)
 
     return build([1, 1, 1, 1, 1]), build([0, 0, 1, 1, 1]), build([0, 0, 0, 0, 1])
@@ -123,23 +112,9 @@ def two_item_20x5_pair() -> tuple[QMatrix, QMatrix]:
     all-ones-promoted alternative."""
 
     def build(top):
-        rows = [list(r) for r in top]
-        unit_block = [
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ]
-        rows += unit_block * 3
-        rows += [
-            [0, 1, 1, 0, 0],
-            [0, 1, 0, 1, 0],
-            [0, 1, 0, 0, 1],
-            [0, 0, 1, 1, 0],
-            [0, 0, 1, 0, 1],
-            [0, 0, 0, 1, 1],
-        ]
-        return QMatrix.from_rows(rows)
+        units = np.eye(5, dtype=int)[1:].tolist()
+        pairs = [[int(k in c) for k in range(5)] for c in itertools.combinations(range(1, 5), 2)]
+        return QMatrix.from_rows([list(r) for r in top] + units * 3 + pairs)
 
     return (
         build([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]]),

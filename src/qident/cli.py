@@ -3,15 +3,19 @@
 Subcommands: check, enumerate, simulate, fit, search, witness, tmatrix.
 Exit codes: 0 on success, 2 on domain errors, 1 on I/O or parse errors.
 Runs that write to an output directory also write a ``manifest.json``
-recording the configuration, package version, and seed.  Pattern bit order
+recording the configuration, package version and seed, and the machine:
+Python and numpy versions, platform and CPU count.  Pattern bit order
 in all files is little-endian: bit 0 is item 1 (or attribute 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ParseError, QidentError
@@ -47,11 +51,16 @@ _SCENARIO_SUMMARY = {
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
+    import platform  # imported here so that runs without a manifest never pay for it
+
     cfg = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
+    machine = {"python": platform.python_version(), "numpy": np.__version__,
+               "platform": platform.platform(), "cpuCount": os.cpu_count()}
     manifest = {
         "schema": SCHEMA,
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()},
+        "machine": machine,
     }
     (out_dir / "manifest.json").write_text(dump_report(manifest))
 
@@ -172,9 +181,8 @@ def cmd_search(args) -> int:
         raise QidentError("--attributes (or --truth) is required to enumerate candidates")
     candidates = enumerate_canonical(data.n_items, k)
     report = exhaustive_search(
-        args.model, data, candidates,
-        restarts=args.restarts, require_stringent=args.stringent, seed=args.seed,
-        tol=args.tol, workers=max(1, args.threads),
+        args.model, data, candidates, restarts=args.restarts,
+        require_stringent=args.stringent, seed=args.seed, tol=args.tol,
     )
     payload = report.to_json_dict()
     if first is not None:
@@ -276,6 +284,7 @@ def _add_common(sub, *, seed=True, threads=False):
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     if threads:
+        # accepted and ignored: fits run as one in-process EM batch
         sub.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
 

@@ -1,14 +1,13 @@
 """Maximum-likelihood estimation and the simulation-evidence harnesses.
 
-``em_fit`` runs expectation-maximization on a pattern-count dataset at a
-fixed design matrix, with one closed-form M-step for every model: a
-weighted mean per (item, cell) of the response table, the cells being
-capable and not capable for the conjunctive and disjunctive models and the
-restrictions a & row_mask[j] for the saturated general model.
-``multistart_fit`` takes the best of several random initializations,
-``exhaustive_search`` sweeps a candidate list of designs, and
-``mse_experiment`` measures how estimation error decays with the sample
-size.
+One engine runs every expectation-maximization fit on pattern-count data at
+a fixed design matrix.  It advances a batch of fits together, each sweep one
+stacked E-step and one closed-form M-step for every model: a weighted mean
+per (item, cell) of the response table, the cells being capable and not
+capable for DINA and DINO and a & row_mask[j] for GDINA.  Each fit still
+stops on its own.  ``em_fit`` is a batch of one, ``multistart_fit`` batches
+its restarts, ``exhaustive_search`` sweeps candidate designs x restarts, and
+``mse_experiment`` fits every replication of an error-decay experiment.
 
 The observed-data log-likelihood is nondecreasing across iterations (up to
 a small numerical slack); tests rely on this invariant.
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 _CLAMP = 1e-4
+# Largest fits x patterns x classes array one EM batch holds; larger batches
+# run in chunks, which changes no result since fits never interact
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass
@@ -55,7 +57,10 @@ class FitResult:
 
     ``loglik`` is the exact observed-data log-likelihood at the returned
     parameters; ``s``/``g`` are populated for the two-parameter models only.
-    Monotonicity is audited on the output, never enforced during iteration.
+    ``loglik_path`` holds the loglik before each sweep and at the returned
+    parameters; it is None for the fits inside a sweep or an error-decay
+    experiment, which keep only their outcome.  Monotonicity is audited on
+    the output, never enforced during iteration.
     """
 
     model: str
@@ -68,7 +73,7 @@ class FitResult:
     converged: bool
     monotonicity_violation: float
     stringent_violation: float
-    loglik_path: np.ndarray
+    loglik_path: np.ndarray | None
 
     @property
     def monotonicity_ok(self) -> bool:
@@ -83,11 +88,6 @@ class FitResult:
         cells of an item the same value, so those cells always tie, and
         ``search --stringent`` filters on this weak order."""
         return self.stringent_violation <= 0
-
-
-def _pattern_bits(patterns: np.ndarray, n_items: int) -> np.ndarray:
-    ks = np.arange(n_items, dtype=np.int64)
-    return ((patterns[:, None] >> ks[None, :]) & 1).astype(float)
 
 
 def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
@@ -106,6 +106,27 @@ def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
         order = np.argsort([bin(int(u)).count("1") for u in uniq], kind="stable")
         theta[j, uniq[order]] = vals
         theta[j] = theta[j, cells[j]]
+    return theta, p
+
+
+def _start(model: str, q: QMatrix, data: Dataset, rng, init=None):
+    """Check one fit's inputs and return its clamped start ``(theta, p)``:
+    ``init`` when given, else a random start drawn from ``rng``."""
+    if model not in ("dina", "dino", "gdina"):
+        raise ValueError(f"unknown model {model!r}")
+    if data.n_items != q.n_items:
+        raise DimensionMismatch(
+            f"data has {data.n_items} items but the design has {q.n_items}"
+        )
+    if data.n_subjects == 0:
+        raise EmptyData("no observations")
+    if init is not None:
+        theta, p = np.array(init[0], float), np.array(init[1], float)
+    else:
+        theta, p = _random_init(model, q, rng)
+    theta = np.clip(theta, _CLAMP, 1 - _CLAMP)
+    p = np.clip(p, _CLAMP, None)
+    p /= p.sum()
     return theta, p
 
 
@@ -134,14 +155,143 @@ def _flip_unit_attributes(theta, p, q):
     return theta, p
 
 
-def _observed_loglik(theta, p, X, w):
-    log_l = X @ np.log(theta) + (1.0 - X) @ np.log(1.0 - theta)
-    log_post = log_l + np.log(p)[None, :]
-    m = log_post.max(axis=1, keepdims=True)
-    norm = np.exp(log_post - m)
-    denom = norm.sum(axis=1, keepdims=True)
-    loglik = float(w @ (np.log(denom[:, 0]) + m[:, 0]))
-    return loglik, norm / denom
+def _observed_loglik(theta, p, X, Xc, W, work):
+    """E-step for a stack of fits: theta (B, J, C), p (B, C) and pattern
+    weights W (B, N) over the shared pattern bits X (N, J), Xc = 1 - X,
+    computed in the two (>= B, N, C) buffers of ``work``.  Returns each
+    fit's observed-data loglik and its posterior, a view of ``work[0]``."""
+    log_post, spare = (buf[: len(theta)] for buf in work)
+    np.matmul(X, np.log(theta), out=log_post)
+    log_post += np.matmul(Xc, np.log(1.0 - theta), out=spare)
+    log_post += np.log(p)[:, None, :]
+    # max class by class: exact in any order, and numpy reduces a short
+    # last axis several times slower
+    m = log_post[:, :, :1].copy()
+    for c in range(1, log_post.shape[2]):
+        np.maximum(m, log_post[:, :, c:c + 1], out=m)
+    norm = np.exp(np.subtract(log_post, m, out=spare), out=spare)
+    denom = norm.sum(axis=2, keepdims=True)
+    # one BLAS dot per fit, so a fit's loglik does not depend on the batch
+    loglik = (W[:, None, :] @ (np.log(denom) + m))[:, 0, 0]
+    return loglik, np.divide(norm, denom, out=log_post)
+
+
+def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
+    """Advance one EM fit per design (all of one shape) together and yield
+    the fits in order.
+
+    Fit b weights the shared patterns by ``W[b]`` and starts from
+    ``starts[b]``.  A sweep is one stacked E-step and one M-step for all
+    fits: a weighted mean per (fit, item, cell), pooled by two ``bincount``s
+    over bins offset by ``b * J * 2^K``.  A fit whose loglik gain drops
+    below ``tol`` is written out and leaves the batch, so its iterations,
+    path and estimate are those it gets alone.  Without ``paths`` no loglik
+    path is kept.
+    """
+    B, (J, C) = len(designs), starts[0][0].shape
+    theta, p = (np.stack(arrays) for arrays in zip(*starts))
+    labels = np.stack([
+        _cells(q) if model == "gdina" else gamma_matrix(q, model).astype(bool)
+        for q in designs
+    ])
+    # the M-step pools theta[j, a] over the patterns sharing its label, so
+    # (item, label) flattens into one bin, in a J * C range per fit
+    bins = (labels + C * np.arange(J)[:, None]).reshape(B, J * C)
+    offsets = J * C * np.arange(B)[:, None]
+    Xc, work = 1.0 - X, np.empty((2, B, len(X), C))
+    out_theta, out_p = theta.copy(), p.copy()
+    iterations, converged = np.full(B, max_iter), np.zeros(B, dtype=bool)
+    active, w, n, prev = np.arange(B), W, W.sum(axis=1), np.full(B, -np.inf)
+    trail = [(active[:0], prev[:0])]  # (fits, logliks) of every sweep
+    for it in range(1, max_iter + 1):
+        flat = (bins[active] + offsets[: len(active)]).ravel()
+        loglik, post = _observed_loglik(theta, p, X, Xc, w, work)
+        wpost = np.multiply(post, w[:, :, None], out=work[1][: len(active)])
+        m1 = wpost.transpose(0, 2, 1) @ X  # positive-response mass per (class, item)
+        m_tot = wpost.sum(axis=1)  # mass per class
+
+        pos = np.bincount(flat, m1.transpose(0, 2, 1).ravel())
+        tot = np.bincount(flat, np.tile(m_tot, J).ravel())
+        val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
+        theta = np.clip(val, _CLAMP, 1 - _CLAMP)[flat].reshape(theta.shape)
+        p = np.clip(m_tot / n[:, None], _CLAMP / C, None)
+        p /= p.sum(axis=1, keepdims=True)
+
+        if paths:
+            trail.append((active, loglik))
+        done = np.isfinite(prev) & (np.abs(loglik - prev) < tol)
+        prev = loglik
+        if done.any():
+            out_theta[active[done]], out_p[active[done]] = theta[done], p[done]
+            iterations[active[done]], converged[active[done]] = it, True
+            active, theta, p, prev, w, n = (a[~done] for a in (active, theta, p, prev, w, n))
+            if not len(active):
+                break
+    out_theta[active], out_p[active] = theta, p
+
+    theta, p = out_theta, out_p
+    if model != "gdina":
+        for b, q in enumerate(designs):
+            theta[b], p[b] = _flip_unit_attributes(theta[b], p[b], q)
+        gate = labels.astype(bool)
+        c = np.where(gate.any(axis=2), np.where(gate, theta, -np.inf).max(axis=2), theta[:, :, 0])
+        g = np.where((~gate).any(axis=2), np.where(gate, np.inf, theta).min(axis=2), theta[:, :, 0])
+    final, _ = _observed_loglik(theta, p, X, Xc, W, work)
+    if paths:
+        order = np.argsort(np.concatenate([a for a, _ in trail]), kind="stable")
+        sweeps = np.split(np.concatenate([v for _, v in trail])[order], np.cumsum(iterations)[:-1])
+
+    for b, q in enumerate(designs):
+        mono = monotonicity_violation(theta[b], q)
+        yield FitResult(
+            model=model,
+            loglik=float(final[b]),
+            s=None if model == "gdina" else 1.0 - c[b],
+            g=None if model == "gdina" else g[b].copy(),
+            theta=theta[b].copy(),
+            p=p[b].copy(),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            monotonicity_violation=mono if mono > -np.inf else 0.0,
+            stringent_violation=max(0.0, stringent_violation(theta[b], q)),
+            loglik_path=np.append(sweeps[b], final[b]) if paths else None,
+        )
+
+
+def _fit_all(model, designs, datasets, starts, tol, max_iter, paths=False):
+    """EM fits of ``designs[b]`` on ``datasets[b]`` from ``starts[b]``,
+    yielded in order, run in batches of one shape over the sorted union of
+    the datasets' patterns.
+
+    Each fit weights the patterns it did not observe by zero.  Such rows add
+    exact zeros to the E- and M-step sums, but the loglik dot then sums in
+    another order: a fit among datasets with other patterns may differ from
+    the fit alone in the last bits of its loglik.
+    """
+    if not designs:
+        return
+    patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
+    W = np.zeros((len(datasets), len(patterns)))
+    for b, d in enumerate(datasets):
+        W[b, np.searchsorted(patterns, d.patterns)] = d.counts
+    X = ((patterns[:, None] >> np.arange(datasets[0].n_items)) & 1).astype(float)
+    size = max(1, _BATCH_CELLS // (len(patterns) << designs[0].n_attributes))
+    for lo in range(0, len(designs), size):
+        batch = slice(lo, lo + size)
+        yield from _em_batch(
+            model, designs[batch], X, W[batch], starts[batch], tol, max_iter, paths
+        )
+
+
+def _best(fits):
+    """The fit of highest loglik, the first one among ties."""
+    return max(fits, key=lambda fit: fit.loglik, default=None)
+
+
+def _restart_starts(model, q, data, seed, restarts):
+    """Random starts of ``restarts`` EM runs, one child of ``seed`` each."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [_start(model, q, data, np.random.default_rng(child)) for child in seq.spawn(restarts)]
 
 
 def em_fit(
@@ -162,86 +312,9 @@ def em_fit(
     probabilities clamped to [1e-4, 1 - 1e-4].  Stops when the loglik gain
     drops below ``tol`` or after ``max_iter`` sweeps.
     """
-    if model not in ("dina", "dino", "gdina"):
-        raise ValueError(f"unknown model {model!r}")
-    if data.n_items != q.n_items:
-        raise DimensionMismatch(
-            f"data has {data.n_items} items but the design has {q.n_items}"
-        )
-    if data.n_subjects == 0:
-        raise EmptyData("no observations")
-
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    X = _pattern_bits(data.patterns, q.n_items)
-    w = data.counts.astype(float)
-    n = w.sum()
-
-    if init is not None:
-        theta, p = np.array(init[0], float), np.array(init[1], float)
-    else:
-        theta, p = _random_init(model, q, rng)
-    theta = np.clip(theta, _CLAMP, 1 - _CLAMP)
-    p = np.clip(p, _CLAMP, None)
-    p /= p.sum()
-
-    gate = gamma_matrix(q, model).astype(bool) if model in ("dina", "dino") else None
-    # the M-step pools theta[j, a] over the patterns sharing its label, so
-    # (item, label) flattens into one bincount bin
-    labels = _cells(q) if gate is None else gate
-    bins = (labels + labels.shape[1] * np.arange(q.n_items)[:, None]).ravel()
-
-    path = []
-    loglik = -np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new_loglik, post = _observed_loglik(theta, p, X, w)
-        wpost = post * w[:, None]
-        m1 = wpost.T @ X  # positive-response mass per (class, item)
-        m_tot = wpost.sum(axis=0)  # mass per class
-
-        pos = np.bincount(bins, m1.T.ravel())
-        tot = np.bincount(bins, np.tile(m_tot, q.n_items))
-        val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
-        theta = np.clip(val, _CLAMP, 1 - _CLAMP)[bins].reshape(labels.shape)
-
-        p = np.clip(m_tot / n, _CLAMP / theta.shape[1], None)
-        p /= p.sum()
-
-        path.append(new_loglik)
-        if np.isfinite(loglik) and abs(new_loglik - loglik) < tol:
-            converged = True
-            break
-        loglik = new_loglik
-
-    if model in ("dina", "dino"):
-        theta, p = _flip_unit_attributes(theta, p, q)
-    final_loglik, _ = _observed_loglik(theta, p, X, w)
-    path.append(final_loglik)
-
-    s = g = None
-    if model in ("dina", "dino"):
-        c_vec = np.empty(q.n_items)
-        g_vec = np.empty(q.n_items)
-        for j in range(q.n_items):
-            c_vec[j] = theta[j][gate[j]].max() if gate[j].any() else theta[j, 0]
-            g_vec[j] = theta[j][~gate[j]].min() if (~gate[j]).any() else theta[j, 0]
-        s, g = 1.0 - c_vec, g_vec
-
-    mono = monotonicity_violation(theta, q)
-    return FitResult(
-        model=model,
-        loglik=final_loglik,
-        s=s,
-        g=g,
-        theta=theta,
-        p=p,
-        iterations=iterations,
-        converged=converged,
-        monotonicity_violation=mono if mono > -np.inf else 0.0,
-        stringent_violation=max(0.0, stringent_violation(theta, q)),
-        loglik_path=np.array(path),
-    )
+    start = _start(model, q, data, rng, init)
+    return next(_fit_all(model, [q], [data], [start], tol, max_iter, paths=True))
 
 
 def multistart_fit(
@@ -253,17 +326,11 @@ def multistart_fit(
     tol: float = 1e-8,
     max_iter: int = 2000,
 ) -> FitResult:
-    """Best-of-``restarts`` EM runs by log-likelihood, deterministic in the seed."""
-    best = None
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in seq.spawn(restarts):
-        fit = em_fit(
-            model, q, data, tol=tol, max_iter=max_iter,
-            seed=np.random.default_rng(child),
-        )
-        if best is None or fit.loglik > best.loglik:
-            best = fit
-    return best
+    """Best-of-``restarts`` EM runs by log-likelihood, deterministic in the
+    seed; the restarts run as one batch."""
+    starts = _restart_starts(model, q, data, seed, restarts)
+    fits = _fit_all(model, [q] * restarts, [data] * restarts, starts, tol, max_iter, paths=True)
+    return _best(fits)
 
 
 @dataclass
@@ -273,6 +340,7 @@ class SearchEntry:
     loglik: float
     stringent_ok: bool
     converged: bool
+    iterations: int = 0
     error: str | None = None
 
 
@@ -290,12 +358,18 @@ class SearchReport:
     def argmax_q(self) -> QMatrix:
         return next(e.q for e in self.entries if e.index == self.argmax_index)
 
+    @property
+    def unconverged(self) -> int:
+        """Fitted candidates whose best fit stopped at ``max_iter``."""
+        return sum(e.error is None and not e.converged for e in self.entries)
+
     def to_json_dict(self) -> dict:
         return {
             "model": self.model,
             "requireStringent": self.require_stringent,
             "argmaxIndex": self.argmax_index,
             "gapToRunnerUp": self.gap_to_runner_up,
+            "unconverged": self.unconverged,
             "candidates": [
                 {
                     "index": e.index,
@@ -303,30 +377,12 @@ class SearchReport:
                     "loglik": e.loglik,
                     "stringentOk": e.stringent_ok,
                     "converged": e.converged,
+                    "iterations": e.iterations,
                     "error": e.error,
                 }
                 for e in self.entries
             ],
         }
-
-
-def _fit_candidate(task):
-    """One candidate of an exhaustive sweep (top level so pools can pickle it)."""
-    model, idx, cand, data, restarts, seed, tol, max_iter = task
-    try:
-        fit = multistart_fit(
-            model, cand, data, restarts=restarts,
-            seed=np.random.SeedSequence([seed, idx]), tol=tol, max_iter=max_iter,
-        )
-        return SearchEntry(
-            index=idx, q=cand, loglik=fit.loglik,
-            stringent_ok=fit.stringent_ok, converged=fit.converged,
-        )
-    except QidentError as exc:
-        return SearchEntry(
-            index=idx, q=cand, loglik=-np.inf,
-            stringent_ok=False, converged=False, error=str(exc),
-        )
 
 
 def exhaustive_search(
@@ -338,58 +394,54 @@ def exhaustive_search(
     seed: int = 0,
     tol: float = 1e-7,
     max_iter: int = 1000,
-    workers: int = 1,
 ) -> SearchReport:
     """Fit every candidate design and report which maximizes the likelihood.
 
     With ``require_stringent`` the argmax is taken only over candidates whose
-    fitted table satisfies the strict subset order (the rest stay in the
-    report but are excluded from the argmax).  A fit that raises a domain
+    fitted table satisfies the subset order (the rest stay in the report but
+    are excluded from the argmax).  A candidate whose inputs raise a domain
     error (:class:`QidentError`) is recorded per candidate without aborting
     the sweep; any other exception propagates.  Exact ties break toward
     fewer ones in the design, then lexicographically.  When no candidate
     can be fit (or none is given) the sweep raises :class:`QidentError`
-    quoting the first candidate's error.
+    quoting the first candidate's error, and with ``require_stringent`` it
+    raises when no fitted candidate satisfies the subset order.
 
-    Candidate fits are independent; with ``workers > 1`` they run in a
-    process pool.  Per-candidate seeds derive from (seed, index), so the
-    report is identical for any worker count.
+    Candidates x restarts run as one EM batch per design shape.  The
+    restarts of candidate ``i`` are seeded from ``(seed, i)``, so a
+    candidate's entry does not depend on the rest of the list.
     """
-    tasks = [
-        (model, idx, cand, data, restarts, seed, tol, max_iter)
-        for idx, cand in enumerate(candidates)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_fit_candidate, tasks, chunksize=8))
-    else:
-        entries = [_fit_candidate(task) for task in tasks]
-    entries.sort(key=lambda e: e.index)
-    eligible = [
-        e for e in entries
-        if e.error is None and (not require_stringent or e.stringent_ok)
-    ]
-    if not eligible:
-        eligible = [e for e in entries if e.error is None]
-    if not eligible:
+    entries, batches = [None] * len(candidates), {}
+    for idx, cand in enumerate(candidates):
+        try:
+            starts = _restart_starts(model, cand, data, [seed, idx], restarts)
+        except QidentError as exc:
+            entries[idx] = SearchEntry(
+                idx, cand, -np.inf, stringent_ok=False, converged=False, error=str(exc))
+            continue
+        batches.setdefault(cand.n_attributes, []).append((idx, starts))
+    for batch in batches.values():
+        designs = [candidates[idx] for idx, _ in batch for _ in range(restarts)]
+        starts = [start for _, group in batch for start in group]
+        fits = _fit_all(model, designs, [data] * len(designs), starts, tol, max_iter)
+        for idx, _ in batch:
+            fit = _best(itertools.islice(fits, restarts))
+            entries[idx] = SearchEntry(
+                idx, candidates[idx], fit.loglik, fit.stringent_ok, fit.converged, fit.iterations
+            )
+    fitted = [e for e in entries if e.error is None]
+    if not fitted:
         reason = entries[0].error if entries else "no candidates given"
         raise QidentError(f"no candidate design could be fit: {reason}")
+    eligible = [e for e in fitted if not require_stringent or e.stringent_ok]
+    if not eligible:
+        raise QidentError("no fitted candidate satisfies the subset order")
 
-    def sort_key(e: SearchEntry):
-        return (-e.loglik, int(e.q.entries.sum()), e.q.entries.tobytes())
-
-    ranked = sorted(eligible, key=sort_key)
-    best = ranked[0]
-    gap = float(best.loglik - ranked[1].loglik) if len(ranked) > 1 else float("inf")
-    return SearchReport(
-        model=model,
-        entries=entries,
-        argmax_index=best.index,
-        gap_to_runner_up=gap,
-        require_stringent=require_stringent,
+    ranked = sorted(
+        eligible, key=lambda e: (-e.loglik, int(e.q.entries.sum()), e.q.entries.tobytes())
     )
+    gap = float(ranked[0].loglik - ranked[1].loglik) if len(ranked) > 1 else float("inf")
+    return SearchReport(model, entries, ranked[0].index, gap, require_stringent)
 
 
 def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
@@ -443,9 +495,7 @@ class MseReport:
         return float(np.median(vals)) if vals else float("nan")
 
     def mse_p_by_truth(self, n: int) -> np.ndarray:
-        recs = sorted(
-            (r for r in self.records if r.n == n), key=lambda r: r.truth_index
-        )
+        recs = sorted((r for r in self.records if r.n == n), key=lambda r: r.truth_index)
         return np.array([r.mse_p for r in recs])
 
 
@@ -465,61 +515,54 @@ def mse_experiment(
 
     ``truth_sampler(rng)`` returns ``(DinaParams, p)``.  For every sampled
     truth and every n in the grid, ``replications`` datasets are simulated
-    and fit by multistart EM; the estimate is aligned to the truth over
-    attribute permutations and squared errors are averaged per component.
-    Each cell also counts the replications whose fit hit ``max_iter``.
+    and fit by multistart EM, all fits batched together; the estimate is aligned
+    to the truth over attribute permutations and squared errors are averaged
+    per component.  Each cell also counts the replications whose fit hit
+    ``max_iter``.
     """
     root = np.random.SeedSequence(seed)
     sampler_rng = np.random.default_rng(root.spawn(1)[0])
     report = MseReport(records=[])
     if replications <= 0 or n_truths <= 0:
         return report
+    cells, datasets, starts = [], [], []
     for idx in range(n_truths):
         params, p = truth_sampler(sampler_rng)
-        p = np.asarray(p, float)
-        report.truths.append({"s": params.s, "g": params.g, "p": p})
+        truth = {"s": params.s, "g": params.g, "p": np.asarray(p, float)}
+        report.truths.append(truth)
         for n in n_grid:
-            errs = np.zeros(3)
-            unconverged = 0
+            cells.append((idx, int(n), truth))
             for rep in range(replications):
                 stream = np.random.default_rng((seed, idx, int(n), rep))
-                data = simulate(model, q, params, p, int(n), seed=stream)
-                fit = multistart_fit(
-                    model, q, data, restarts=restarts,
-                    seed=int(stream.integers(2**31)), tol=tol, max_iter=max_iter,
+                data = simulate(model, q, params, truth["p"], int(n), seed=stream)
+                datasets += [data] * restarts
+                starts += _restart_starts(
+                    model, q, data, int(stream.integers(2**31)), restarts
                 )
-                _, p_aligned, _ = align_to_truth(
-                    fit, {"s": params.s, "g": params.g, "p": p}, q.n_attributes
-                )
-                errs[0] += float(np.mean((fit.s - params.s) ** 2))
-                errs[1] += float(np.mean((fit.g - params.g) ** 2))
-                errs[2] += float(np.mean((p_aligned - p) ** 2))
-                unconverged += not fit.converged
-            errs /= replications
-            report.records.append(
-                MseRecord(
-                    truth_index=idx, n=int(n),
-                    mse_s=float(errs[0]), mse_g=float(errs[1]), mse_p=float(errs[2]),
-                    unconverged=unconverged,
-                )
-            )
+    fits = _fit_all(model, [q] * len(starts), datasets, starts, tol, max_iter)
+    for idx, n, truth in cells:
+        errs = np.zeros(3)
+        unconverged = 0
+        for rep in range(replications):
+            fit = _best(itertools.islice(fits, restarts))
+            _, p_aligned, _ = align_to_truth(fit, truth, q.n_attributes)
+            errs[0] += float(np.mean((fit.s - truth["s"]) ** 2))
+            errs[1] += float(np.mean((fit.g - truth["g"]) ** 2))
+            errs[2] += float(np.mean((p_aligned - truth["p"]) ** 2))
+            unconverged += not fit.converged
+        mse_s, mse_g, mse_p = (float(v) for v in errs / replications)
+        report.records.append(MseRecord(idx, n, mse_s, mse_g, mse_p, unconverged))
     return report
 
 
 def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks for ties."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
 
     def ranks(v):
-        order = np.argsort(v, kind="stable")
-        r = np.empty(len(v), float)
-        r[order] = np.arange(1, len(v) + 1)
-        for val in np.unique(v):
-            tied = v == val
-            if tied.sum() > 1:
-                r[tied] = r[tied].mean()
-        return r
+        # a tie group ending at rank `last` of `count` values averages
+        # last - (count - 1) / 2
+        _, group, count = np.unique(np.asarray(v, float), return_inverse=True, return_counts=True)
+        return (np.cumsum(count) - (count - 1) / 2.0)[group]
 
     rx, ry = ranks(x), ranks(y)
     rx -= rx.mean()

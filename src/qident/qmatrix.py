@@ -28,6 +28,7 @@ column permutation of the input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -397,21 +398,21 @@ def check_conditions_DE(q: QMatrix):
     if q.n_attributes > _MAX_K_SEARCH:
         raise TooLarge(f"condition D search guarded to K <= {_MAX_K_SEARCH}")
     K = q.n_attributes
+    blocks = None
     if q.n_items >= 2 * K + 1:
         # Joint search: reserve a minimal covering set for E, then ask for a
-        # capacity-2 matching among the remaining items.
+        # capacity-2 matching among the remaining items; E then holds.
         for cover in _minimal_covers(q):
             blocks = _match_attributes(q, copies=2, banned=cover)
             if blocks is not None:
-                used = set(blocks[0]) | set(blocks[1])
-                rest = tuple(j for j in range(q.n_items) if j not in used)
-                return True, True, (tuple(blocks[0]), tuple(blocks[1]), rest)
-    blocks = _match_attributes(q, copies=2)
+                break
+    joint = blocks is not None
+    blocks = blocks or _match_attributes(q, copies=2)
     if blocks is None:
         return False, False, None
     used = set(blocks[0]) | set(blocks[1])
     rest = tuple(j for j in range(q.n_items) if j not in used)
-    e_flag = bool(rest) and bool((q.entries[list(rest)].sum(axis=0) >= 1).all())
+    e_flag = joint or (bool(rest) and bool((q.entries[list(rest)].sum(axis=0) >= 1).all()))
     return True, e_flag, (tuple(blocks[0]), tuple(blocks[1]), rest)
 
 
@@ -499,6 +500,10 @@ def _all_flags(q: QMatrix) -> dict:
     return flags
 
 
+def _verdict(model, flags, scenario, constraints=(), notes=()) -> IdentifiabilityVerdict:
+    return IdentifiabilityVerdict(model, flags, scenario, list(constraints), list(notes))
+
+
 def classify_dina(q: QMatrix) -> IdentifiabilityVerdict:
     """Classify joint identifiability of the design under the conjunctive
     two-parameter (slipping/guessing) model.
@@ -515,15 +520,7 @@ def classify_dina(q: QMatrix) -> IdentifiabilityVerdict:
     flags = _all_flags(q)
     sums = q.column_sums()
     K = q.n_attributes
-
-    def verdict(scenario, constraints=(), notes=()):
-        return IdentifiabilityVerdict(
-            model="DINA",
-            condition_flags=flags,
-            scenario=scenario,
-            measure_zero_constraints=list(constraints),
-            notes=list(notes),
-        )
+    verdict = functools.partial(_verdict, "DINA", flags)
 
     if K == 1:
         # Degenerate single-attribute design: distinctness is vacuous and the
@@ -628,15 +625,7 @@ def classify_gdina(q: QMatrix) -> IdentifiabilityVerdict:
         raise HasZeroRows("strip zero rows before classifying")
     flags = _all_flags(q)
     K = q.n_attributes
-
-    def verdict(scenario, constraints=(), notes=()):
-        return IdentifiabilityVerdict(
-            model="GDINA",
-            condition_flags=flags,
-            scenario=scenario,
-            measure_zero_constraints=list(constraints),
-            notes=list(notes),
-        )
+    verdict = functools.partial(_verdict, "GDINA", flags)
 
     if flags["D"] and flags["E"]:
         return verdict(

@@ -260,14 +260,6 @@ def dina_scenario_a(
     return pair
 
 
-def _mixture_moments(c_a, g_a, c_b, g_b, w):
-    """First and joint positive-response moments of a 2-item 2-class mixture."""
-    ma = w * c_a + (1 - w) * g_a
-    mb = w * c_b + (1 - w) * g_b
-    mab = w * c_a * c_b + (1 - w) * g_a * g_b
-    return ma, mb, mab
-
-
 def _resolve_block(ma, mb, cov, w_bar):
     """Parameters of a 2-item mixture with weight ``w_bar`` matching the
     moments (ma, mb, ma*mb + cov).  Splits the covariance symmetrically."""
@@ -328,7 +320,9 @@ def dina_q24_two_solutions(
                 continue
             ca, ga = float(params.c[ja]), float(params.g[ja])
             cb, gb = float(params.c[jb]), float(params.g[jb])
-            ma, mb, mab = _mixture_moments(ca, ga, cb, gb, w)
+            # first and joint positive-response moments of the block's mixture
+            ma, mb = w * ca + (1 - w) * ga, w * cb + (1 - w) * gb
+            mab = w * ca * cb + (1 - w) * ga * gb
             resolved = _resolve_block(ma, mb, mab - ma * mb, w_bar)
             if resolved is None:
                 continue
@@ -338,15 +332,9 @@ def dina_q24_two_solutions(
             s_bar[ja], g_vec[ja] = 1.0 - c_a, g_a
             s_bar[jb], g_vec[jb] = 1.0 - c_b, g_b
             alt_params = DinaParams(s_bar, g_vec)
-            if attr == 1:
-                marg1 = np.array([1 - w_bar, w_bar])
-                marg2 = np.array([1 - w2, w2])
-            else:
-                marg1 = np.array([1 - w1, w1])
-                marg2 = np.array([1 - w_bar, w_bar])
-            p_bar = np.array(
-                [marg1[a1] * marg2[a2] for a2 in (0, 1) for a1 in (0, 1)]
-            )
+            # independent attributes mastered at rates m1, m2 (masks 00, 10, 01, 11)
+            m1, m2 = (w_bar, w2) if attr == 1 else (w1, w_bar)
+            p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
             pair = WitnessPair(
                 truth=truth,
                 alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
@@ -479,15 +467,11 @@ def gdina_two_item_attr(
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
-    sums = q.column_sums()
-    target = None
-    for k in np.flatnonzero(sums == 2):
-        items = [int(j) for j in np.flatnonzero(q.entries[:, int(k)])]
-        target = (int(k), items[0], items[1])
-        break
-    if target is None:
+    twice = np.flatnonzero(q.column_sums() == 2)
+    if len(twice) == 0:
         raise WrongShape("need an attribute required by exactly two items")
-    k, j1, j2 = target
+    k = int(twice[0])
+    j1, j2 = (int(j) for j in np.flatnonzero(q.entries[:, k]))
 
     entries = q.entries.copy()
     entries[j1, :] = 1

@@ -189,7 +189,7 @@ def _search_replications(truth, n_reps, seed_base, candidates):
         data = simulate("dina", truth, params, p, 10_000, seed=rng)
         report = exhaustive_search(
             "dina", data, candidates,
-            restarts=3, seed=seed_base + rep, tol=1e-6, max_iter=300, workers=2,
+            restarts=3, seed=seed_base + rep, tol=1e-6, max_iter=300,
         )
         if q_equivalent(report.argmax_q, truth):
             wins += 1

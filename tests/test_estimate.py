@@ -9,6 +9,8 @@ from qident import DinaParams, QMatrix, q_equivalent, simulate
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
 from qident.errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
 from qident.estimate import (
+    _fit_all,
+    _start,
     align_to_truth,
     em_fit,
     exhaustive_search,
@@ -136,6 +138,76 @@ class TestEmFit:
         assert (np.diff(fit.loglik_path) > -1e-9).all()
 
 
+def _same_fit(a, b):
+    """Every FitResult field equal, arrays byte for byte."""
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+class TestBatchEngine:
+    """A batch of EM fits gives every fit exactly what it gets alone."""
+
+    @staticmethod
+    def _batch(model, designs, data, seeds, max_iter, tol=1e-6):
+        starts = [_start(model, q, data, np.random.default_rng(s)) for q, s in zip(designs, seeds)]
+        return list(_fit_all(model, designs, [data] * len(designs), starts, tol, max_iter,
+                             paths=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["dina", "dino", "gdina"]),
+        shape=st.tuples(st.integers(2, 6), st.integers(1, 3)),
+        size=st.integers(1, 5),
+        max_iter=st.sampled_from([1, 7, 40, 300]),
+        data=st.data(),
+    )
+    def test_each_fit_equals_fit_alone(self, model, shape, size, max_iter, data):
+        J, K = shape
+        mask = st.integers(1, (1 << K) - 1)
+        designs = [
+            QMatrix([[m >> k & 1 for k in range(K)] for m in data.draw(
+                st.lists(mask, min_size=J, max_size=J))])
+            for _ in range(size)
+        ]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        params = DinaParams(rng.uniform(0.1, 0.3, J), rng.uniform(0.1, 0.3, J))
+        p = rng.dirichlet(np.full(1 << K, 2.0))
+        dataset = simulate("dina", designs[0], params, p, int(rng.integers(50, 2000)), seed=rng)
+        seeds = [int(v) for v in rng.integers(2**31, size=size)]
+
+        alone = [
+            em_fit(model, q, dataset, tol=1e-6, max_iter=max_iter, seed=np.random.default_rng(s))
+            for q, s in zip(designs, seeds)
+        ]
+        batch = self._batch(model, designs, dataset, seeds, max_iter)
+        assert all(_same_fit(a, b) for a, b in zip(alone, batch))
+        order = rng.permutation(size)
+        shuffled = self._batch(model, [designs[i] for i in order], dataset,
+                               [seeds[i] for i in order], max_iter)
+        assert all(_same_fit(alone[i], b) for i, b in zip(order, shuffled))
+
+    def test_mixed_converged_and_capped(self, rng):
+        # 12 restarts on one dataset, capped at 140 sweeps: some converge
+        # earlier, some are still moving; each keeps its own count
+        q = Q5X2_SINGLE_IDENTITY
+        _, _, data = _simulated(rng, q, n=3000, seed=28)
+        seeds = list(range(12))
+        batch = self._batch("dina", [q] * 12, data, seeds, max_iter=140)
+        alone = [em_fit("dina", q, data, tol=1e-6, max_iter=140, seed=np.random.default_rng(s))
+                 for s in seeds]
+        assert {f.converged for f in batch} == {True, False}
+        assert [f.iterations for f in batch] == [f.iterations for f in alone]
+        assert all(_same_fit(a, b) for a, b in zip(alone, batch))
+        assert all(f.iterations == 140 for f in batch if not f.converged)
+        assert all(len(f.loglik_path) == f.iterations + 1 for f in batch)
+
+
 class TestMultistart:
     def test_single_restart_reduces_to_em(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=8)
@@ -215,6 +287,34 @@ class TestSearch:
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
         with pytest.raises(ValueError, match="unknown model"):
             exhaustive_search("xyz", data, [Q5X2_SINGLE_IDENTITY], restarts=1, seed=19)
+
+    def test_stringent_without_eligible_candidate_raises(self):
+        # the all-ones design nests the saturated model; its fit ties or
+        # breaks the subset order, so a stringent sweep has no argmax
+        from qident.catalog import equal_effects_theta
+
+        q = Q5X2_SINGLE_IDENTITY
+        data = simulate("gdina", q, equal_effects_theta(q), np.full(4, 0.25), 10_000, seed=0)
+        ones = [QMatrix.from_rows([[1, 1]] * 5)]
+        kwargs = dict(restarts=3, seed=25, tol=1e-6, max_iter=400)
+        assert not exhaustive_search("gdina", data, ones, **kwargs).entries[0].stringent_ok
+        with pytest.raises(QidentError, match="no fitted candidate satisfies the subset order"):
+            exhaustive_search("gdina", data, ones, require_stringent=True, **kwargs)
+
+    def test_reports_iterations_and_unconverged(self, rng):
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=2000, seed=18)
+        candidates = [Q5X2_SINGLE_IDENTITY, Q4X2_PAIRED, QMatrix.from_rows([[1, 1]] * 5)]
+        report = exhaustive_search("dina", data, candidates, restarts=2, seed=19, max_iter=25)
+        fitted = [e for e in report.entries if e.error is None]
+        assert [e.iterations for e in report.entries] == [
+            fitted[0].iterations, 0, fitted[1].iterations]
+        assert all(1 <= e.iterations <= 25 for e in fitted)
+        assert all(e.converged == (e.iterations < 25) for e in fitted)
+        assert report.unconverged == sum(not e.converged for e in fitted)
+        payload = report.to_json_dict()
+        assert payload["unconverged"] == report.unconverged
+        assert [c["iterations"] for c in payload["candidates"]] == [
+            e.iterations for e in report.entries]
 
     def test_stringent_filter_gdina(self):
         # entrywise supersets nest the saturated model, so unfiltered sweeps

@@ -1,6 +1,8 @@
 """File formats, report determinism, and the command-line interface."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -144,7 +146,13 @@ class TestCli:
         assert main(["enumerate", "5", "2", "--classify", "--out", str(out)]) == 0
         lines = (out / "designs.csv").read_text().strip().splitlines()
         assert len(lines) == 122  # header + 121 designs
-        assert (out / "manifest.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["machine"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "cpuCount": os.cpu_count(),
+        }
 
     def test_enumerate_classifies_paired_design(self, tmp_path):
         out = tmp_path / "enum"
@@ -260,3 +268,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["candidates"]
         assert isinstance(payload["truthIsArgmax"], bool)
+        assert all(c["iterations"] >= 1 for c in payload["candidates"])
+        assert payload["unconverged"] == sum(not c["converged"] for c in payload["candidates"])
+
+    def test_search_stringent_without_eligible_candidate(self, tmp_path, capsys, monkeypatch):
+        # the all-ones design as the only candidate, which cannot satisfy
+        # the subset order on saturated-model data
+        from qident import cli
+        from qident.catalog import Q5X2_SINGLE_IDENTITY, equal_effects_theta
+        from qident.rlcm import simulate
+
+        q = Q5X2_SINGLE_IDENTITY
+        data = simulate("gdina", q, equal_effects_theta(q), np.full(4, 0.25), 10_000, seed=0)
+        counts, qfile = tmp_path / "counts.csv", tmp_path / "q.txt"
+        save_pattern_counts_csv(data, counts)
+        save_q(q, qfile)
+        monkeypatch.setattr(
+            cli, "enumerate_canonical", lambda J, K: [QMatrix.from_rows([[1, 1]] * J)])
+        argv = ["search", "--model", "gdina", "--data", str(counts), "--counts",
+                "--truth", str(qfile), "--restarts", "3", "--seed", "25", "--tol", "1e-6"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--stringent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no fitted candidate satisfies the subset order\n"
+        assert captured.out == ""
