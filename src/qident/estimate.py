@@ -285,11 +285,13 @@ def _fit_all(model, designs, datasets, starts, tol, max_iter, paths=False):
 
 def _best(fits):
     """The fit of highest loglik, the first one among ties."""
-    return max(fits, key=lambda fit: fit.loglik, default=None)
+    return max(fits, key=lambda fit: fit.loglik)
 
 
 def _restart_starts(model, q, data, seed, restarts):
     """Random starts of ``restarts`` EM runs, one child of ``seed`` each."""
+    if restarts < 1:
+        raise QidentError(f"restarts must be at least 1, got {restarts}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [_start(model, q, data, np.random.default_rng(child)) for child in seq.spawn(restarts)]
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -678,8 +679,7 @@ def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
     if J * K > _MAX_ENUM_BITS:
         raise TooLarge(f"enumeration guarded to J*K <= {_MAX_ENUM_BITS}")
     n_codes = (1 << K) - 1
-    perms = list(itertools.permutations(range(K)))
-    if n_codes**J * len(perms) > _MAX_ENUM_WORK:
+    if n_codes**J * math.factorial(K) > _MAX_ENUM_WORK:
         raise TooLarge("enumeration workload exceeds the search budget")
 
     total = n_codes**J
@@ -696,7 +696,7 @@ def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
     radix = 1 << (K * np.arange(J - 1, -1, -1, dtype=np.int64))
     base_key = codes @ radix
     best = base_key.copy()
-    for perm in perms:
+    for perm in itertools.permutations(range(K)):
         if perm == tuple(range(K)):
             continue
         table = _bit_permutation_table(perm, K)

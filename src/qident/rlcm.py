@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .qmatrix import QMatrix, _cells, gamma_matrix
-from .tmatrix import _product_table, shift_matrix
+from .tmatrix import _split_product, shift_matrix
 
 __all__ = [
     "Proportions",
@@ -31,8 +31,6 @@ __all__ = [
     "GdinaParams",
     "Dataset",
     "RlcmModel",
-    "dina_theta_table",
-    "dino_theta_table",
     "theta_table",
     "monotonicity_violation",
     "stringent_violation",
@@ -138,7 +136,7 @@ class GdinaParams:
 
     @classmethod
     def from_dina(cls, q: QMatrix, params: DinaParams) -> "GdinaParams":
-        return cls(dina_theta_table(q, params))
+        return cls(theta_table("dina", q, params))
 
     @property
     def n_items(self) -> int:
@@ -156,14 +154,6 @@ class GdinaParams:
             raise ValueError("theta violates monotonicity")
         if stringent and not stringent_ok(self.theta, q):
             raise ValueError("theta violates the stringent monotonicity order")
-
-
-def dina_theta_table(q: QMatrix, params: DinaParams) -> np.ndarray:
-    return theta_table("dina", q, params)
-
-
-def dino_theta_table(q: QMatrix, params: DinaParams) -> np.ndarray:
-    return theta_table("dino", q, params)
 
 
 def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
@@ -269,15 +259,9 @@ def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact length-2^J distribution of the response pattern (bit j of the
     index is the response to item j+1): the product table of theta or
     1 - theta per item, weighted by p and summed over attribute patterns."""
-    J = theta.shape[0]
-    if J > _MAX_FULL_J:
+    if theta.shape[0] > _MAX_FULL_J:
         raise TooLarge(f"full distribution guarded to J <= {_MAX_FULL_J}")
-    out = np.zeros(1 << J)
-    buf = np.empty(1 << J)
-    miss = 1.0 - theta
-    for a in np.flatnonzero(p):
-        out += _product_table(buf, theta[:, a], miss[:, a], p[a])
-    return out
+    return _split_product(theta, 1.0 - theta, p)
 
 
 def full_distribution(model: str, q: QMatrix, params, p: Proportions | np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ P(R >= r).  The parameter-shift transform maps T built from ``theta`` to T
 built from ``theta - theta_star`` through an explicit unitriangular matrix,
 which is the main tool behind the identifiability arguments; here it is
 built as a Kronecker product of one 2 x 2 factor per item and checked
-numerically.  One doubling kernel fills every 2^J product table: T
-columns, the survival vector and the exact distribution of
+numerically.  Every 2^J product table goes through one kernel: the items
+split into a low and a high half, doubling builds one half table per
+half for all attribute patterns at once, and one BLAS product joins the
+two.  It fills T, the survival vector and the exact distribution of
 ``rlcm.response_distribution``.
 """
 
@@ -35,45 +37,56 @@ _MAX_D_J = 12
 _RANK_TOL = 1e-10
 
 
-def _product_table(out: np.ndarray, hi, lo=None, weight=1.0) -> np.ndarray:
-    """Fill the length-2^J buffer ``out`` with
+def _product_table(out: np.ndarray, hi, lo, weight=1.0) -> np.ndarray:
+    """Fill the buffer ``out`` of 2^J rows with
 
         out[r] = weight * prod over items j of (hi[j] if bit j of r else lo[j])
 
-    by successive doubling and return it.  ``lo=None`` stands for ones (the
-    T-matrix), which leaves one multiply per doubling step.
+    by successive doubling and return it.  A 2-d buffer holds one column
+    per attribute pattern, with ``hi`` and ``lo`` of shape (J, 2^K).
     """
     out[0] = weight
     size = 1
     for j in range(len(hi)):
         out[size : 2 * size] = out[:size] * hi[j]
-        if lo is not None:
-            out[:size] *= lo[j]
+        out[:size] *= lo[j]
         size *= 2
     return out
 
 
+def _split_product(hi: np.ndarray, lo: np.ndarray, weight=None) -> np.ndarray:
+    """Product tables over all 2^J response patterns, from two half tables.
+
+    The low half table L covers items 0..h-1 (h = J // 2) and the high half
+    table H items h..J-1, each for all 2^K attribute patterns, so pattern r
+    splits as r = r_high * 2^h + r_low.  With ``weight`` (length 2^K) the
+    length-2^J vector sum over a of weight[a] * prod(...) is one GEMM
+    ``H @ (weight * L).T``; without it the 2^J x 2^K table is the row-wise
+    (face-splitting) product of H and L.  The output is allocated before
+    the half tables so that freeing them leaves no hole below it.
+    """
+    J, n = hi.shape
+    h = J // 2
+    out = np.empty((1 << (J - h), 1 << h) + ((n,) if weight is None else ()))
+    low = _product_table(np.empty((1 << h, n)), hi[:h], lo[:h], 1.0 if weight is None else weight)
+    high = _product_table(np.empty((1 << (J - h), n)), hi[h:], lo[h:])
+    if weight is None:
+        return np.multiply(high[:, None, :], low[None, :, :], out=out).reshape(1 << J, n)
+    return np.matmul(high, low.T, out=out).reshape(-1)
+
+
 def build_t(theta: np.ndarray) -> np.ndarray:
     """Dense 2^J x 2^K T-matrix from a response-probability table."""
-    J, n_alpha = theta.shape
-    if J > _MAX_T_J:
+    if theta.shape[0] > _MAX_T_J:
         raise TooLarge(f"dense T-matrix guarded to J <= {_MAX_T_J}")
-    t = np.empty((1 << J, n_alpha))
-    for a in range(n_alpha):
-        _product_table(t[:, a], theta[:, a])
-    return t
+    return _split_product(theta, np.ones_like(theta))
 
 
 def tp_vector(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The vector T @ p of survival probabilities, without materializing T."""
-    J = theta.shape[0]
-    if J > _MAX_T_J:
+    if theta.shape[0] > _MAX_T_J:
         raise TooLarge(f"survival vector guarded to J <= {_MAX_T_J}")
-    out = np.zeros(1 << J)
-    buf = np.empty(1 << J)
-    for a in np.flatnonzero(p):
-        out += _product_table(buf, theta[:, a], weight=p[a])
-    return out
+    return _split_product(theta, np.ones_like(theta), p)
 
 
 def shift_matrix(theta_star: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ from .errors import (
     WrongShape,
 )
 from .qmatrix import QMatrix, gamma_matrix, q_equivalent
-from .rlcm import DinaParams, RlcmModel, dina_theta_table
+from .rlcm import DinaParams, RlcmModel, theta_table
 
 __all__ = [
     "CERT_TOL",
@@ -98,12 +98,11 @@ def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> 
     """
     if pair.truth.q.n_items > _MAX_CERT_J:
         raise TooLarge(f"exact certification guarded to J <= {_MAX_CERT_J}")
-    base = (
-        truth_distribution
-        if truth_distribution is not None
-        else pair.truth.distribution()
-    )
-    diff = float(np.max(np.abs(base - pair.alternative.distribution())))
+    base = pair.truth.distribution() if truth_distribution is None else truth_distribution
+    # in place: one 2^J array per check; base may be shared and is never written
+    alt = pair.alternative.distribution()
+    alt -= base
+    diff = float(np.max(np.abs(alt, out=alt)))
     pair.certified_max_diff = diff
     if diff >= CERT_TOL:
         raise NotCertified(
@@ -180,8 +179,8 @@ def dina_one_item_attr(
     s_bar[j] = 1.0 - c_bar
     alt_params = DinaParams(s_bar, params.g.copy())
     pair = WitnessPair(
-        truth=RlcmModel(q, dina_theta_table(q, params), p),
-        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
+        truth=RlcmModel(q, theta_table("dina", q, params), p),
+        alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
         construction="DinaOneItemAttr",
         details={"item": j + 1, "attribute": k + 1, "c_bar": c_bar},
     )
@@ -245,8 +244,8 @@ def dina_scenario_a(
     s_bar[j2] = 1.0 - c2_bar
     alt_params = DinaParams(s_bar, g_bar)
     pair = WitnessPair(
-        truth=RlcmModel(q, dina_theta_table(q, params), p),
-        alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
+        truth=RlcmModel(q, theta_table("dina", q, params), p),
+        alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
         construction="DinaScenarioA",
         details={
             "attribute": k + 1,
@@ -305,7 +304,7 @@ def dina_q24_two_solutions(
         1: ((0, 2), w1),  # items 1, 3 gate on attribute 1
         2: ((1, 3), w2),  # items 2, 4 gate on attribute 2
     }
-    truth_theta = dina_theta_table(q, params)
+    truth_theta = theta_table("dina", q, params)
     truth = RlcmModel(q, truth_theta, p)
     base = truth.distribution()
 
@@ -337,7 +336,7 @@ def dina_q24_two_solutions(
             p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
             pair = WitnessPair(
                 truth=truth,
-                alternative=RlcmModel(q, dina_theta_table(q, alt_params), p_bar),
+                alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
                 construction="DinaQ24TwoSolutions",
                 details={"attribute": attr, "weight": w_bar},
             )
@@ -618,8 +617,8 @@ def incomplete_gamma_merge(
             )
         p_bar[rep] += p[a]
 
-    theta = dina_theta_table(q, params)
-    theta_bar = dina_theta_table(q_bar, params)
+    theta = theta_table("dina", q, params)
+    theta_bar = theta_table("dina", q_bar, params)
     pair = WitnessPair(
         truth=RlcmModel(q, theta, p),
         alternative=RlcmModel(q_bar, theta_bar, p_bar),

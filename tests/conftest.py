@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qident import DinaParams, QMatrix, full_distribution, gamma_matrix
-from qident.rlcm import dina_theta_table
+from qident.rlcm import theta_table
 from qident.witness import q24_constraint_gap
 
 ACCEPTANCE_LOG = []
@@ -57,7 +57,7 @@ def dina_jacobian(q: QMatrix, params: DinaParams, p) -> np.ndarray:
     bit j = item j+1, as in ``full_distribution``.
     """
     p = np.asarray(p, float)
-    theta = dina_theta_table(q, params)
+    theta = theta_table("dina", q, params)
     gamma = gamma_matrix(q).astype(float)
     J = q.n_items
     bits = (np.arange(1 << J)[:, None] >> np.arange(J)) & 1

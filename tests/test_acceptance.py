@@ -45,7 +45,7 @@ from qident.catalog import (
 )
 from qident.errors import ConstraintHolds
 from qident.estimate import em_fit, exhaustive_search, mse_experiment, spearman
-from qident.rlcm import dina_theta_table, response_distribution
+from qident.rlcm import response_distribution, theta_table
 from qident.tmatrix import build_t, shift_matrix, shift_t
 from qident.witness import (
     dina_q24_two_solutions,
@@ -347,7 +347,7 @@ def test_criterion_7_property_bundle():
     for _ in range(10):
         j = int(rng.integers(1, 7))
         q = random_q(rng, j, 2, ensure_nonzero_rows=True)
-        theta = dina_theta_table(
+        theta = theta_table("dina", 
             q, DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
         )
         shift = rng.uniform(-0.5, 0.5, j)

@@ -18,7 +18,7 @@ from qident.estimate import (
     multistart_fit,
     spearman,
 )
-from qident.rlcm import Dataset, dina_theta_table, full_distribution
+from qident.rlcm import Dataset, full_distribution, theta_table
 
 from tests.conftest import dina_information, dina_jacobian, gap_z_score
 
@@ -225,6 +225,14 @@ class TestMultistart:
         multi = multistart_fit("dina", Q4X2_PAIRED, data, restarts=5, seed=33)
         assert multi.loglik >= max(singles) - 1e-9
 
+    def test_no_restarts_raises(self, rng):
+        _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
+        for restarts in (0, -1):
+            with pytest.raises(QidentError, match="restarts must be at least 1"):
+                multistart_fit("dina", Q4X2_PAIRED, data, restarts=restarts)
+            with pytest.raises(QidentError, match="restarts must be at least 1"):
+                exhaustive_search("dina", data, [Q4X2_PAIRED], restarts=restarts)
+
     def test_deterministic(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=13)
         a = multistart_fit("dina", Q4X2_PAIRED, data, restarts=3, seed=5)
@@ -248,8 +256,6 @@ class TestSearch:
         assert q_equivalent(report.argmax_q, report2.argmax_q)
 
     def test_truth_wins_at_scale(self, rng):
-        from qident.rlcm import dina_theta_table
-
         q = Q5X2_SINGLE_IDENTITY
         params, p, data = _simulated(rng, q, n=20_000, seed=16)
         rivals = [
@@ -260,7 +266,7 @@ class TestSearch:
         report = exhaustive_search("dina", data, [q] + rivals, restarts=4, seed=17)
         assert report.argmax_index == 0
         # fitting the truth from the true parameters dominates every rival fit
-        oracle = em_fit("dina", q, data, init=(dina_theta_table(q, params), p))
+        oracle = em_fit("dina", q, data, init=(theta_table("dina", q, params), p))
         for entry in report.entries[1:]:
             assert oracle.loglik >= entry.loglik - 1e-6
 
@@ -491,7 +497,7 @@ class TestFisherInformation:
         n = 10_000
         gap = p[1] * p[2] - p[0] * p[3]
         se = abs(gap) / gap_z_score(Q4X2_PAIRED, self.PARAMS_4, p, n)
-        init = (dina_theta_table(Q4X2_PAIRED, self.PARAMS_4), p)
+        init = (theta_table("dina", Q4X2_PAIRED, self.PARAMS_4), p)
         estimates = []
         for rep in range(40):
             data = simulate("dina", Q4X2_PAIRED, self.PARAMS_4, p, n, seed=rep)

@@ -190,6 +190,23 @@ class TestCli:
         assert payload["converged"] is True
         assert len(payload["s"]) == 4
 
+    @pytest.mark.parametrize("command", ["fit", "search"])
+    def test_zero_restarts_exit_2(self, tmp_path, capsys, command):
+        qfile, params = self._write_paired_inputs(tmp_path, uniform=False)
+        out = tmp_path / "sim"
+        main(["simulate", "--q", str(qfile), "--params", str(params),
+              "--n", "200", "--seed", "7", "--out", str(out)])
+        capsys.readouterr()
+        design = ["--q", str(qfile)] if command == "fit" else ["--truth", str(qfile)]
+        assert main([
+            command, "--model", "dina", *design,
+            "--data", str(out / "dataset.csv"), "--restarts", "0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "restarts must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_simulate_empty(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path)
         out = tmp_path / "sim0"

@@ -1,6 +1,8 @@
 """Condition checks, classification, enumeration, and their invariants."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +358,47 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_canonical(13, 2)
+
+    @staticmethod
+    def _burnside(J, K):
+        """Column-permutation classes of J x K binary matrices without a zero
+        row or a zero column.  By inclusion-exclusion over the empty cycles,
+        a permutation with c cycles fixes sum_i (-1)^i C(c, i) (2^(c-i) - 1)^J
+        such matrices; the classes are the mean count over all K! of them."""
+        total = 0
+        for perm in itertools.permutations(range(K)):
+            seen, c = set(), 0
+            for start in range(K):
+                c += start not in seen  # each cycle counts at its first element
+                k = start
+                while k not in seen:
+                    seen.add(k)
+                    k = perm[k]
+            total += sum((-1) ** i * math.comb(c, i) * (2 ** (c - i) - 1) ** J for i in range(c + 1))
+        classes, rest = divmod(total, math.factorial(K))
+        assert rest == 0
+        return classes
+
+    # every shape with J * K <= 12, except the single-row K = 8 and 9, which
+    # take 12 s and minutes to enumerate (a Python loop over all K! column
+    # permutations)
+    @pytest.mark.parametrize(
+        "J,K", [(J, K) for K in range(1, 8) for J in range(1, 12 // K + 1)]
+    )
+    def test_count_matches_burnside(self, J, K):
+        assert len(enumerate_canonical(J, K)) == self._burnside(J, K)
+
+    def test_work_guard_fires_before_permutations_are_built(self):
+        # 255^2 codes x 8! permutations exceed the work budget; the guard
+        # must refuse without first listing the 8! permutations
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                enumerate_canonical(2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEquivalence:

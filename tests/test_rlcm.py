@@ -22,8 +22,6 @@ from qident import (
 from qident.catalog import Q4X2_PAIRED
 from qident.errors import IllegalCoefficient, TooLarge
 from qident.rlcm import (
-    dina_theta_table,
-    dino_theta_table,
     monotonicity_ok,
     pattern_string,
     response_distribution,
@@ -71,7 +69,7 @@ class TestParams:
             k = int(rng.integers(1, 4))
             q = random_q(rng, j, k)
             params = DinaParams(rng.uniform(0.05, 0.45, j), rng.uniform(0.05, 0.45, j))
-            assert monotonicity_ok(dina_theta_table(q, params), q)
+            assert monotonicity_ok(theta_table("dina", q, params), q)
 
 
 class TestThetaTables:
@@ -109,7 +107,7 @@ class TestThetaTables:
             g = rng.uniform(0.05, 0.4, size=j)
             params = DinaParams(1 - c, g)
             p = rng.dirichlet(np.ones(1 << k))
-            dino = response_distribution(dino_theta_table(q, params), p)
+            dino = response_distribution(theta_table("dino", q, params), p)
 
             from qident.qmatrix import gamma_matrix
 
@@ -192,11 +190,22 @@ class TestDistribution:
         q = random_q(rng, j, k)
         params = DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
         p = rng.dirichlet(np.ones(1 << k))
-        p[rng.random(1 << k) < 0.25] = 0.0  # classes without mass are skipped
+        p[rng.random(1 << k) < 0.25] = 0.0  # classes without mass add nothing
         dist = full_distribution(model, q, params, p)
         assert abs(dist.sum() - p.sum()) < 1e-10
         for r in range(1 << j):
             assert dist[r] == pytest.approx(pmf(model, q, params, p, r), abs=1e-14)
+
+    def test_split_kernel_against_pmf_at_20_items(self, rng):
+        q = random_q(rng, 20, 3)
+        theta = rng.uniform(0.05, 0.95, (20, 8))
+        p = rng.dirichlet(np.ones(8))
+        p[5] = 0.0
+        p /= p.sum()
+        dist = response_distribution(theta, p)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        for r in rng.choice(1 << 20, size=200, replace=False):
+            assert dist[r] == pytest.approx(pmf("gdina", q, theta, p, int(r)), abs=1e-15)
 
     def test_dina_embeds_in_gdina(self, rng):
         q = random_q(rng, 5, 3, ensure_nonzero_rows=True)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from qident import DinaParams, QMatrix, check_conditions_DE
 from qident.catalog import Q5X2_DOUBLE_IDENTITY
 from qident.errors import NoPartition, TooLarge
-from qident.rlcm import dina_theta_table, response_distribution
+from qident.rlcm import response_distribution, theta_table
 from qident.tmatrix import (
     build_t,
     rank,
@@ -25,7 +25,7 @@ def _random_model(rng, j, k):
     q = random_q(rng, j, k, ensure_nonzero_rows=True)
     params = DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
     p = rng.dirichlet(np.ones(1 << k))
-    return q, dina_theta_table(q, params), p
+    return q, theta_table("dina", q, params), p
 
 
 class TestBuild:
@@ -62,6 +62,57 @@ class TestBuild:
     def test_guard(self):
         with pytest.raises(TooLarge):
             build_t(np.full((21, 2), 0.5))
+
+
+def _t_by_definition(theta):
+    """T[r, a] = prod over items j in r of theta[j, a], one row at a time."""
+    J, n = theta.shape
+    t = np.ones((1 << J, n))
+    for r in range(1 << J):
+        for j in range(J):
+            if r >> j & 1:
+                t[r] *= theta[j]
+    return t
+
+
+class TestSplitKernel:
+    # J = 0 and 1 leave the low half empty; odd and even J split unevenly
+    # and evenly; K = 0 is a single attribute class
+    SHAPES = [(j, k) for j in (0, 1, 2, 3, 7, 8) for k in (0, 1, 3)]
+
+    @staticmethod
+    def _draw(rng, j, k):
+        theta = rng.uniform(0.05, 0.95, (j, 1 << k))
+        p = rng.dirichlet(np.ones(1 << k))
+        if k:
+            p[rng.permutation(1 << k)[: 1 << (k - 1)]] = 0.0  # half the classes empty
+            p /= p.sum()
+        return theta, p
+
+    @pytest.mark.parametrize("j,k", SHAPES)
+    def test_build_t_matches_definition(self, rng, j, k):
+        theta, _ = self._draw(rng, j, k)
+        t = build_t(theta)
+        assert t.shape == (1 << j, 1 << k)
+        assert_allclose(t, _t_by_definition(theta), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("j,k", SHAPES)
+    def test_tp_vector_is_t_times_p(self, rng, j, k):
+        theta, p = self._draw(rng, j, k)
+        tp = tp_vector(theta, p)
+        assert tp.shape == (1 << j,)
+        assert_allclose(tp, build_t(theta) @ p, rtol=0, atol=1e-15)
+        assert tp[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("j,k", SHAPES)
+    def test_distribution_matches_definition(self, rng, j, k):
+        # the row-by-row product of theta or 1 - theta per item, summed over
+        # the classes with mass
+        theta, p = self._draw(rng, j, k)
+        bits = (np.arange(1 << j)[:, None] >> np.arange(j)) & 1
+        factors = np.where(bits[:, :, None] == 1, theta, 1.0 - theta)
+        expected = np.prod(factors, axis=1) @ p
+        assert_allclose(response_distribution(theta, p), expected, rtol=0, atol=1e-15)
 
 
 class TestShift:
@@ -138,7 +189,7 @@ class TestRank:
         for k in (2, 3):
             q = QMatrix(np.eye(k, dtype=int))
             params = DinaParams(rng.uniform(0.05, 0.3, k), rng.uniform(0.05, 0.3, k))
-            t = build_t(dina_theta_table(q, params))
+            t = build_t(theta_table("dina", q, params))
             assert t.shape == (1 << k, 1 << k)
             assert rank(t) == 1 << k
             assert abs(np.linalg.det(t)) > 1e-12
@@ -154,7 +205,7 @@ class TestIdentifiableSubset:
         _, _, partition = check_conditions_DE(q)
         for _ in range(100):
             params = DinaParams(rng.uniform(0.05, 0.3, 5), rng.uniform(0.05, 0.3, 5))
-            theta = dina_theta_table(q, params)
+            theta = theta_table("dina", q, params)
             p = rng.dirichlet(np.full(4, 3.0))
             assert identifiable_subset_check(theta, p, partition)
 
@@ -162,7 +213,7 @@ class TestIdentifiableSubset:
         q = Q5X2_DOUBLE_IDENTITY
         _, _, partition = check_conditions_DE(q)
         theta = np.full((5, 4), 0.5)
-        theta[list(partition[0] + partition[1])] = dina_theta_table(
+        theta[list(partition[0] + partition[1])] = theta_table("dina", 
             q, DinaParams(np.full(5, 0.2), np.full(5, 0.1))
         )[list(partition[0] + partition[1])]
         p = np.full(4, 0.25)

@@ -17,7 +17,7 @@ from qident.errors import (
     NotSubsumed,
     WrongShape,
 )
-from qident.rlcm import dina_theta_table, response_distribution
+from qident.rlcm import response_distribution, theta_table
 from qident.witness import (
     CERT_TOL,
     WitnessPair,
@@ -33,7 +33,7 @@ from qident.witness import (
 
 
 def _dina_model(q, params, p):
-    return RlcmModel(q, dina_theta_table(q, params), np.asarray(p, float))
+    return RlcmModel(q, theta_table("dina", q, params), np.asarray(p, float))
 
 
 class TestCertify:
@@ -60,6 +60,17 @@ class TestCertify:
         with pytest.raises(NotCertified):
             certify(pair)
         assert pair.certified_max_diff > 1e-4
+
+    def test_shared_truth_distribution_left_unchanged(self):
+        # witnesses of one truth share its distribution; certify must not write it
+        q, _ = two_item_20x3_pair()
+        p = np.full(8, 1 / 8)
+        pair = gdina_two_item_attr(q, equal_effects_theta(q), p, count=1, seed=3)[0]
+        base = pair.truth.distribution()
+        before = base.tobytes()
+        for _ in range(2):
+            assert certify(pair, truth_distribution=base) < CERT_TOL
+        assert base.tobytes() == before
 
 
 class TestDinaOneItemAttr:
