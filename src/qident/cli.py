@@ -6,6 +6,11 @@ Runs that write to an output directory also write a ``manifest.json``
 recording the configuration, package version and seed, and the machine:
 Python and numpy versions, platform and CPU count.  Pattern bit order
 in all files is little-endian: bit 0 is item 1 (or attribute 1).
+
+``witness`` dispatches from one table, ``_WITNESSES``: per construction, the
+design files it reads, whether it needs s and g, and the call.  Its inputs
+are checked before any work; ``--free`` left out takes the construction's
+own default, computed from its target item.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .io import (
     save_search_csv,
 )
 from .qmatrix import Scenario, classify_dina, classify_gdina, enumerate_canonical, strip_zero_rows
-from .rlcm import simulate, theta_table
+from .rlcm import DinaParams, simulate, theta_table
 from .tmatrix import build_t
 from . import witness as witness_mod
 
@@ -196,41 +201,37 @@ def cmd_search(args) -> int:
     return 0
 
 
+# construction -> (design files it reads, whether it needs s and g, the call
+# taking (args, model, params, p, *designs) and returning the certified pairs)
+_WITNESSES = {
+    "q24": ((), True, lambda a, m, prm, p: witness_mod.dina_q24_two_solutions(
+        prm, p, count=a.count)),
+    "one-item": (("q",), True, lambda a, m, prm, p, q: [
+        witness_mod.dina_one_item_attr(q, prm, p, a.free)]),
+    "scenario-a": (("q",), True, lambda a, m, prm, p, q: [
+        witness_mod.dina_scenario_a(q, prm, p, a.free)]),
+    "gdina-one": (("q",), False, lambda a, m, prm, p, q: [
+        witness_mod.gdina_one_item_attr(q, theta_table(m, q, prm), p, seed=a.seed)]),
+    "gdina-two": (("q",), False, lambda a, m, prm, p, q: witness_mod.gdina_two_item_attr(
+        q, theta_table(m, q, prm), p, count=a.count, seed=a.seed)),
+    "gamma-merge": (("q", "qbar"), True, lambda a, m, prm, p, q, q_bar: [
+        witness_mod.incomplete_gamma_merge(q, q_bar, prm, p)]),
+}
+
+
 def cmd_witness(args) -> int:
+    files, needs_sg, build = _WITNESSES[args.construction]
     model, params, p = load_params_json(args.params)
     if p is None:
         raise QidentError("params file must carry a 'p' vector")
-    if args.construction != "q24" and not args.q:
-        raise QidentError(f"--q is required for construction {args.construction!r}")
-    if args.construction == "gamma-merge" and not args.qbar:
-        raise QidentError("--qbar is required for gamma-merge")
-    pairs = []
-    if args.construction == "q24":
-        pairs = witness_mod.dina_q24_two_solutions(params, p.p, count=args.count)
-    elif args.construction == "one-item":
-        q = load_q(args.q)
-        c1 = float(params.c[0])
-        c_bar = args.free if args.free is not None else max(c1 - 0.05, (c1 + params.g[0]) / 2)
-        pairs = [witness_mod.dina_one_item_attr(q, params, p.p, c_bar)]
-    elif args.construction == "scenario-a":
-        q = load_q(args.q)
-        g1 = float(params.g[0])
-        g_bar = args.free if args.free is not None else g1 + 0.02
-        pairs = [witness_mod.dina_scenario_a(q, params, p.p, g_bar)]
-    elif args.construction == "gdina-one":
-        q = load_q(args.q)
-        theta = theta_table(model, q, params)
-        pairs = [witness_mod.gdina_one_item_attr(q, theta, p.p, seed=args.seed)]
-    elif args.construction == "gdina-two":
-        q = load_q(args.q)
-        theta = theta_table(model, q, params)
-        pairs = witness_mod.gdina_two_item_attr(q, theta, p.p, count=args.count, seed=args.seed)
-    elif args.construction == "gamma-merge":
-        q = load_q(args.q)
-        q_bar = load_q(args.qbar)
-        pairs = [witness_mod.incomplete_gamma_merge(q, q_bar, params, p.p)]
-    else:
-        raise QidentError(f"unknown construction {args.construction!r}")
+    for name in files:
+        if not getattr(args, name):
+            raise QidentError(f"--{name} is required for construction {args.construction!r}")
+    if needs_sg and not isinstance(params, DinaParams):
+        raise QidentError(f"construction {args.construction!r} needs a params file with s and g")
+    if args.dump_table and args.out and params.n_items > 16:
+        raise QidentError("--dump-table limited to J <= 16")
+    pairs = build(args, model, params, p.p, *(load_q(getattr(args, name)) for name in files))
 
     payload = {
         "construction": args.construction,
@@ -252,8 +253,6 @@ def cmd_witness(args) -> int:
     _emit(args, payload, "witness.json")
     if args.dump_table and args.out:
         J = pairs[0].truth.q.n_items
-        if J > 16:
-            raise QidentError("--dump-table limited to J <= 16")
         lines = ["pattern_bits,p_truth,p_alternative"]
         base = pairs[0].truth.distribution()
         alt = pairs[0].alternative.distribution()
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("witness", help="construct certified indistinguishable alternatives")
     sub.add_argument("--construction", required=True,
-                     choices=["q24", "one-item", "scenario-a", "gdina-one", "gdina-two", "gamma-merge"])
+                     choices=list(_WITNESSES))
     sub.add_argument("--q", default=None)
     sub.add_argument("--qbar", default=None, help="alternative design (gamma-merge)")
     sub.add_argument("--params", required=True)

@@ -14,14 +14,6 @@ class TooLarge(QidentError):
     """An operation was requested beyond its documented size guard."""
 
 
-class ShapeMismatch(QidentError):
-    """Two matrices that must share a shape do not."""
-
-
-class NotComplete(QidentError):
-    """A check that requires a complete design matrix got an incomplete one."""
-
-
 class HasZeroRows(QidentError):
     """The design matrix still contains all-zero rows; strip them first."""
 
@@ -31,7 +23,9 @@ class AllRowsZero(QidentError):
 
 
 class WrongShape(QidentError):
-    """A witness construction got a design matrix without the required form."""
+    """An input lacks the shape or form the operation needs: arrays whose
+    dimensions disagree, a design that is incomplete or lacks the form a
+    witness construction needs, or a missing block partition."""
 
 
 class InvalidFreeValues(QidentError):
@@ -57,20 +51,8 @@ class IllegalCoefficient(QidentError):
     """An effect coefficient is attached to attributes the item does not require."""
 
 
-class DimensionMismatch(QidentError):
-    """Data dimensions do not match the design matrix."""
-
-
 class EmptyData(QidentError):
     """The dataset contains no observations."""
-
-
-class TooManyAttributes(QidentError):
-    """Alignment over attribute permutations was requested for too many attributes."""
-
-
-class NoPartition(QidentError):
-    """No two-block partition of the design matrix is available for the check."""
 
 
 class ParseError(QidentError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
+from .errors import EmptyData, QidentError, TooLarge, WrongShape
 from .qmatrix import QMatrix, _bit_permutation_table, _cells, gamma_matrix
 from .rlcm import (
     Dataset,
@@ -115,7 +115,7 @@ def _start(model: str, q: QMatrix, data: Dataset, rng, init=None):
     if model not in ("dina", "dino", "gdina"):
         raise ValueError(f"unknown model {model!r}")
     if data.n_items != q.n_items:
-        raise DimensionMismatch(
+        raise WrongShape(
             f"data has {data.n_items} items but the design has {q.n_items}"
         )
     if data.n_subjects == 0:
@@ -457,7 +457,7 @@ def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
     permutation.
     """
     if n_attributes > 10:
-        raise TooManyAttributes("alignment guarded to K <= 10")
+        raise TooLarge("alignment guarded to K <= 10")
     base = 0.0
     if truth.get("s") is not None and estimate.s is not None:
         base += float(np.sum((estimate.s - truth["s"]) ** 2))

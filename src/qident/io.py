@@ -127,10 +127,8 @@ def load_pattern_counts_csv(path, n_items: int) -> Dataset:
     )
 
 
-def save_dataset_csv(data: Dataset, path, header: bool = True) -> None:
-    lines = []
-    if header:
-        lines.append(",".join(f"item{j + 1}" for j in range(data.n_items)))
+def save_dataset_csv(data: Dataset, path) -> None:
+    lines = [",".join(f"item{j + 1}" for j in range(data.n_items))]
     for row in data.to_matrix():
         lines.append(",".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -36,13 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AllRowsZero,
-    HasZeroRows,
-    NotComplete,
-    ShapeMismatch,
-    TooLarge,
-)
+from .errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
 
 __all__ = [
     "QMatrix",
@@ -80,9 +74,9 @@ class QMatrix:
     def __init__(self, entries):
         arr = np.asarray(entries)
         if arr.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-d array, got ndim={arr.ndim}")
+            raise WrongShape(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeMismatch(f"need at least one row and one column, got {arr.shape}")
+            raise WrongShape(f"need at least one row and one column, got {arr.shape}")
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("Q-matrix entries must be 0 or 1")
         arr = arr.astype(np.int8, copy=True)
@@ -275,7 +269,7 @@ def _residual_after_identity(q: QMatrix):
     """
     ok, rows = check_condition_A(q)
     if not ok:
-        raise NotComplete("condition B needs a complete Q-matrix")
+        raise WrongShape("condition B needs a complete Q-matrix")
     drop = set(rows)
     keep = [j for j in range(q.n_items) if j not in drop]
     return q.entries[keep]
@@ -284,7 +278,7 @@ def _residual_after_identity(q: QMatrix):
 def check_condition_B(q: QMatrix) -> bool:
     """Distinctness: the residual block has pairwise-distinct columns.
 
-    Raises :class:`NotComplete` when condition A fails.  For K = 1 the check
+    Raises :class:`WrongShape` when condition A fails.  For K = 1 the check
     is vacuous and returns True.
     """
     residual = _residual_after_identity(q)
@@ -433,6 +427,17 @@ def _b2_constraints(K: int) -> list[str]:
     ]
 
 
+def _required_by(q: QMatrix, count: int) -> list[tuple[int, list[int]]]:
+    """``(attribute, items)`` for each attribute required by exactly
+    ``count`` items, in attribute order."""
+    sums = q.column_sums()
+    return [
+        (k, [int(j) for j in np.flatnonzero(q.entries[:, k])])
+        for k in range(q.n_attributes)
+        if sums[k] == count
+    ]
+
+
 @dataclass
 class _TwoItemForm:
     """One attribute required by exactly two items, one of them a unit row."""
@@ -442,15 +447,15 @@ class _TwoItemForm:
     partner_item: int
     partner_mask: int  # partner row restricted to the other attributes
 
+    def is_scenario_a(self, n_attributes: int) -> bool:
+        """Scenario (a): the partner row requires every attribute."""
+        return self.partner_mask == ((1 << n_attributes) - 1) & ~(1 << self.attribute)
+
 
 def _two_item_forms(q: QMatrix) -> list[_TwoItemForm]:
     masks = q.row_masks
-    sums = q.column_sums()
     forms = []
-    for k in range(q.n_attributes):
-        if sums[k] != 2:
-            continue
-        items = [int(j) for j in np.flatnonzero(q.entries[:, k])]
+    for k, items in _required_by(q, 2):
         units = [j for j in items if masks[j] == (1 << k)]
         if not units:
             continue
@@ -551,8 +556,7 @@ def classify_dina(q: QMatrix) -> IdentifiabilityVerdict:
     scenario_b1 = None
     scenario_c = None
     for form in forms:
-        rest_mask = ((1 << K) - 1) & ~(1 << form.attribute)
-        if form.partner_mask == rest_mask:
+        if form.is_scenario_a(K):
             scenario_a = scenario_a or form
             continue
         residual = _residual_matrix(q, form)
@@ -718,7 +722,7 @@ def q_equivalent(a: QMatrix, b: QMatrix) -> bool:
     search.
     """
     if a.entries.shape != b.entries.shape:
-        raise ShapeMismatch(
+        raise WrongShape(
             f"shapes differ: {a.entries.shape} vs {b.entries.shape}"
         )
     cols_a = sorted(a.entries[:, k].tobytes() for k in range(a.n_attributes))

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IllegalCoefficient,
-    TooLarge,
-)
+from .errors import IllegalCoefficient, TooLarge, WrongShape
 from .qmatrix import QMatrix, _cells, gamma_matrix
 from .tmatrix import _split_product, shift_matrix
 
@@ -67,7 +63,7 @@ class Proportions:
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 1 or len(arr) & (len(arr) - 1):
-            raise DimensionMismatch("proportions must have length 2^K")
+            raise WrongShape("proportions must have length 2^K")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"proportions sum to {float(arr.sum())!r}, not 1")
         if (arr < 0).any() or (not self.allow_zero and (arr <= 0).any()):
@@ -94,7 +90,7 @@ class DinaParams:
         s = np.asarray(self.s, dtype=float)
         g = np.asarray(self.g, dtype=float)
         if s.shape != g.shape or s.ndim != 1:
-            raise DimensionMismatch("s and g must be 1-d vectors of equal length")
+            raise WrongShape("s and g must be 1-d vectors of equal length")
         if (s <= 0).any() or (s >= 1).any() or (g <= 0).any() or (g >= 1).any():
             raise ValueError("slipping and guessing must lie in (0, 1)")
         if ((1.0 - s) <= g).any():
@@ -127,7 +123,7 @@ class GdinaParams:
     def __init__(self, theta):
         arr = np.asarray(theta, dtype=float)
         if arr.ndim != 2 or arr.shape[1] & (arr.shape[1] - 1):
-            raise DimensionMismatch("theta must be J x 2^K")
+            raise WrongShape("theta must be J x 2^K")
         if (arr <= 0).any() or (arr >= 1).any():
             raise ValueError("theta entries must lie strictly inside (0, 1)")
         arr = arr.copy()
@@ -142,9 +138,9 @@ class GdinaParams:
     def n_items(self) -> int:
         return self.theta.shape[0]
 
-    def validate_for(self, q: QMatrix, stringent: bool = False) -> None:
+    def validate_for(self, q: QMatrix) -> None:
         if self.theta.shape != (q.n_items, 1 << q.n_attributes):
-            raise DimensionMismatch("theta shape does not match the Q-matrix")
+            raise WrongShape("theta shape does not match the Q-matrix")
         # equality: theta depends on a only through a & mask
         varies = (np.take_along_axis(self.theta, _cells(q), 1) != self.theta).any(axis=1)
         if varies.any():
@@ -152,8 +148,6 @@ class GdinaParams:
             raise ValueError(f"item {j + 1}: theta varies with non-required attributes")
         if not monotonicity_ok(self.theta, q):
             raise ValueError("theta violates monotonicity")
-        if stringent and not stringent_ok(self.theta, q):
-            raise ValueError("theta violates the stringent monotonicity order")
 
 
 def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
@@ -165,11 +159,11 @@ def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
     if model == "gdina":
         theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
         if theta.shape != (q.n_items, 1 << q.n_attributes):
-            raise DimensionMismatch("theta shape does not match the Q-matrix")
+            raise WrongShape("theta shape does not match the Q-matrix")
         return theta
     gate = gamma_matrix(q, model)
     if params.n_items != q.n_items:
-        raise DimensionMismatch("parameter length does not match item count")
+        raise WrongShape("parameter length does not match item count")
     return np.where(gate, params.c[:, None], params.g[:, None])
 
 
@@ -224,7 +218,7 @@ def beta_to_theta(betas: list[dict], q: QMatrix) -> GdinaParams:
     the pattern restricted to the item's requirements.
     """
     if len(betas) != q.n_items:
-        raise DimensionMismatch("need one coefficient map per item")
+        raise WrongShape("need one coefficient map per item")
     K = q.n_attributes
     n = 1 << K
     patterns = np.arange(n)
@@ -292,7 +286,7 @@ class Dataset:
         patterns = np.asarray(self.patterns, dtype=np.int64)
         counts = np.asarray(self.counts, dtype=np.int64)
         if patterns.shape != counts.shape or patterns.ndim != 1:
-            raise DimensionMismatch("patterns and counts must be equal-length vectors")
+            raise WrongShape("patterns and counts must be equal-length vectors")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
         if len(patterns) and ((patterns < 0).any() or (patterns >= (1 << self.n_items)).any()):
@@ -314,7 +308,7 @@ class Dataset:
         """Build from an N x J binary response matrix."""
         arr = np.asarray(responses, dtype=np.int64)
         if arr.ndim != 2:
-            raise DimensionMismatch("response matrix must be 2-d")
+            raise WrongShape("response matrix must be 2-d")
         masks = (arr << np.arange(arr.shape[1], dtype=np.int64)).sum(axis=1)
         return cls.from_pattern_list(arr.shape[1], masks)
 
@@ -360,9 +354,9 @@ class RlcmModel:
         theta = np.asarray(self.theta, dtype=float)
         p = np.asarray(self.p, dtype=float)
         if theta.shape != (self.q.n_items, 1 << self.q.n_attributes):
-            raise DimensionMismatch("theta shape does not match the design")
+            raise WrongShape("theta shape does not match the design")
         if len(p) != theta.shape[1]:
-            raise DimensionMismatch("proportion length does not match the design")
+            raise WrongShape("proportion length does not match the design")
         theta.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "theta", theta)

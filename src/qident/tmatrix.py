@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoPartition, TooLarge
+from .errors import TooLarge, WrongShape
 
 __all__ = [
     "build_t",
@@ -111,32 +111,10 @@ def shift_t(theta: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
 
 
 def rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
-    """Numerical rank by Gaussian elimination with partial pivoting.
-
-    A pivot counts when its magnitude exceeds ``tol`` times the largest
-    pivot encountered, so the tolerance is relative.
-    """
-    m = np.array(matrix, dtype=float)
-    rows, cols = m.shape
-    r = 0
-    first_pivot = None
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = r + int(np.argmax(np.abs(m[r:, c])))
-        val = abs(m[piv, c])
-        if first_pivot is None:
-            threshold = 0.0 if val == 0 else tol * val
-        else:
-            threshold = tol * first_pivot
-        if val <= threshold or val == 0.0:
-            continue
-        if first_pivot is None:
-            first_pivot = val
-        m[[r, piv]] = m[[piv, r]]
-        m[r + 1 :] -= np.outer(m[r + 1 :, c] / m[r, c], m[r])
-        r += 1
-    return r
+    """Numerical rank: the number of singular values above ``tol`` times
+    the largest one, so the tolerance is relative."""
+    sv = np.linalg.svd(np.asarray(matrix, float), compute_uv=False)
+    return int((sv > tol * sv[0]).sum()) if sv.size else 0
 
 
 def identifiable_subset_check(
@@ -153,14 +131,14 @@ def identifiable_subset_check(
     D/E search.
     """
     if partition is None:
-        raise NoPartition("no block partition available; run the condition D/E check")
+        raise WrongShape("no block partition available; run the condition D/E check")
     rows1, rows2, rest = partition
     n_alpha = theta.shape[1]
     for rows in (rows1, rows2):
         t_block = build_t(theta[list(rows)])
         if t_block.shape[0] != n_alpha:
             # K-item block gives a 2^K x 2^K matrix; anything else is malformed
-            raise NoPartition("block size does not match the attribute count")
+            raise WrongShape("block size does not match the attribute count")
         if rank(t_block, tol) < n_alpha:
             return False
     if rest:

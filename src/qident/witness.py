@@ -30,6 +30,15 @@ Available constructions:
 * ``incomplete_gamma_merge`` -- conjunctive model on an incomplete design:
                               merge the proportions of patterns whose
                               ideal-response columns coincide.
+
+The constructions find their target attribute with the classifier's own
+searches (``qmatrix._required_by`` and, for scenario (a),
+``qmatrix._two_item_forms``), so a design the classifier files under a
+scenario gets that scenario's witness.  A construction with a single free
+value (given, or the target item's default ``c_bar`` / ``g1_bar``)
+certifies once and raises :class:`NotCertified` on failure; one that tries
+several values (the q24 weights, drawn GDINA values) certifies them in
+order and raises :class:`InvalidFreeValues` when they run out.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .errors import (
     TooLarge,
     WrongShape,
 )
-from .qmatrix import QMatrix, gamma_matrix, q_equivalent
+from .qmatrix import QMatrix, _required_by, _two_item_forms, gamma_matrix, q_equivalent
 from .rlcm import DinaParams, RlcmModel, theta_table
 
 __all__ = [
@@ -116,11 +125,56 @@ def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> 
     return diff
 
 
+def _first_certified(candidates, count: int, base: np.ndarray, what: str) -> list[WitnessPair]:
+    """The first ``count`` candidates, in order, that pass :func:`certify`
+    against the truth distribution ``base``.
+
+    A ``None`` candidate (an invalid draw) and a candidate that fails
+    certification are skipped; running out of candidates raises
+    :class:`InvalidFreeValues`.
+    """
+    out: list[WitnessPair] = []
+    if count <= 0:
+        return out
+    for pair in candidates:
+        if pair is None:
+            continue
+        try:
+            certify(pair, truth_distribution=base)
+        except NotCertified:
+            continue
+        out.append(pair)
+        if len(out) == count:
+            return out
+    raise InvalidFreeValues(f"certified only {len(out)} of {count} {what} within the budget")
+
+
 def _split_by_bit(n_patterns: int, bit: int):
     """Masks without / with the given attribute bit, aligned pairwise."""
     patterns = np.arange(n_patterns)
     low = patterns[(patterns >> bit) & 1 == 0]
     return low, low | (1 << bit)
+
+
+def _rebalance(p: np.ndarray, bit: int, side: int, ratio: float) -> np.ndarray:
+    """Proportions with every pattern on one ``side`` of the attribute bit
+    (0 without it, 1 with it) scaled by ``ratio``; its aligned pattern on the
+    other side takes up the difference, so each pair keeps its mass."""
+    halves = _split_by_bit(len(p), bit)
+    moved, other = halves[side], halves[1 - side]
+    p_bar = np.empty_like(p)
+    p_bar[moved] = p[moved] * ratio
+    p_bar[other] = p[halves[0]] + p[halves[1]] - p_bar[moved]
+    if (p_bar < -1e-15).any() or (p_bar > 1 + 1e-15).any():
+        raise InvalidFreeValues("resulting proportions leave [0, 1]")
+    return np.clip(p_bar, 0.0, 1.0)
+
+
+def _full_mastery_best(theta: np.ndarray, items) -> bool:
+    """Monotonicity under an all-ones row: the full-mastery pattern answers
+    each of ``items`` strictly best."""
+    full = theta.shape[1] - 1
+    return all(theta[j, full] > np.delete(theta[j], full).max() for j in items)
 
 
 def q24_constraint_gap(p: np.ndarray) -> float:
@@ -137,7 +191,7 @@ def q24_constraint_gap(p: np.ndarray) -> float:
 
 
 def dina_one_item_attr(
-    q: QMatrix, params: DinaParams, p: np.ndarray, c_bar: float
+    q: QMatrix, params: DinaParams, p: np.ndarray, c_bar: float | None = None
 ) -> WitnessPair:
     """Witness when some attribute is required by exactly one item and that
     item requires nothing else.
@@ -148,32 +202,25 @@ def dina_one_item_attr(
 
         p_bar[with attribute]    = p * (c - g) / (c_bar - g)
         p_bar[without attribute] = mass balance of the aligned pair.
+
+    ``c_bar`` defaults to max(c - 0.05, (c + g) / 2) of that item.
     """
     p = np.asarray(p, float)
-    sums = q.column_sums()
     masks = q.row_masks
-    target = None
-    for k in np.flatnonzero(sums == 1):
-        j = int(np.flatnonzero(q.entries[:, int(k)])[0])
-        if masks[j] == (1 << int(k)):
-            target = (j, int(k))
-            break
+    target = next(
+        ((items[0], k) for k, items in _required_by(q, 1) if masks[items[0]] == 1 << k), None
+    )
     if target is None:
         raise WrongShape(
             "need an attribute required by exactly one item, that item a unit row"
         )
     j, k = target
     c_j, g_j = float(params.c[j]), float(params.g[j])
+    if c_bar is None:
+        c_bar = max(c_j - 0.05, (c_j + g_j) / 2)
     if not (g_j < c_bar < 1.0):
         raise InvalidFreeValues(f"c_bar must lie in (g, 1) = ({g_j}, 1)")
-    ratio = (c_j - g_j) / (c_bar - g_j)
-    low, high = _split_by_bit(len(p), k)
-    p_bar = np.empty_like(p)
-    p_bar[high] = p[high] * ratio
-    p_bar[low] = p[low] + p[high] - p_bar[high]
-    if (p_bar < -1e-15).any() or (p_bar > 1 + 1e-15).any():
-        raise InvalidFreeValues("resulting proportions leave [0, 1]")
-    p_bar = np.clip(p_bar, 0.0, 1.0)
+    p_bar = _rebalance(p, k, 1, (c_j - g_j) / (c_bar - g_j))
 
     s_bar = params.s.copy()
     s_bar[j] = 1.0 - c_bar
@@ -189,47 +236,34 @@ def dina_one_item_attr(
 
 
 def dina_scenario_a(
-    q: QMatrix, params: DinaParams, p: np.ndarray, g1_bar: float
+    q: QMatrix, params: DinaParams, p: np.ndarray, g1_bar: float | None = None
 ) -> WitnessPair:
     """Witness for an attribute required by exactly two items: a unit row and
-    a row requiring every attribute.
+    a row requiring every attribute (the classifier's scenario (a)).
 
     For a freely chosen guessing value of the unit-row item, the proportions
     and the all-attributes item's capable probability re-solve in closed
     form; the result matches the truth's distribution exactly for any valid
     choice, so witnesses exist in every neighborhood of the truth.
+    ``g1_bar`` defaults to the unit-row item's g + 0.02.
     """
     p = np.asarray(p, float)
-    sums = q.column_sums()
-    masks = q.row_masks
-    full = (1 << q.n_attributes) - 1
-    target = None
-    for k in np.flatnonzero(sums == 2):
-        items = [int(j) for j in np.flatnonzero(q.entries[:, int(k)])]
-        units = [j for j in items if masks[j] == (1 << int(k))]
-        fulls = [j for j in items if masks[j] == full]
-        if units and fulls and units[0] != fulls[0]:
-            target = (int(k), units[0], fulls[0])
-            break
-    if target is None:
+    K = q.n_attributes
+    form = next((f for f in _two_item_forms(q) if f.is_scenario_a(K)), None)
+    if form is None:
         raise WrongShape(
             "need an attribute on exactly two items: a unit row and an all-ones row"
         )
-    k, j1, j2 = target
+    k, j1, j2 = form.attribute, form.unit_item, form.partner_item
     c1, g1 = float(params.c[j1]), float(params.g[j1])
     c2, g2 = float(params.c[j2]), float(params.g[j2])
+    if g1_bar is None:
+        g1_bar = g1 + 0.02
     if not (0.0 < g1_bar < c1):
         raise InvalidFreeValues(f"g1_bar must lie in (0, c1) = (0, {c1})")
+    p_bar = _rebalance(p, k, 0, (g1 - c1) / (g1_bar - c1))
 
-    low, high = _split_by_bit(len(p), k)
-    ratio = (g1 - c1) / (g1_bar - c1)
-    p_bar = np.empty_like(p)
-    p_bar[low] = p[low] * ratio
-    p_bar[high] = p[low] + p[high] - p_bar[low]
-    if (p_bar < -1e-15).any() or (p_bar > 1 + 1e-15).any():
-        raise InvalidFreeValues("resulting proportions leave [0, 1]")
-    p_bar = np.clip(p_bar, 0.0, 1.0)
-
+    full = (1 << K) - 1
     top_low = full & ~(1 << k)  # pattern with every attribute except k
     top_high = full
     if p_bar[top_high] <= 0:
@@ -287,6 +321,8 @@ def dina_q24_two_solutions(
     distribution factorizes into two 2-item two-class mixtures, and each
     mixture's weight is a free parameter.  Raises :class:`ConstraintHolds`
     when the constraint gap exceeds ``tol`` (no witness should exist).
+    The weights tried move each block's weight by 0.15, 0.1, 0.2 and 0.05,
+    up and down, in that order.
     """
     q = QMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
     p = np.asarray(p, float)
@@ -304,63 +340,41 @@ def dina_q24_two_solutions(
         1: ((0, 2), w1),  # items 1, 3 gate on attribute 1
         2: ((1, 3), w2),  # items 2, 4 gate on attribute 2
     }
-    truth_theta = theta_table("dina", q, params)
-    truth = RlcmModel(q, truth_theta, p)
-    base = truth.distribution()
+    truth = RlcmModel(q, theta_table("dina", q, params), p)
 
-    out: list[WitnessPair] = []
-    offsets = [0.15, -0.15, 0.1, -0.1, 0.2, -0.2, 0.05, -0.05]
-    for attr, ((ja, jb), w) in blocks.items():
-        for off in offsets:
-            if len(out) >= count:
-                break
-            w_bar = w + off
-            if not 0.02 < w_bar < 0.98 or abs(w_bar - w) < 10 * DISTINCT_FLOOR:
-                continue
-            ca, ga = float(params.c[ja]), float(params.g[ja])
-            cb, gb = float(params.c[jb]), float(params.g[jb])
-            # first and joint positive-response moments of the block's mixture
-            ma, mb = w * ca + (1 - w) * ga, w * cb + (1 - w) * gb
-            mab = w * ca * cb + (1 - w) * ga * gb
-            resolved = _resolve_block(ma, mb, mab - ma * mb, w_bar)
-            if resolved is None:
-                continue
-            c_a, g_a, c_b, g_b = resolved
-            s_bar = params.s.copy()
-            g_vec = params.g.copy()
-            s_bar[ja], g_vec[ja] = 1.0 - c_a, g_a
-            s_bar[jb], g_vec[jb] = 1.0 - c_b, g_b
-            alt_params = DinaParams(s_bar, g_vec)
-            # independent attributes mastered at rates m1, m2 (masks 00, 10, 01, 11)
-            m1, m2 = (w_bar, w2) if attr == 1 else (w1, w_bar)
-            p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
-            pair = WitnessPair(
-                truth=truth,
-                alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
-                construction="DinaQ24TwoSolutions",
-                details={"attribute": attr, "weight": w_bar},
-            )
-            try:
-                certify(pair, truth_distribution=base)
-            except NotCertified:
-                continue
-            out.append(pair)
-        if len(out) >= count:
-            break
-    if len(out) < count:
-        raise InvalidFreeValues(
-            f"could only certify {len(out)} of {count} requested alternatives"
+    def alternative(attr, ja, jb, w, w_bar):
+        if not 0.02 < w_bar < 0.98 or abs(w_bar - w) < 10 * DISTINCT_FLOOR:
+            return None
+        ca, ga = float(params.c[ja]), float(params.g[ja])
+        cb, gb = float(params.c[jb]), float(params.g[jb])
+        # first and joint positive-response moments of the block's mixture
+        ma, mb = w * ca + (1 - w) * ga, w * cb + (1 - w) * gb
+        mab = w * ca * cb + (1 - w) * ga * gb
+        resolved = _resolve_block(ma, mb, mab - ma * mb, w_bar)
+        if resolved is None:
+            return None
+        c_a, g_a, c_b, g_b = resolved
+        s_bar = params.s.copy()
+        g_vec = params.g.copy()
+        s_bar[ja], g_vec[ja] = 1.0 - c_a, g_a
+        s_bar[jb], g_vec[jb] = 1.0 - c_b, g_b
+        alt_params = DinaParams(s_bar, g_vec)
+        # independent attributes mastered at rates m1, m2 (masks 00, 10, 01, 11)
+        m1, m2 = (w_bar, w2) if attr == 1 else (w1, w_bar)
+        p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
+        return WitnessPair(
+            truth=truth,
+            alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
+            construction="DinaQ24TwoSolutions",
+            details={"attribute": attr, "weight": w_bar},
         )
-    return out
 
-
-def _free_value_loop(rng, truths, width=0.1, attempts=400):
-    """Yield perturbed copies of ``truths`` within +/- width, clipped away
-    from the probability boundary."""
-    truths = np.asarray(truths, float)
-    for _ in range(attempts):
-        draw = truths + rng.uniform(-width, width, size=truths.shape)
-        yield np.clip(draw, 1e-4, 1 - 1e-4)
+    candidates = (
+        alternative(attr, ja, jb, w, w + off)
+        for attr, ((ja, jb), w) in blocks.items()
+        for off in (0.15, -0.15, 0.1, -0.1, 0.2, -0.2, 0.05, -0.05)
+    )
+    return _first_certified(candidates, count, truth.distribution(), "alternatives")
 
 
 def gdina_one_item_attr(
@@ -377,24 +391,23 @@ def gdina_one_item_attr(
     proportions re-solve per residual pattern from two linear moment
     equations.  ``free_values`` optionally fixes the (2, n/2) array of the
     item's alternative probabilities (row 0: attribute absent, row 1:
-    attribute present); otherwise values are sampled near the truth until
-    the resulting model is valid.
+    attribute present); otherwise up to 400 draws within +/- 0.1 of the
+    truth are tried until one gives a valid, certified model.
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
-    sums = q.column_sums()
-    hits = np.flatnonzero(sums == 1)
-    if len(hits) == 0:
+    hits = _required_by(q, 1)
+    if not hits:
         raise WrongShape("need an attribute required by exactly one item")
-    k = int(hits[0])
-    j = int(np.flatnonzero(q.entries[:, k])[0])
+    k, (j,) = hits[0]
 
     entries = q.entries.copy()
     entries[j, :] = 1
     q_bar = QMatrix(entries)
     low, high = _split_by_bit(len(p), k)
+    truth = RlcmModel(q, theta, p)
 
-    def attempt(free):
+    def alternative(free):
         bar0, bar1 = free[0], free[1]
         denom = bar1 - bar0
         if (np.abs(denom) < 1e-9).any():
@@ -406,38 +419,31 @@ def gdina_one_item_attr(
         theta_bar = theta.copy()
         theta_bar[j, low] = bar0
         theta_bar[j, high] = bar1
-        full = len(p) - 1
-        if theta_bar[j, full] <= np.delete(theta_bar[j], full).max():
-            return None  # monotonicity under the all-ones row
+        if not _full_mastery_best(theta_bar, [j]):
+            return None
         p_bar = np.empty_like(p)
         p_bar[low] = p0
         p_bar[high] = p1
-        return theta_bar, p_bar
+        return WitnessPair(
+            truth=truth,
+            alternative=RlcmModel(q_bar, theta_bar, p_bar),
+            construction="GdinaOneItemAttr",
+            details={"item": j + 1, "attribute": k + 1},
+        )
 
     if free_values is not None:
-        solved = attempt(np.asarray(free_values, float))
-        if solved is None:
+        pair = alternative(np.asarray(free_values, float))
+        if pair is None:
             raise InvalidFreeValues("free values give an invalid alternative model")
-    else:
-        rng = np.random.default_rng(seed)
-        truths = np.vstack([theta[j, low], theta[j, high]])
-        solved = None
-        for free in _free_value_loop(rng, truths):
-            solved = attempt(free)
-            if solved is not None:
-                break
-        if solved is None:
-            raise InvalidFreeValues("no valid free values found within the attempt budget")
-
-    theta_bar, p_bar = solved
-    pair = WitnessPair(
-        truth=RlcmModel(q, theta, p),
-        alternative=RlcmModel(q_bar, theta_bar, p_bar),
-        construction="GdinaOneItemAttr",
-        details={"item": j + 1, "attribute": k + 1},
+        certify(pair)
+        return pair
+    rng = np.random.default_rng(seed)
+    truths = np.vstack([theta[j, low], theta[j, high]])
+    draws = (
+        alternative(np.clip(truths + rng.uniform(-0.1, 0.1, size=truths.shape), 1e-4, 1 - 1e-4))
+        for _ in range(400)
     )
-    certify(pair)
-    return pair
+    return _first_certified(draws, 1, truth.distribution(), "witnesses")[0]
 
 
 def gdina_two_item_attr(
@@ -446,15 +452,15 @@ def gdina_two_item_attr(
     p: np.ndarray,
     count: int = 1,
     seed=0,
-    width: float = 0.1,
 ) -> list[WitnessPair]:
     """General-model witnesses when some attribute is required by exactly
     two items.
 
     Both rows promote to all-ones in the alternative design.  Per residual
     pattern, the attribute-absent probabilities of the two items are drawn
-    freely near the truth and the remaining four unknowns (two attribute-
-    present probabilities and the two proportions) re-solve in closed form:
+    freely within +/- 0.1 of the truth and the remaining four unknowns (two
+    attribute-present probabilities and the two proportions) re-solve in
+    closed form:
 
         x1_bar = x0 + (x1 - x0)(y1 - y0_bar) p1 / Dy
         y1_bar = y0 + (y1 - y0)(x1 - x0_bar) p1 / Dx
@@ -462,29 +468,27 @@ def gdina_two_item_attr(
 
     with Dx = (x0 - x0_bar) p0 + (x1 - x0_bar) p1 and Dy alike.  Invalid
     draws (probabilities or proportions out of range, or monotonicity
-    failures) are rejected and resampled.
+    failures) and uncertified ones are resampled, up to 51 * count + 100
+    draws in all.
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
-    twice = np.flatnonzero(q.column_sums() == 2)
-    if len(twice) == 0:
+    twice = _required_by(q, 2)
+    if not twice:
         raise WrongShape("need an attribute required by exactly two items")
-    k = int(twice[0])
-    j1, j2 = (int(j) for j in np.flatnonzero(q.entries[:, k]))
+    k, (j1, j2) = twice[0]
 
     entries = q.entries.copy()
     entries[j1, :] = 1
     entries[j2, :] = 1
     q_bar = QMatrix(entries)
     low, high = _split_by_bit(len(p), k)
-    full = len(p) - 1
     x0, x1 = theta[j1, low], theta[j1, high]
     y0, y1 = theta[j2, low], theta[j2, high]
     p0, p1 = p[low], p[high]
-    top = int(np.flatnonzero(high == full)[0])  # cell whose high side is full mastery
+    top = int(np.flatnonzero(high == len(p) - 1)[0])  # cell whose high side is full mastery
 
     truth = RlcmModel(q, theta, p)
-    base = truth.distribution()
     rng = np.random.default_rng(seed)
 
     def solve_cell(i, x0b, y0b):
@@ -511,8 +515,8 @@ def gdina_two_item_attr(
         stay strictly below it.  Per-cell rejection keeps the accept rate
         high even with many residual patterns."""
         for _ in range(400):
-            x0b = float(np.clip(x0[i] + rng.uniform(-width, width), 1e-4, 1 - 1e-4))
-            y0b = float(np.clip(y0[i] + rng.uniform(-width, width), 1e-4, 1 - 1e-4))
+            x0b = float(np.clip(x0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
+            y0b = float(np.clip(y0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
             sol = solve_cell(i, x0b, y0b)
             if sol is None:
                 continue
@@ -526,57 +530,37 @@ def gdina_two_item_attr(
             return sol
         return None
 
-    out: list[WitnessPair] = []
-    rejected = 0
-    while len(out) < count:
-        if rejected > 50 * count + 100:
-            raise InvalidFreeValues(
-                f"certified only {len(out)} of {count} witnesses within the budget"
-            )
+    def alternative():
         # anchor the full-mastery cell at or above the truth's maxima so the
         # strict order survives in the promoted all-ones rows
         anchor = draw_cell(top, lower_x=float(x1.max()), lower_y=float(y1.max()))
         if anchor is None:
-            rejected += 1
-            continue
+            return None
         cells = [None] * len(low)
         cells[top] = anchor
-        ok = True
         for i in range(len(low)):
             if i == top:
                 continue
             cells[i] = draw_cell(i, upper_x=anchor[2] - 1e-6, upper_y=anchor[3] - 1e-6)
             if cells[i] is None:
-                ok = False
-                break
-        if not ok:
-            rejected += 1
-            continue
-
+                return None
         theta_bar = theta.copy()
         p_bar = np.empty_like(p)
         for i, (x0b, y0b, x1b, y1b, p1b, p0b) in enumerate(cells):
             theta_bar[j1, low[i]], theta_bar[j1, high[i]] = x0b, x1b
             theta_bar[j2, low[i]], theta_bar[j2, high[i]] = y0b, y1b
             p_bar[low[i]], p_bar[high[i]] = p0b, p1b
-        if any(
-            theta_bar[j, full] <= np.delete(theta_bar[j], full).max() for j in (j1, j2)
-        ):
-            rejected += 1
-            continue
-        pair = WitnessPair(
+        if not _full_mastery_best(theta_bar, (j1, j2)):
+            return None
+        return WitnessPair(
             truth=truth,
             alternative=RlcmModel(q_bar, theta_bar, p_bar),
             construction="GdinaTwoItemAttr",
             details={"attribute": k + 1, "items": (j1 + 1, j2 + 1)},
         )
-        try:
-            certify(pair, truth_distribution=base)
-        except NotCertified:
-            rejected += 1
-            continue
-        out.append(pair)
-    return out
+
+    draws = (alternative() for _ in range(51 * count + 100))
+    return _first_certified(draws, count, truth.distribution(), "witnesses")
 
 
 def incomplete_gamma_merge(

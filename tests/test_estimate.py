@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qident import DinaParams, QMatrix, q_equivalent, simulate
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
-from qident.errors import DimensionMismatch, EmptyData, QidentError, TooManyAttributes
+from qident.errors import EmptyData, QidentError, TooLarge, WrongShape
 from qident.estimate import (
     _fit_all,
     _start,
@@ -118,7 +118,7 @@ class TestEmFit:
 
     def test_dimension_mismatch(self, rng):
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=100, seed=5)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(WrongShape):
             em_fit("dina", Q4X2_PAIRED, data)
 
     def test_empty_data(self):
@@ -393,7 +393,7 @@ class TestAlign:
             g = None
             p = np.full(2**11, 1 / 2**11)
 
-        with pytest.raises(TooManyAttributes):
+        with pytest.raises(TooLarge):
             align_to_truth(Dummy(), {"p": Dummy.p}, 11)
 
 

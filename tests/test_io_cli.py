@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qident import DinaParams, QMatrix
+from qident.catalog import equal_effects_theta
 from qident.cli import main
 from qident.errors import ParseError
 from qident.io import (
@@ -21,7 +22,7 @@ from qident.io import (
     save_pattern_counts_csv,
     save_q,
 )
-from qident.rlcm import Dataset
+from qident.rlcm import Dataset, GdinaParams
 
 
 class TestQFormats:
@@ -310,3 +311,80 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: no fitted candidate satisfies the subset order\n"
         assert captured.out == ""
+
+
+def _witness_inputs(tmp_path, rows, model="dina", s=None, g=None, qbar_rows=None):
+    """Write --q (and --qbar) and a params file with uniform p; the
+    construction-specific argv tail."""
+    q = QMatrix.from_rows(rows)
+    J, n = q.n_items, 1 << q.n_attributes
+    save_q(q, tmp_path / "q.txt")
+    argv = ["--q", str(tmp_path / "q.txt"), "--params", str(tmp_path / "params.json")]
+    if qbar_rows is not None:
+        save_q(QMatrix.from_rows(qbar_rows), tmp_path / "qbar.txt")
+        argv += ["--qbar", str(tmp_path / "qbar.txt")]
+    if model == "gdina":
+        params = GdinaParams(equal_effects_theta(q))
+    else:
+        params = DinaParams(np.full(J, 0.2) if s is None else np.array(s),
+                            np.full(J, 0.2) if g is None else np.array(g))
+    save_params_json(tmp_path / "params.json", model, params, np.full(n, 1 / n))
+    return argv
+
+
+_PAIRED = [[1, 0], [0, 1], [1, 0], [0, 1]]
+_LONELY = [[0, 1], [0, 1], [0, 1], [1, 0], [0, 1]]  # catalog Q5X2_LONELY_ATTRIBUTE
+_FULL_ROW = [[1, 0], [0, 1], [1, 1], [0, 1]]  # catalog Q4X2_PAIR_WITH_FULL_ROW
+_MERGE = ([[1, 0], [1, 1], [1, 1], [1, 0]], [[1, 0], [0, 1], [0, 1], [1, 0]])
+
+
+class TestWitnessCli:
+    @pytest.mark.parametrize("construction, inputs", [
+        ("q24", dict(rows=_PAIRED)),
+        ("one-item", dict(rows=_LONELY)),
+        ("scenario-a", dict(rows=_FULL_ROW)),
+        ("gdina-one", dict(rows=[[1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")),
+        ("gdina-two", dict(rows=[[1, 1], [1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")),
+        ("gamma-merge", dict(rows=_MERGE[0], qbar_rows=_MERGE[1])),
+    ])
+    def test_every_construction_certifies(self, tmp_path, capsys, construction, inputs):
+        argv = _witness_inputs(tmp_path, **inputs)
+        assert main(["witness", "--construction", construction, *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == len(payload["witnesses"]) >= 1
+        assert all(w["maxDiff"] < 1e-12 for w in payload["witnesses"])
+
+    @pytest.mark.parametrize("construction, rows, s, g, target", [
+        # the default free value comes from the target item, not item 1,
+        # whose values would put it out of range
+        ("one-item", _LONELY, [.35, .2, .2, .1, .2], [.1, .2, .2, .6, .2], ("item", 4)),
+        ("scenario-a", [[0, 1], [1, 0], [1, 1], [0, 1]], [.2, .45, .2, .2], [.6, .1, .2, .2],
+         ("unit_item", 2)),
+    ])
+    def test_default_free_value_from_target_item(self, tmp_path, capsys, construction,
+                                                 rows, s, g, target):
+        argv = _witness_inputs(tmp_path, rows, s=s, g=g)
+        assert main(["witness", "--construction", construction, *argv]) == 0
+        (witness,) = json.loads(capsys.readouterr().out)["witnesses"]
+        assert witness["maxDiff"] < 1e-12
+        key, item = target
+        assert witness["details"][key] == item
+
+    @pytest.mark.parametrize("construction, rows, qbar_rows", [
+        ("q24", _PAIRED, None),
+        ("one-item", _LONELY, None),
+        ("scenario-a", _FULL_ROW, None),
+        ("gamma-merge", *_MERGE),
+    ])
+    def test_gdina_params_rejected(self, tmp_path, capsys, construction, rows, qbar_rows):
+        argv = _witness_inputs(tmp_path, rows, model="gdina", qbar_rows=qbar_rows)
+        assert main(["witness", "--construction", construction, *argv]) == 2
+        assert "needs a params file with s and g" in capsys.readouterr().err
+
+    def test_dump_table_limit_checked_first(self, tmp_path, capsys):
+        argv = _witness_inputs(tmp_path, [[1, 0]] + [[0, 1]] * 16)
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", "one-item", *argv,
+                     "--out", str(out), "--dump-table"]) == 2
+        assert "J <= 16" in capsys.readouterr().err
+        assert not (out / "witness.json").exists()

@@ -32,13 +32,7 @@ from qident.catalog import (
     Q5X2_SINGLE_IDENTITY,
     Q12X8_WIDE_STRICT,
 )
-from qident.errors import (
-    AllRowsZero,
-    HasZeroRows,
-    NotComplete,
-    ShapeMismatch,
-    TooLarge,
-)
+from qident.errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
 
 from tests.conftest import brute_force_generic_complete, random_q
 
@@ -73,7 +67,7 @@ class TestConditionB:
         assert not check_condition_B(q)
 
     def test_requires_completeness(self):
-        with pytest.raises(NotComplete):
+        with pytest.raises(WrongShape):
             check_condition_B(QMatrix.from_rows([[1, 1], [1, 1]]))
 
 
@@ -416,7 +410,7 @@ class TestEquivalence:
         assert not q_equivalent(a, b)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(WrongShape):
             q_equivalent(Q4X2_PAIRED, Q3X2_ALL_ONES)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qident import DinaParams, QMatrix, check_conditions_DE
 from qident.catalog import Q5X2_DOUBLE_IDENTITY
-from qident.errors import NoPartition, TooLarge
+from qident.errors import TooLarge, WrongShape
 from qident.rlcm import response_distribution, theta_table
 from qident.tmatrix import (
     build_t,
@@ -220,7 +220,7 @@ class TestIdentifiableSubset:
         assert not identifiable_subset_check(theta, p, partition)
 
     def test_requires_partition(self):
-        with pytest.raises(NoPartition):
+        with pytest.raises(WrongShape):
             identifiable_subset_check(np.full((2, 4), 0.5), np.full(4, 0.25), None)
 
     def test_paired_design_proportion_constraint(self, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qident import DinaParams, QMatrix, RlcmModel, q_equivalent
+from qident import DinaParams, QMatrix, RlcmModel, Scenario, classify_dina, q_equivalent
 from qident.catalog import (
     Q4X2_PAIR_WITH_FULL_ROW,
     Q5X2_LONELY_ATTRIBUTE,
@@ -17,6 +17,7 @@ from qident.errors import (
     NotSubsumed,
     WrongShape,
 )
+from qident.qmatrix import enumerate_canonical
 from qident.rlcm import response_distribution, theta_table
 from qident.witness import (
     CERT_TOL,
@@ -150,6 +151,64 @@ class TestDinaScenarioA:
         params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
         with pytest.raises(WrongShape):
             dina_scenario_a(Q5X2_LONELY_ATTRIBUTE, params, np.full(4, 0.25), 0.22)
+
+    def test_single_attribute(self):
+        # two items on the only attribute: each row is both the unit row and
+        # the all-attributes row, the classifier's scenario (a) at K = 1
+        q = QMatrix.from_rows([[1], [1]])
+        assert classify_dina(q).scenario is Scenario.NOT_LOCALLY_GENERIC_A
+        params = DinaParams(np.full(2, 0.2), np.full(2, 0.2))
+        pair = dina_scenario_a(q, params, np.full(2, 0.5), 0.22)
+        assert pair.certified_max_diff < CERT_TOL
+        assert pair.details["unit_item"] == 1 and pair.details["full_item"] == 2
+
+
+def _scenario_a_attribute(q):
+    """Oracle: some attribute required by exactly two items, one a unit row
+    and the other requiring every attribute."""
+    e = q.entries
+    for k in range(q.n_attributes):
+        items = np.flatnonzero(e[:, k])
+        if len(items) == 2:
+            a, b = (e[j] for j in items)
+            if (a.sum() == 1 and b.all()) or (b.sum() == 1 and a.all()):
+                return True
+    return False
+
+
+def _lone_unit_row_attribute(q):
+    """Oracle: some attribute required by exactly one item, that item a unit row."""
+    e = q.entries
+    return any(
+        e[:, k].sum() == 1 and e[np.flatnonzero(e[:, k])[0]].sum() == 1
+        for k in range(q.n_attributes)
+    )
+
+
+class TestClassifierAgreement:
+    def test_canonical_designs_get_their_witness(self):
+        # every canonical design with J <= 6, K <= 3, J * K <= 15 whose form
+        # the classifier names gets a certified witness at default free values
+        scenario_a = not_local = lone = 0
+        for J in range(1, 7):
+            for K in range(1, 4):
+                if J * K > 15:
+                    continue
+                params = DinaParams(np.full(J, 0.2), np.full(J, 0.2))
+                p = np.full(1 << K, 1 / (1 << K))
+                for q in enumerate_canonical(J, K):
+                    if _scenario_a_attribute(q):
+                        scenario_a += 1
+                        verdict = classify_dina(q).scenario
+                        assert verdict in (Scenario.NOT_LOCALLY_GENERIC_A,
+                                           Scenario.NOT_GENERIC_ONE_ITEM), q.row_strings()
+                        not_local += verdict is Scenario.NOT_LOCALLY_GENERIC_A
+                        assert dina_scenario_a(q, params, p).certified_max_diff < CERT_TOL
+                    if _lone_unit_row_attribute(q):
+                        lone += 1
+                        assert classify_dina(q).scenario is Scenario.NOT_GENERIC_ONE_ITEM
+                        assert dina_one_item_attr(q, params, p).certified_max_diff < CERT_TOL
+        assert (scenario_a, not_local, lone) == (381, 342, 268)
 
 
 class TestQ24:
