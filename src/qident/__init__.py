@@ -20,6 +20,7 @@ from .qmatrix import (
     check_condition_C,
     check_conditions_DE,
     check_generic_completeness,
+    classify_batch,
     classify_dina,
     classify_gdina,
     enumerate_canonical,
@@ -55,6 +56,7 @@ __all__ = [
     "check_conditions_DE",
     "classify_dina",
     "classify_gdina",
+    "classify_batch",
     "enumerate_canonical",
     "gamma_matrix",
     "q_equivalent",

@@ -8,9 +8,9 @@ Python and numpy versions, platform and CPU count.  Pattern bit order
 in all files is little-endian: bit 0 is item 1 (or attribute 1).
 
 ``witness`` dispatches from one table, ``_WITNESSES``: per construction, the
-design files it reads, whether it needs s and g, and the call.  Its inputs
-are checked before any work; ``--free`` left out takes the construction's
-own default, computed from its target item.
+design files it reads, whether it needs DINA s and g, and the call.  Its
+inputs are checked before any work; ``--free`` left out takes the
+construction's own default, computed from its target item.
 """
 
 from __future__ import annotations
@@ -35,8 +35,16 @@ from .io import (
     save_dataset_csv,
     save_search_csv,
 )
-from .qmatrix import Scenario, classify_dina, classify_gdina, enumerate_canonical, strip_zero_rows
-from .rlcm import DinaParams, simulate, theta_table
+from .qmatrix import (
+    Scenario,
+    _canonical_codes,
+    classify_batch,
+    classify_dina,
+    classify_gdina,
+    enumerate_canonical,
+    strip_zero_rows,
+)
+from .rlcm import simulate, theta_table
 from .tmatrix import build_t
 from . import witness as witness_mod
 
@@ -109,16 +117,23 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _design_rows(codes: np.ndarray, n_attributes: int) -> list[str]:
+    """Each design of an (N, J) array of row masks as its rows, '0'/'1'
+    strings with attribute 1 first, joined by ';'."""
+    bits = (np.arange(1 << n_attributes)[:, None] >> np.arange(n_attributes)) & 1
+    text = np.array(["".join(map(str, row)) for row in bits.tolist()], dtype=object)
+    return [";".join(rows) for rows in text[codes].tolist()]
+
+
 def cmd_enumerate(args) -> int:
-    mats = enumerate_canonical(args.items, args.attributes)
+    codes = _canonical_codes(args.items, args.attributes)
+    rows = _design_rows(codes, args.attributes)
+    if args.classify:
+        scenarios = classify_batch(codes, args.attributes, args.model).tolist()
+        rows = [f"{row},{scenario}" for row, scenario in zip(rows, scenarios)]
     lines = ["index,rows" + (",scenario" if args.classify else "")]
-    for idx, q in enumerate(mats):
-        row = f"{idx},{';'.join(q.row_strings())}"
-        if args.classify:
-            verdict = classify_dina(q) if args.model == "dina" else classify_gdina(q)
-            row += f",{verdict.scenario.value}"
-        lines.append(row)
-    _emit(args, "\n".join(lines) + "\n", "designs.csv", f" ({len(mats)} designs)")
+    lines += [f"{idx},{row}" for idx, row in enumerate(rows)]
+    _emit(args, "\n".join(lines) + "\n", "designs.csv", f" ({len(codes)} designs)")
     return 0
 
 
@@ -201,7 +216,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-# construction -> (design files it reads, whether it needs s and g, the call
+# construction -> (design files it reads, whether it needs DINA s and g, the call
 # taking (args, model, params, p, *designs) and returning the certified pairs)
 _WITNESSES = {
     "q24": ((), True, lambda a, m, prm, p: witness_mod.dina_q24_two_solutions(
@@ -221,14 +236,17 @@ _WITNESSES = {
 
 def cmd_witness(args) -> int:
     files, needs_sg, build = _WITNESSES[args.construction]
+    if args.count < 1:
+        raise QidentError(f"count must be at least 1, got {args.count}")
     model, params, p = load_params_json(args.params)
     if p is None:
         raise QidentError("params file must carry a 'p' vector")
     for name in files:
         if not getattr(args, name):
             raise QidentError(f"--{name} is required for construction {args.construction!r}")
-    if needs_sg and not isinstance(params, DinaParams):
-        raise QidentError(f"construction {args.construction!r} needs a params file with s and g")
+    if needs_sg and model != "dina":
+        raise QidentError(f"construction {args.construction!r} needs a params file with s and g "
+                          f"of the DINA model; the params file is for model {model!r}")
     if args.dump_table and args.out and params.n_items > 16:
         raise QidentError("--dump-table limited to J <= 16")
     pairs = build(args, model, params, p.p, *(load_q(getattr(args, name)) for name in files))

@@ -17,9 +17,14 @@ recovered from response data:
                            between attributes and items;
 * double generic completeness plus leftover coverage (conditions D and E).
 
-``classify_dina`` and ``classify_gdina`` combine the checks into a structured
-verdict for the conjunctive two-parameter model and the saturated general
-model, respectively.
+``classify_batch`` decides every design of an (N, J) array of row masks at
+once: A, B and C from unit-row and column-bit counts, generic completeness, D
+and E by Hall's condition over attribute subsets, then the model's decision
+rules in order.  ``classify_dina`` and ``classify_gdina`` run it on a batch of
+one and return a structured verdict for the conjunctive two-parameter model
+and the saturated general model, respectively.  The ``check_*`` functions
+decide one design by search and matching and return the certificate behind
+each flag.
 
 Conventions: attribute patterns and item rows are encoded little-endian as
 bit masks (bit k = attribute k+1), and all checks are invariant under row and
@@ -28,7 +33,6 @@ column permutation of the input.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,12 +55,13 @@ __all__ = [
     "check_conditions_DE",
     "classify_dina",
     "classify_gdina",
+    "classify_batch",
     "enumerate_canonical",
     "q_equivalent",
 ]
 
-# Search guards.  Condition B/D searches are combinatorial in K; enumeration
-# is exponential in J*K.
+# Search guards.  Hall's condition runs over all 2^K attribute subsets and
+# the D/E matcher over covers; enumeration is exponential in J*K.
 _MAX_K_SEARCH = 8
 _MAX_ENUM_BITS = 24
 _MAX_ENUM_WORK = 3 * 10**8  # candidate matrices times column permutations
@@ -411,7 +416,7 @@ def check_conditions_DE(q: QMatrix):
     return True, e_flag, (tuple(blocks[0]), tuple(blocks[1]), rest)
 
 
-def _b1_constraint(attr: int, K: int) -> str:
+def _b1_constraint(attr: int) -> str:
     return (
         f"exists patterns a1, a2 with attribute {attr + 1} absent such that "
         f"p[a1] * p[a2 + e{attr + 1}] != p[a2] * p[a1 + e{attr + 1}]"
@@ -438,76 +443,331 @@ def _required_by(q: QMatrix, count: int) -> list[tuple[int, list[int]]]:
     ]
 
 
+# The batched kernels below take an (N, J) int64 array of row masks, one
+# design per row, all with K attributes, and return one value per design.
+
+
+def _column_sums(masks: np.ndarray, K: int) -> np.ndarray:
+    return ((masks[:, :, None] >> np.arange(K)) & 1).sum(axis=1)
+
+
+def _unit_counts(masks: np.ndarray, K: int) -> np.ndarray:
+    return (masks[:, :, None] == 1 << np.arange(K)).sum(axis=1)
+
+
+def _abc(masks: np.ndarray, K: int):
+    """Conditions A, B and C (``min_count`` 3) of each design.
+
+    A zero row counts as absent: it is no unit row and requires nothing, so
+    a residual design is scored by zeroing the rows it drops.  B needs A:
+    once one unit row per attribute is dropped, columns m and m' must still
+    differ on some row.  The dropped unit rows of m and m' differ on that
+    pair and the other dropped rows on neither, so B asks for at least
+    three rows on which bits m and m' differ.
+    """
+    bits = (masks[:, :, None] >> np.arange(K)) & 1
+    a = (_unit_counts(masks, K) > 0).all(axis=1)
+    differ = (bits[:, :, :, None] != bits[:, :, None, :]).sum(axis=1)
+    b = a & ((differ >= 3) | np.eye(K, dtype=bool)).all(axis=(1, 2))
+    return a, b, (bits.sum(axis=1) >= 3).all(axis=1)
+
+
 @dataclass
-class _TwoItemForm:
-    """One attribute required by exactly two items, one of them a unit row."""
+class _TwoItemForms:
+    """Attributes required by exactly two items, one of them a unit row.
 
-    attribute: int
-    unit_item: int
-    partner_item: int
-    partner_mask: int  # partner row restricted to the other attributes
+    For design n and attribute k, ``found[n, k]`` says whether k takes the
+    form; ``unit`` is the first unit row of k, ``partner`` the other item
+    and ``partner_mask`` the partner row without attribute k.
+    """
 
-    def is_scenario_a(self, n_attributes: int) -> bool:
+    found: np.ndarray
+    unit: np.ndarray
+    partner: np.ndarray
+    partner_mask: np.ndarray
+
+    def scenario_a(self) -> np.ndarray:
         """Scenario (a): the partner row requires every attribute."""
-        return self.partner_mask == ((1 << n_attributes) - 1) & ~(1 << self.attribute)
+        K = self.found.shape[1]
+        others = ((1 << K) - 1) & ~(1 << np.arange(K))
+        return self.found & (self.partner_mask == others)
 
 
-def _two_item_forms(q: QMatrix) -> list[_TwoItemForm]:
-    masks = q.row_masks
-    forms = []
-    for k, items in _required_by(q, 2):
-        units = [j for j in items if masks[j] == (1 << k)]
-        if not units:
-            continue
-        unit = units[0]
-        partner = items[1] if items[0] == unit else items[0]
-        forms.append(
-            _TwoItemForm(
-                attribute=k,
-                unit_item=unit,
-                partner_item=partner,
-                partner_mask=int(masks[partner]) & ~(1 << k),
-            )
-        )
-    return forms
+def _two_item_forms(masks: np.ndarray, K: int) -> _TwoItemForms:
+    bit = 1 << np.arange(K)
+    requires = (masks[:, :, None] & bit) != 0
+    is_unit = masks[:, :, None] == bit
+    unit = is_unit.argmax(axis=1)
+    others = np.arange(masks.shape[1])[None, :, None] != unit[:, None, :]
+    partner = (requires & others).argmax(axis=1)
+    return _TwoItemForms(
+        found=(requires.sum(axis=1) == 2) & is_unit.any(axis=1),
+        unit=unit,
+        partner=partner,
+        partner_mask=np.take_along_axis(masks, partner, axis=1) & ~bit,
+    )
 
 
-def _residual_matrix(q: QMatrix, form: _TwoItemForm) -> QMatrix | None:
-    """Rows other than the two items of ``form``, with its attribute removed."""
-    keep_rows = [j for j in range(q.n_items) if j not in (form.unit_item, form.partner_item)]
-    keep_cols = [k for k in range(q.n_attributes) if k != form.attribute]
-    if not keep_rows or not keep_cols:
-        return None
-    return QMatrix(q.entries[np.ix_(keep_rows, keep_cols)])
+def _cover_sets(values: list, K: int, width: int, budget: int = 200_000) -> list:
+    """Sets of at most ``width`` masks from ``values`` whose union is every
+    attribute, every inclusion-minimal one among them: each step adds a
+    mask holding the lowest attribute still uncovered."""
+    full = (1 << K) - 1
+    found, seen = [], set()
+
+    def extend(chosen: frozenset, covered: int):
+        if covered == full:
+            found.append(chosen)
+            return
+        if len(chosen) == width:
+            return
+        lowest = ~covered & (covered + 1)
+        for v in values:
+            nxt = chosen | {v}
+            if v & lowest and nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > budget:
+                    raise TooLarge("cover enumeration budget exceeded in condition E search")
+                extend(nxt, covered | v)
+
+    extend(frozenset(), 0)
+    return found
 
 
-def _satisfies_abc(q: QMatrix) -> bool:
-    ok_a, _ = check_condition_A(q)
-    if not ok_a:
-        return False
-    return check_condition_B(q) and check_condition_C(q)
+def _hall(masks: np.ndarray, K: int):
+    """Generic completeness, D and E of each design by Hall's condition
+    over the attribute subsets S (Hall 1935).
 
+    Write N(S) for the items that require some attribute in S.  Every
+    attribute gets ``copies`` distinct items iff |N(S)| >= copies * |S| for
+    every S: one copy is generic completeness, two copies are D.  E, jointly
+    with D as ``check_conditions_DE`` searches for it, holds back a cover C
+    (items whose rows hit every attribute) and asks for two copies among
+    the other items: |N(S) \\ C| >= 2|S|.  Every cover holds a minimal one
+    and a smaller C only helps, so the minimal covers decide E.  A minimal
+    cover has at most K items, all with different rows, and at most J - 2K
+    (take S = every attribute); which copy of a row it takes does not
+    matter, so the candidates are sets of row masks.
 
-def _all_flags(q: QMatrix) -> dict:
-    ok_a, _ = check_condition_A(q)
-    flags = {
-        "A": ok_a,
-        "B": check_condition_B(q) if ok_a else False,
-        "C": check_condition_C(q),
-    }
-    gc, _ = check_generic_completeness(q)
-    flags["generic_complete"] = gc
+    Returns ``(gc, d, e)``; ``e`` is None when the cover search exceeds
+    its budget.
+    """
+    N, J = masks.shape
+    subsets = np.arange(1, 1 << K)
+    size = np.array([bin(s).count("1") for s in subsets])
+    reach = ((masks[:, :, None] & subsets) != 0).sum(axis=1)
+    slack = reach - 2 * size
+    gc = (reach >= size).all(axis=1)
+    d = (slack >= 0).all(axis=1)
+    e = np.zeros(N, dtype=bool)
+    width = min(K, J - 2 * K)
+    if width < 1 or not d.any():
+        return gc, d, e
+    present = np.zeros(1 << K, dtype=bool)
+    present[masks[d]] = True
+    values = np.flatnonzero(present)
     try:
-        d, e, _ = check_conditions_DE(q)
+        covers = _cover_sets(values.tolist(), K, width)
     except TooLarge:
-        d = e = None
-    flags["D"] = d
-    flags["E"] = e
+        return gc, d, None
+    if not covers:
+        return gc, d, e
+    members = np.array([[v in c for v in values.tolist()] for c in covers], dtype=np.int64)
+    inside = members @ ((values[:, None] & subsets) != 0)  # |N(S) & C| per cover
+    rows = np.flatnonzero(d)
+    present = (masks[rows, :, None] == values).any(axis=1).astype(np.int64)
+    has_cover = present @ members.T == members.sum(axis=1)
+    holds = (slack[rows, None, :] >= inside).all(axis=2)
+    e[rows] = (has_cover & holds).any(axis=1)
+    return gc, d, e
+
+
+def _flags(masks: np.ndarray, K: int, hall: bool = True) -> dict:
+    """Condition flags of each design, keyed as in ``condition_flags``; A,
+    B and C only when ``hall`` is False.  Beyond K = ``_MAX_K_SEARCH``, D
+    and E are None and generic completeness comes from the matcher."""
+    a, b, c = _abc(masks, K)
+    flags = {"A": a, "B": b, "C": c}
+    if not hall:
+        return flags
+    if K > _MAX_K_SEARCH:
+        entries = (masks[:, :, None] >> np.arange(K)) & 1
+        gc = np.array([check_generic_completeness(QMatrix(e))[0] for e in entries])
+        flags.update(generic_complete=gc, D=None, E=None)
+    else:
+        gc, d, e = _hall(masks, K)
+        flags.update(generic_complete=gc, D=d, E=e)
     return flags
 
 
-def _verdict(model, flags, scenario, constraints=(), notes=()) -> IdentifiabilityVerdict:
-    return IdentifiabilityVerdict(model, flags, scenario, list(constraints), list(notes))
+def _note(*texts: str):
+    return lambda K, attr, sums: ([], list(texts))
+
+
+def _listed(hits: np.ndarray) -> list[int]:
+    return [int(k) + 1 for k in np.flatnonzero(hits)]
+
+
+_FREE_GUESS = (
+    "free guessing value restricted to a neighborhood of the truth "
+    "(local identifiability only)"
+)
+
+# Decision rules in the order they are tried: (scenario, render), where
+# render(K, attribute, column sums) gives the constraints and the notes; the
+# conditions of _dina_rules and _gdina_rules come in the same order.
+_DINA_RULES = (
+    (Scenario.STRICT, _note()),  # A, B and C
+    (Scenario.NOT_GENERIC_ONE_ITEM, _note()),  # K = 1, one item
+    (Scenario.NOT_LOCALLY_GENERIC_A,  # K = 1, two items
+     _note("two items on a single attribute admit a continuum of alternatives")),
+    (Scenario.NOT_GENERIC_ONE_ITEM, lambda K, attr, sums: (
+        [], [f"attributes required by at most one item: {_listed(sums <= 1)}"])),
+    (Scenario.NOT_LOCALLY_GENERIC_A, lambda K, attr, sums: ([], [
+        f"attribute {attr + 1} is required by exactly two items, one of which "
+        "requires every attribute"])),
+    (Scenario.GENERIC_B2, lambda K, attr, sums: (_b2_constraints(K), [])),
+    (Scenario.GENERIC_B1, lambda K, attr, sums: ([_b1_constraint(attr)], [])),
+    (Scenario.LOCAL_GENERIC_C, lambda K, attr, sums: (
+        [_b1_constraint(attr), _FREE_GUESS], [])),
+    (Scenario.NOT_LOCALLY_GENERIC_A,  # A fails
+     _note("incomplete design: some latent classes stay equivalent")),
+    (Scenario.NOT_LOCALLY_GENERIC_A,  # K = 2 and B fails
+     _note("K = 2 residual columns coincide: alternatives exist everywhere")),
+    (Scenario.UNDETERMINED,
+     _note("no classified structure applies (e.g. a twice-required attribute "
+           "without a unit row, with K > 2)")),
+)
+
+_GDINA_RULES = (
+    (Scenario.GENERIC_DE, lambda K, attr, sums: ([
+        "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
+        "T(Q*) . diag(p) has pairwise-distinct columns",
+    ], [])),
+    (Scenario.NOT_GENERIC_C_GDINA, lambda K, attr, sums: (
+        [], [f"attributes required by fewer than three items: {_listed(sums < 3)}"])),
+    (Scenario.NOT_GENERIC_GC, _note()),
+    (Scenario.NOT_GENERIC_K2_DE,
+     _note("for two attributes the block conditions are also necessary")),
+    (Scenario.UNDETERMINED, _note()),
+)
+
+
+def _first_rule(conds, attrs):
+    """Index of the first true condition of each design (the last is always
+    true), and the matching entry of ``attrs``."""
+    rule = np.argmax(conds, axis=0)
+    return rule, np.array(attrs)[rule, np.arange(len(rule))]
+
+
+def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
+    """(N, K) hits of scenarios (a), (b.2), (b.1) and (c) per attribute.
+
+    Per attribute k on exactly two items, one a unit row, the residual
+    design drops both items and attribute k.  A partner requiring every
+    attribute is scenario (a).  When the partner is a unit row too, b.2
+    needs two unit rows of every residual attribute and b.1 needs A, B and
+    C of the residual; any other partner is scenario (c) when the residual
+    satisfies A, B and C.
+    """
+    forms = _two_item_forms(masks, K)
+    found = {"a": forms.scenario_a()}
+    found.update((s, np.zeros_like(found["a"])) for s in ("b2", "b1", "c"))
+    n, k = np.nonzero(forms.found & ~found["a"])
+    res, idx = masks[n], np.arange(len(n))
+    res[idx, forms.unit[n, k]] = 0
+    res[idx, forms.partner[n, k]] = 0
+    low = (1 << k[:, None]) - 1
+    res = res & low | res >> 1 & ~low  # drop attribute k
+    abc = np.logical_and.reduce(_abc(res, K - 1))
+    lone = forms.partner_mask[n, k] == 0
+    b2 = lone & (_unit_counts(res, K - 1) >= 2).all(axis=1)
+    found["b2"][n, k] = b2
+    found["b1"][n, k] = lone & ~b2 & abc
+    found["c"][n, k] = ~lone & abc
+    return found
+
+
+def _dina_rules(masks: np.ndarray, K: int, flags: dict):
+    """Index into ``_DINA_RULES`` of the rule deciding each design, and the
+    attribute that rule names (-1 for none).  The two-item scenarios are
+    searched only in designs that the rules before them leave open."""
+    N = len(masks)
+    a, b, c = flags["A"], flags["B"], flags["C"]
+    sums = _column_sums(masks, K)
+    found = {s: np.zeros((N, K), dtype=bool) for s in ("a", "b2", "b1", "c")}
+    todo = np.flatnonzero(~(a & b & c) & (sums > 1).all(axis=1)) if K > 1 else ()
+    if len(todo):
+        for s, hits in _two_item_scenarios(masks[todo], K).items():
+            found[s][todo] = hits
+    no = np.full(N, -1)
+    conds, attrs = zip(
+        (a & b & c, no),                              # strict
+        ((K == 1) & (sums[:, 0] == 1), no),           # K = 1: one item
+        (np.full(N, K == 1), no),                     # K = 1: two items
+        ((sums <= 1).any(axis=1), no),                # an attribute on <= 1 item
+        *((f.any(axis=1), f.argmax(axis=1)) for f in found.values()),
+        (~a, no),                                     # incomplete
+        ((K == 2) & ~b, no),                          # K = 2, equal residual columns
+        (np.ones(N, dtype=bool), no),                 # undetermined
+    )
+    return _first_rule(conds, attrs)
+
+
+def _gdina_rules(masks: np.ndarray, K: int, flags: dict):
+    """Index into ``_GDINA_RULES`` of the rule deciding each design, and -1
+    (no rule names an attribute)."""
+    N = len(masks)
+    d, e = flags["D"], flags["E"]
+    conds = [
+        np.zeros(N, dtype=bool) if d is None or e is None else d & e,
+        ~flags["C"],
+        ~flags["generic_complete"],
+        np.full(N, K == 2),
+        np.ones(N, dtype=bool),
+    ]
+    return _first_rule(conds, [np.full(N, -1)] * len(conds))
+
+
+_MODELS = {
+    "dina": ("DINA", _dina_rules, _DINA_RULES),
+    "gdina": ("GDINA", _gdina_rules, _GDINA_RULES),
+}
+_CHUNK = 1 << 10  # designs per kernel call: bounds the temporaries and peak RSS
+
+
+def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarray:
+    """Scenario values (``Scenario.value`` strings) of every design in an
+    (N, J) array of row masks with no zero row, under ``"dina"`` or
+    ``"gdina"``: the verdicts of ``classify_dina`` / ``classify_gdina``,
+    decided for the whole batch at once.  Only the flags the model reads
+    are computed (A, B and C for DINA)."""
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    masks = np.asarray(masks, dtype=np.int64)
+    if (masks == 0).any():
+        raise HasZeroRows("strip zero rows before classifying")
+    _, decide, rules = _MODELS[model]
+    names = np.array([scenario.value for scenario, _ in rules], dtype=object)
+    out = [names[:0]]
+    for start in range(0, len(masks), _CHUNK):
+        chunk = masks[start:start + _CHUNK]
+        rule, _ = decide(chunk, n_attributes, _flags(chunk, n_attributes, model == "gdina"))
+        out.append(names[rule])
+    return np.concatenate(out)
+
+
+def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
+    if q.has_zero_rows:
+        raise HasZeroRows("strip zero rows before classifying")
+    name, decide, rules = _MODELS[model]
+    K, masks = q.n_attributes, q.row_masks[None, :]
+    flags = _flags(masks, K)
+    rule, attr = decide(masks, K, flags)
+    scenario, render = rules[rule[0]]
+    constraints, notes = render(K, int(attr[0]), q.column_sums())
+    flags = {key: None if v is None else bool(v[0]) for key, v in flags.items()}
+    return IdentifiabilityVerdict(name, flags, scenario, constraints, notes)
 
 
 def classify_dina(q: QMatrix) -> IdentifiabilityVerdict:
@@ -517,105 +777,11 @@ def classify_dina(q: QMatrix) -> IdentifiabilityVerdict:
     Decision order: conditions A+B+C give strict identifiability; an
     attribute required by at most one item rules out generic identifiability;
     an attribute required by exactly two items is classified through the
-    (a)/(b.1)/(b.2)/(c) scenarios when the two rows take the canonical form
+    (a)/(b.2)/(b.1)/(c) scenarios when the two rows take the canonical form
     (one of them a unit row); incompleteness rules out even local generic
     identifiability; for K = 2 the classification is exhaustive.
     """
-    if q.has_zero_rows:
-        raise HasZeroRows("strip zero rows before classifying")
-    flags = _all_flags(q)
-    sums = q.column_sums()
-    K = q.n_attributes
-    verdict = functools.partial(_verdict, "DINA", flags)
-
-    if K == 1:
-        # Degenerate single-attribute design: distinctness is vacuous and the
-        # column-sum thresholds decide everything.
-        if sums[0] >= 3:
-            return verdict(Scenario.STRICT)
-        if sums[0] == 1:
-            return verdict(Scenario.NOT_GENERIC_ONE_ITEM)
-        return verdict(
-            Scenario.NOT_LOCALLY_GENERIC_A,
-            notes=["two items on a single attribute admit a continuum of alternatives"],
-        )
-
-    if flags["A"] and flags["B"] and flags["C"]:
-        return verdict(Scenario.STRICT)
-
-    if (sums <= 1).any():
-        bad = [int(k) + 1 for k in np.flatnonzero(sums <= 1)]
-        return verdict(
-            Scenario.NOT_GENERIC_ONE_ITEM,
-            notes=[f"attributes required by at most one item: {bad}"],
-        )
-
-    forms = _two_item_forms(q)
-    scenario_a = None
-    scenario_b2 = None
-    scenario_b1 = None
-    scenario_c = None
-    for form in forms:
-        if form.is_scenario_a(K):
-            scenario_a = scenario_a or form
-            continue
-        residual = _residual_matrix(q, form)
-        if residual is None:
-            continue
-        if form.partner_mask == 0:
-            unit_counts = [
-                int((residual.row_masks == (1 << m)).sum())
-                for m in range(residual.n_attributes)
-            ]
-            if all(c >= 2 for c in unit_counts):
-                scenario_b2 = scenario_b2 or form
-            elif _satisfies_abc(residual):
-                scenario_b1 = scenario_b1 or form
-        else:
-            if _satisfies_abc(residual):
-                scenario_c = scenario_c or form
-
-    if scenario_a is not None:
-        return verdict(
-            Scenario.NOT_LOCALLY_GENERIC_A,
-            notes=[
-                f"attribute {scenario_a.attribute + 1} is required by exactly two "
-                "items, one of which requires every attribute"
-            ],
-        )
-    if scenario_b2 is not None:
-        return verdict(Scenario.GENERIC_B2, constraints=_b2_constraints(K))
-    if scenario_b1 is not None:
-        return verdict(
-            Scenario.GENERIC_B1,
-            constraints=[_b1_constraint(scenario_b1.attribute, K)],
-        )
-    if scenario_c is not None:
-        return verdict(
-            Scenario.LOCAL_GENERIC_C,
-            constraints=[
-                _b1_constraint(scenario_c.attribute, K),
-                "free guessing value restricted to a neighborhood of the truth "
-                "(local identifiability only)",
-            ],
-        )
-    if not flags["A"]:
-        return verdict(
-            Scenario.NOT_LOCALLY_GENERIC_A,
-            notes=["incomplete design: some latent classes stay equivalent"],
-        )
-    if K == 2 and not flags["B"]:
-        # The unique K = 2 structure with A and C but equal residual columns
-        # admits alternatives for every valid parameter set.
-        return verdict(
-            Scenario.NOT_LOCALLY_GENERIC_A,
-            notes=["K = 2 residual columns coincide: alternatives exist everywhere"],
-        )
-    return verdict(
-        Scenario.UNDETERMINED,
-        notes=["no classified structure applies (e.g. a twice-required attribute "
-               "without a unit row, with K > 2)"],
-    )
+    return _classify(q, "dina")
 
 
 def classify_gdina(q: QMatrix) -> IdentifiabilityVerdict:
@@ -626,34 +792,7 @@ def classify_gdina(q: QMatrix) -> IdentifiabilityVerdict:
     K = 2 the conditions are also necessary, which makes the classification
     exact there.
     """
-    if q.has_zero_rows:
-        raise HasZeroRows("strip zero rows before classifying")
-    flags = _all_flags(q)
-    K = q.n_attributes
-    verdict = functools.partial(_verdict, "GDINA", flags)
-
-    if flags["D"] and flags["E"]:
-        return verdict(
-            Scenario.GENERIC_DE,
-            constraints=[
-                "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
-                "T(Q*) . diag(p) has pairwise-distinct columns",
-            ],
-        )
-    if not flags["C"]:
-        bad = [int(k) + 1 for k in np.flatnonzero(q.column_sums() < 3)]
-        return verdict(
-            Scenario.NOT_GENERIC_C_GDINA,
-            notes=[f"attributes required by fewer than three items: {bad}"],
-        )
-    if not flags["generic_complete"]:
-        return verdict(Scenario.NOT_GENERIC_GC)
-    if K == 2:
-        return verdict(
-            Scenario.NOT_GENERIC_K2_DE,
-            notes=["for two attributes the block conditions are also necessary"],
-        )
-    return verdict(Scenario.UNDETERMINED)
+    return _classify(q, "gdina")
 
 
 def _bit_permutation_table(perm, K: int) -> np.ndarray:
@@ -668,17 +807,9 @@ def _bit_permutation_table(perm, K: int) -> np.ndarray:
     return table
 
 
-def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
-    """All J x K designs with no zero row and no zero column, one
-    representative per column-permutation class.
-
-    The representative is the lexicographically smallest member under the
-    row-as-bits encoding with row order preserved (row 1 most significant);
-    the returned list is sorted by that encoding.  Designs leaving an
-    attribute entirely unused are excluded: they are degenerate K-1 designs
-    and the classical census of 5 x 2 matrices (121 types) does not count
-    them.
-    """
+def _canonical_codes(n_items: int, n_attributes: int) -> np.ndarray:
+    """The canonical designs of ``enumerate_canonical`` as an (N, J) array
+    of row masks, in the same order."""
     J, K = n_items, n_attributes
     if J * K > _MAX_ENUM_BITS:
         raise TooLarge(f"enumeration guarded to J*K <= {_MAX_ENUM_BITS}")
@@ -706,13 +837,22 @@ def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
         table = _bit_permutation_table(perm, K)
         np.minimum(best, table[codes] @ radix, out=best)
     canonical = codes[base_key == best]
-    canonical = canonical[np.argsort(canonical @ radix, kind="stable")]
+    return canonical[np.argsort(canonical @ radix, kind="stable")]
 
-    ks = np.arange(K, dtype=np.int64)
-    out = []
-    for row_codes in canonical:
-        out.append(QMatrix((row_codes[:, None] >> ks[None, :]) & 1))
-    return out
+
+def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
+    """All J x K designs with no zero row and no zero column, one
+    representative per column-permutation class.
+
+    The representative is the lexicographically smallest member under the
+    row-as-bits encoding with row order preserved (row 1 most significant);
+    the returned list is sorted by that encoding.  Designs leaving an
+    attribute entirely unused are excluded: they are degenerate K-1 designs
+    and the classical census of 5 x 2 matrices (121 types) does not count
+    them.
+    """
+    codes = _canonical_codes(n_items, n_attributes)
+    return [QMatrix(e) for e in (codes[:, :, None] >> np.arange(n_attributes)) & 1]
 
 
 def q_equivalent(a: QMatrix, b: QMatrix) -> bool:

@@ -249,12 +249,14 @@ def dina_scenario_a(
     """
     p = np.asarray(p, float)
     K = q.n_attributes
-    form = next((f for f in _two_item_forms(q) if f.is_scenario_a(K)), None)
-    if form is None:
+    forms = _two_item_forms(q.row_masks[None, :], K)
+    hits = np.flatnonzero(forms.scenario_a()[0])
+    if not hits.size:
         raise WrongShape(
             "need an attribute on exactly two items: a unit row and an all-ones row"
         )
-    k, j1, j2 = form.attribute, form.unit_item, form.partner_item
+    k = int(hits[0])
+    j1, j2 = int(forms.unit[0, k]), int(forms.partner[0, k])
     c1, g1 = float(params.c[j1]), float(params.g[j1])
     c2, g2 = float(params.c[j2]), float(params.g[j2])
     if g1_bar is None:

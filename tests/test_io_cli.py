@@ -381,6 +381,29 @@ class TestWitnessCli:
         assert main(["witness", "--construction", construction, *argv]) == 2
         assert "needs a params file with s and g" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("construction, rows, qbar_rows", [
+        ("q24", _PAIRED, None),
+        ("one-item", _LONELY, None),
+        ("scenario-a", _FULL_ROW, None),
+        ("gamma-merge", *_MERGE),
+    ])
+    def test_dino_params_rejected(self, tmp_path, capsys, construction, rows, qbar_rows):
+        # a DINO file carries s and g too, but the constructions read them as DINA
+        argv = _witness_inputs(tmp_path, rows, model="dino", qbar_rows=qbar_rows)
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", construction, *argv, "--out", str(out)]) == 2
+        assert "params file is for model 'dino'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected_first(self, tmp_path, capsys, count):
+        argv = _witness_inputs(tmp_path, _PAIRED)
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", "q24", *argv, "--count", str(count),
+                     "--out", str(out), "--dump-table"]) == 2
+        assert f"count must be at least 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_table_limit_checked_first(self, tmp_path, capsys):
         argv = _witness_inputs(tmp_path, [[1, 0]] + [[0, 1]] * 16)
         out = tmp_path / "w"

@@ -9,12 +9,14 @@ import pytest
 
 from qident import (
     QMatrix,
+    qmatrix,
     Scenario,
     check_condition_A,
     check_condition_B,
     check_condition_C,
     check_conditions_DE,
     check_generic_completeness,
+    classify_batch,
     classify_dina,
     classify_gdina,
     enumerate_canonical,
@@ -31,6 +33,10 @@ from qident.catalog import (
     Q5X2_PAIRED_PLUS_ONE,
     Q5X2_SINGLE_IDENTITY,
     Q12X8_WIDE_STRICT,
+    incomplete_20x3_family,
+    incomplete_20x5_family,
+    two_item_20x3_pair,
+    two_item_20x5_pair,
 )
 from qident.errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
 
@@ -294,6 +300,134 @@ class TestClassifyGdina:
         # outside the classified cases
         q = QMatrix(np.ones((3, 3), dtype=int))
         assert classify_gdina(q).scenario is Scenario.UNDETERMINED
+
+
+def _hall_violator(q: QMatrix, copies: int, banned=()):
+    """An attribute subset S whose items outside ``banned`` number fewer
+    than ``copies`` * |S|, or None."""
+    entries = np.delete(q.entries, list(banned), axis=0)
+    for r in range(1, q.n_attributes + 1):
+        for s in itertools.combinations(range(q.n_attributes), r):
+            if entries[:, list(s)].any(axis=1).sum() < copies * r:
+                return s
+    return None
+
+
+def _is_matching(q: QMatrix, items) -> bool:
+    """``items[k]`` are distinct items, item ``items[k]`` requiring attribute k."""
+    return len(set(items)) == len(items) == q.n_attributes and all(
+        q.entries[j, k] for k, j in enumerate(items))
+
+
+def _covers(q: QMatrix):
+    """Every item set whose rows jointly require every attribute."""
+    for r in range(1, q.n_items + 1):
+        for c in itertools.combinations(range(q.n_items), r):
+            if q.entries[list(c)].any(axis=0).all():
+                yield c
+
+
+def _certificate_flags(q: QMatrix) -> dict:
+    ok_a, _ = check_condition_A(q)
+    try:
+        d, e, _ = check_conditions_DE(q)
+    except TooLarge:
+        d = e = None
+    return {"A": ok_a, "B": ok_a and check_condition_B(q), "C": check_condition_C(q),
+            "generic_complete": check_generic_completeness(q)[0], "D": d, "E": e}
+
+
+# every shape with J * K <= 15 whose enumeration takes under a second; the
+# single-row shapes J = 1, K >= 8 have one design, the all-ones row
+_ORACLE_SHAPES = [(J, K) for K in range(1, 8) for J in range(1, 16) if J * K <= 15]
+
+
+class TestBatchedClassifier:
+    """The batched kernels against the per-design certificate functions."""
+
+    @pytest.mark.parametrize("J, K", _ORACLE_SHAPES + [(1, K) for K in range(8, 16)])
+    def test_flags_match_certificates(self, J, K):
+        if J == 1 and K >= 8:
+            codes = np.array([[(1 << K) - 1]])
+            designs = [QMatrix(np.ones((1, K), dtype=int))]
+        else:
+            codes = qmatrix._canonical_codes(J, K)
+            designs = enumerate_canonical(J, K)
+        flags = qmatrix._flags(codes, K)
+        for n, q in enumerate(designs):
+            ok_a, _ = check_condition_A(q)
+            assert flags["A"][n] == ok_a
+            assert flags["B"][n] == (ok_a and check_condition_B(q))
+            assert flags["C"][n] == check_condition_C(q)
+            gc, assignment = check_generic_completeness(q)
+            assert flags["generic_complete"][n] == gc
+            if gc:
+                assert _is_matching(q, assignment)
+            else:
+                assert _hall_violator(q, 1) is not None
+            if K > 8:
+                assert flags["D"] is None and flags["E"] is None
+                continue
+            d, e, partition = check_conditions_DE(q)
+            assert (flags["D"][n], flags["E"][n]) == (d, e)
+            if not d:
+                assert _hall_violator(q, 2) is not None
+                continue
+            rows1, rows2, rest = partition
+            assert _is_matching(q, rows1) and _is_matching(q, rows2)
+            assert not set(rows1) & set(rows2)
+            if e:
+                assert q.entries[list(rest)].any(axis=0).all()
+            else:  # every cover held back leaves too few items for two copies
+                assert all(_hall_violator(q, 2, banned=c) for c in _covers(q))
+        for model, classify in (("dina", classify_dina), ("gdina", classify_gdina)):
+            assert classify_batch(codes, K, model).tolist() == [
+                classify(q).scenario.value for q in designs]
+
+    @pytest.mark.parametrize("q, dina, gdina", [
+        (QMatrix.from_rows([[1]]), Scenario.NOT_GENERIC_ONE_ITEM, Scenario.NOT_GENERIC_C_GDINA),
+        (QMatrix.from_rows([[1], [1]]), Scenario.NOT_LOCALLY_GENERIC_A,
+         Scenario.NOT_GENERIC_C_GDINA),
+        (QMatrix.from_rows([[1]] * 3), Scenario.STRICT, Scenario.GENERIC_DE),
+        (QMatrix.from_rows([[1, 1], [1, 1]]), Scenario.NOT_LOCALLY_GENERIC_A,
+         Scenario.NOT_GENERIC_C_GDINA),
+        (Q12X8_WIDE_STRICT, Scenario.STRICT, Scenario.UNDETERMINED),
+        # K = 9: past the D/E search guard
+        (QMatrix(np.vstack([np.eye(9, dtype=int), np.ones((3, 9), dtype=int),
+                            1 - np.eye(9, dtype=int)[:2]])),
+         Scenario.UNDETERMINED, Scenario.UNDETERMINED),
+        *((q, Scenario.NOT_LOCALLY_GENERIC_A, Scenario.GENERIC_DE)
+          for family in (incomplete_20x3_family, incomplete_20x5_family)
+          for q in family()[:2]),
+        *((family()[2], Scenario.STRICT, Scenario.GENERIC_DE)
+          for family in (incomplete_20x3_family, incomplete_20x5_family)),
+        *((q, Scenario.NOT_LOCALLY_GENERIC_A, Scenario.NOT_GENERIC_C_GDINA)
+          for pair in (two_item_20x3_pair, two_item_20x5_pair) for q in pair()),
+    ])
+    def test_edge_cases(self, q, dina, gdina):
+        for classify, scenario in ((classify_dina, dina), (classify_gdina, gdina)):
+            verdict = classify(q)
+            assert verdict.scenario is scenario
+            assert verdict.condition_flags == _certificate_flags(q)
+
+    def test_single_attribute_notes(self):
+        assert classify_dina(QMatrix.from_rows([[1]])).notes == []
+        assert classify_dina(QMatrix.from_rows([[1], [1]])).notes == [
+            "two items on a single attribute admit a continuum of alternatives"]
+
+    def test_two_items_leave_no_residual(self):
+        # J = 2: the residual of a two-item form has no rows, so only
+        # scenario (a) can hold
+        masks = np.array([[0b01, 0b01], [0b01, 0b11], [0b10, 0b11]])
+        found = qmatrix._two_item_scenarios(masks, 2)
+        assert found["a"].tolist() == [[False, False], [True, False], [False, True]]
+        assert not any(found[s].any() for s in ("b2", "b1", "c"))
+
+    def test_batch_rejects_bad_input(self):
+        with pytest.raises(HasZeroRows):
+            classify_batch(np.array([[1, 0]]), 1, "dina")
+        with pytest.raises(ValueError, match="unknown model 'dino'"):
+            classify_batch(np.array([[1]]), 1, "dino")
 
 
 class TestEnumeration:
