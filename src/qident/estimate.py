@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyData, QidentError, TooLarge, WrongShape
-from .qmatrix import QMatrix, _bit_permutation_table, _cells, gamma_matrix
+from .qmatrix import QMatrix, _cells, gamma_matrix
 from .rlcm import (
     Dataset,
     DinaParams,
@@ -83,10 +83,9 @@ class FitResult:
 
     @property
     def stringent_ok(self) -> bool:
-        """Subset order with ties allowed, unlike the strict
-        ``rlcm.stringent_ok``: a two-parameter fit gives all non-covering
-        cells of an item the same value, so those cells always tie, and
-        ``search --stringent`` filters on this weak order."""
+        """Subset order with ties allowed: a two-parameter fit gives all
+        non-covering cells of an item the same value, so those cells always
+        tie, and ``search --stringent`` filters on this weak order."""
         return self.stringent_violation <= 0
 
 
@@ -446,6 +445,13 @@ def exhaustive_search(
     return SearchReport(model, entries, ranked[0].index, gap, require_stringent)
 
 
+def _bit_permutation_table(perm, K: int) -> np.ndarray:
+    """Lookup table sending each K-bit mask through the column permutation:
+    bit k of the mask moves to bit perm[k]."""
+    bits = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
+    return bits @ (1 << np.asarray(perm, dtype=np.int64))
+
+
 def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
     """Relabel the estimated proportions by the attribute permutation that
     minimizes the total squared parameter error against the truth.
@@ -491,10 +497,6 @@ class MseReport:
 
     records: list[MseRecord]
     truths: list[dict] = field(default_factory=list)
-
-    def median_mse_p(self, n: int) -> float:
-        vals = [r.mse_p for r in self.records if r.n == n]
-        return float(np.median(vals)) if vals else float("nan")
 
     def mse_p_by_truth(self, n: int) -> np.ndarray:
         recs = sorted((r for r in self.records if r.n == n), key=lambda r: r.truth_index)

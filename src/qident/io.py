@@ -167,11 +167,9 @@ def save_params_json(path, model: str, params, p=None) -> None:
         obj["s"] = params.s.tolist()
         obj["g"] = params.g.tolist()
     else:
-        theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params)
-        obj["theta"] = theta.tolist()
+        obj["theta"] = params.theta.tolist()
     if p is not None:
-        pvec = p.p if isinstance(p, Proportions) else np.asarray(p)
-        obj["p"] = pvec.tolist()
+        obj["p"] = np.asarray(p).tolist()
     Path(path).write_text(dump_report(obj))
 
 

@@ -33,8 +33,6 @@ column permutation of the input.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,7 +62,6 @@ __all__ = [
 # the D/E matcher over covers; enumeration is exponential in J*K.
 _MAX_K_SEARCH = 8
 _MAX_ENUM_BITS = 24
-_MAX_ENUM_WORK = 3 * 10**8  # candidate matrices times column permutations
 
 
 class QMatrix:
@@ -795,49 +792,49 @@ def classify_gdina(q: QMatrix) -> IdentifiabilityVerdict:
     return _classify(q, "gdina")
 
 
-def _bit_permutation_table(perm, K: int) -> np.ndarray:
-    """Lookup table sending each K-bit mask through the column permutation."""
-    table = np.zeros(1 << K, dtype=np.int64)
-    for mask in range(1 << K):
-        out = 0
-        for k in range(K):
-            if mask >> k & 1:
-                out |= 1 << perm[k]
-        table[mask] = out
-    return table
-
-
 def _canonical_codes(n_items: int, n_attributes: int) -> np.ndarray:
     """The canonical designs of ``enumerate_canonical`` as an (N, J) array
-    of row masks, in the same order."""
+    of row masks, in the same order.
+
+    Read each column as a J-bit number with row 1 most significant.  When
+    attribute k < k' has the smaller column, swapping the two strictly
+    lowers the row key: at the first row where they differ, the 1 moves from
+    bit k' down to bit k, and the rows above are unchanged.  So the
+    lex-smallest member of a column-permutation class is its one arrangement
+    with non-increasing columns (the fact ``q_equivalent`` relies on), and
+    the canonical designs are the non-increasing K-tuples of nonzero columns
+    whose OR reaches every row.  They are listed one column at a time.  No
+    later column exceeds the current one, so the current one must reach the
+    highest row still uncovered, and the last must cover every such row.
+    """
     J, K = n_items, n_attributes
+    if J < 1 or K < 1:
+        raise WrongShape(f"need at least one row and one column, got {(J, K)}")
     if J * K > _MAX_ENUM_BITS:
         raise TooLarge(f"enumeration guarded to J*K <= {_MAX_ENUM_BITS}")
-    n_codes = (1 << K) - 1
-    if n_codes**J * math.factorial(K) > _MAX_ENUM_WORK:
-        raise TooLarge("enumeration workload exceeds the search budget")
+    full = (1 << J) - 1
+    cols = np.zeros((1, 0), dtype=np.int64)  # one row per tuple listed so far
+    uncovered = np.array([full], dtype=np.int64)  # the rows its columns miss
+    for k in range(K):
+        top = cols[:, -1] if k else uncovered  # the next column is at most this
+        low = np.maximum(uncovered, 1)
+        if k < K - 1:
+            low = np.int64(1) << (np.frexp(low)[1] - 1)  # highest set bit
+        count = np.maximum(top - low + 1, 0)
+        parent = np.repeat(np.arange(len(cols)), count)
+        new = np.arange(len(parent)) + np.repeat(low - np.cumsum(count) + count, count)
+        uncovered = uncovered[parent] & ~new
+        if k == K - 1:
+            keep = uncovered == 0
+            parent, new = parent[keep], new[keep]
+        cols = np.column_stack([cols[parent], new])
 
-    total = n_codes**J
-    codes = np.empty((total, J), dtype=np.int64)
-    rem = np.arange(total, dtype=np.int64)
-    for j in range(J - 1, -1, -1):
-        codes[:, j] = rem % n_codes + 1
-        rem //= n_codes
-    used = np.zeros(total, dtype=np.int64)
-    for j in range(J):
-        used |= codes[:, j]
-    codes = codes[used == n_codes]
-
+    shifts = np.arange(J - 1, -1, -1)
+    masks = np.zeros((len(cols), J), dtype=np.int64)
+    for k in range(K):
+        masks |= ((cols[:, k, None] >> shifts) & 1) << k
     radix = 1 << (K * np.arange(J - 1, -1, -1, dtype=np.int64))
-    base_key = codes @ radix
-    best = base_key.copy()
-    for perm in itertools.permutations(range(K)):
-        if perm == tuple(range(K)):
-            continue
-        table = _bit_permutation_table(perm, K)
-        np.minimum(best, table[codes] @ radix, out=best)
-    canonical = codes[base_key == best]
-    return canonical[np.argsort(canonical @ radix, kind="stable")]
+    return masks[np.argsort(masks @ radix)]
 
 
 def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
@@ -845,11 +842,12 @@ def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
     representative per column-permutation class.
 
     The representative is the lexicographically smallest member under the
-    row-as-bits encoding with row order preserved (row 1 most significant);
-    the returned list is sorted by that encoding.  Designs leaving an
-    attribute entirely unused are excluded: they are degenerate K-1 designs
-    and the classical census of 5 x 2 matrices (121 types) does not count
-    them.
+    row-as-bits encoding with row order preserved (row 1 most significant),
+    which is the member whose columns, read as numbers with row 1 most
+    significant, do not increase from attribute 1 to K; the returned list is
+    sorted by that encoding.  Designs leaving an attribute entirely unused
+    are excluded: they are degenerate K-1 designs and the classical census
+    of 5 x 2 matrices (121 types) does not count them.
     """
     codes = _canonical_codes(n_items, n_attributes)
     return [QMatrix(e) for e in (codes[:, :, None] >> np.arange(n_attributes)) & 1]

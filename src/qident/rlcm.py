@@ -31,7 +31,6 @@ __all__ = [
     "monotonicity_violation",
     "stringent_violation",
     "monotonicity_ok",
-    "stringent_ok",
     "beta_to_theta",
     "theta_to_beta",
     "response_distribution",
@@ -130,10 +129,6 @@ class GdinaParams:
         arr.setflags(write=False)
         self.theta = arr
 
-    @classmethod
-    def from_dina(cls, q: QMatrix, params: DinaParams) -> "GdinaParams":
-        return cls(theta_table("dina", q, params))
-
     @property
     def n_items(self) -> int:
         return self.theta.shape[0]
@@ -204,11 +199,6 @@ def monotonicity_ok(theta: np.ndarray, q: QMatrix) -> bool:
     return monotonicity_violation(theta, q) < 0
 
 
-def stringent_ok(theta: np.ndarray, q: QMatrix) -> bool:
-    """Strict increase along the partial order of required-attribute subsets."""
-    return stringent_violation(theta, q) < 0
-
-
 def beta_to_theta(betas: list[dict], q: QMatrix) -> GdinaParams:
     """Build the theta table from per-item effect coefficients.
 
@@ -258,16 +248,15 @@ def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _split_product(theta, 1.0 - theta, p)
 
 
-def full_distribution(model: str, q: QMatrix, params, p: Proportions | np.ndarray) -> np.ndarray:
-    pvec = p.p if isinstance(p, Proportions) else np.asarray(p, float)
-    return response_distribution(theta_table(model, q, params), pvec)
+def full_distribution(model: str, q: QMatrix, params, p: np.ndarray) -> np.ndarray:
+    return response_distribution(theta_table(model, q, params), np.asarray(p, float))
 
 
-def pmf(model: str, q: QMatrix, params, p: Proportions | np.ndarray, r: int) -> float:
+def pmf(model: str, q: QMatrix, params, p: np.ndarray, r: int) -> float:
     """Probability of one response pattern (bit j = item j+1), row by row:
     an independent reference for ``response_distribution``."""
     theta = theta_table(model, q, params)
-    pvec = p.p if isinstance(p, Proportions) else np.asarray(p, float)
+    pvec = np.asarray(p, float)
     hits = np.array([r >> j & 1 for j in range(theta.shape[0])], dtype=bool)
     factors = np.where(hits[:, None], theta, 1.0 - theta)
     keep = pvec != 0.0
@@ -330,7 +319,7 @@ def simulate(model: str, q: QMatrix, params, p, n: int, seed=None) -> Dataset:
     a bit-identical dataset.
     """
     theta = theta_table(model, q, params)
-    pvec = p.p if isinstance(p, Proportions) else np.asarray(p, float)
+    pvec = np.asarray(p, float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n == 0:
         return Dataset(q.n_items, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

@@ -265,7 +265,7 @@ def test_criterion_6_mse_decay():
         Q4X2_PAIRED, _criterion6_truth, n_truths=30, n_grid=[100, 1000, 10_000],
         replications=20, seed=614, restarts=3,
     )
-    medians = [report.median_mse_p(n) for n in (100, 1000, 10_000)]
+    medians = [np.median(report.mse_p_by_truth(n)) for n in (100, 1000, 10_000)]
     decreasing = medians[0] > medians[1] > medians[2]
 
     small = report.mse_p_by_truth(100)
@@ -363,7 +363,7 @@ def test_criterion_7_property_bundle():
         params = DinaParams(rng.uniform(0.05, 0.3, j), rng.uniform(0.05, 0.3, j))
         p = rng.dirichlet(np.ones(1 << k))
         a = full_distribution("dina", q, params, p)
-        b = full_distribution("gdina", q, GdinaParams.from_dina(q, params), p)
+        b = full_distribution("gdina", q, GdinaParams(theta_table("dina", q, params)), p)
         ok = ok and np.max(np.abs(a - b)) <= 1e-14
 
     # condition checks are invariant under row and column permutation

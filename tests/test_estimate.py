@@ -365,6 +365,17 @@ class TestAlign:
         assert np.allclose(aligned, p)
         assert err == pytest.approx(0.0, abs=1e-18)
 
+        # three attributes: bit k of each class label moves to bit known[k]
+        known = (2, 0, 1)
+        p3 = rng.dirichlet(np.ones(8))
+        relabel = [sum((a >> k & 1) << known[k] for k in range(3)) for a in range(8)]
+        dummy.p = np.empty(8)
+        dummy.p[relabel] = p3
+        perm, aligned, err = align_to_truth(dummy, {"p": p3}, 3)
+        assert perm == known
+        assert np.array_equal(aligned, p3)
+        assert err == 0.0
+
     def test_identity_when_aligned(self, rng):
         params, p, _ = _simulated(rng, Q4X2_PAIRED, n=10, seed=22)
 

@@ -164,6 +164,12 @@ class TestCli:
         )]
         assert paired and all(r.endswith("GenericScenarioB2") for r in paired)
 
+    @pytest.mark.parametrize("sizes", [["3", "--", "-1"], ["--", "-1", "2"], ["0", "2"]])
+    def test_enumerate_bad_size_exit_2(self, sizes, capsys):
+        assert main(["enumerate", *sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
     def test_enumerate_rows_feed_check(self, tmp_path, capsys):
         out = tmp_path / "enum"
         main(["enumerate", "3", "2", "--out", str(out)])

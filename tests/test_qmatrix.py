@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,26 +506,46 @@ class TestEnumeration:
         assert rest == 0
         return classes
 
-    # every shape with J * K <= 12, except the single-row K = 8 and 9, which
-    # take 12 s and minutes to enumerate (a Python loop over all K! column
-    # permutations)
+    # every shape with J * K <= 12 and K <= 7, and four with K = 8 or 9
     @pytest.mark.parametrize(
-        "J,K", [(J, K) for K in range(1, 8) for J in range(1, 12 // K + 1)]
+        "J,K",
+        [(J, K) for K in range(1, 8) for J in range(1, 12 // K + 1)]
+        + [(1, 8), (1, 9), (2, 8), (3, 8)],
     )
     def test_count_matches_burnside(self, J, K):
         assert len(enumerate_canonical(J, K)) == self._burnside(J, K)
 
-    def test_work_guard_fires_before_permutations_are_built(self):
-        # 255^2 codes x 8! permutations exceed the work budget; the guard
-        # must refuse without first listing the 8! permutations
-        tracemalloc.start()
-        try:
-            with pytest.raises(TooLarge):
-                enumerate_canonical(2, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    @staticmethod
+    def _min_key_over_permutations(codes, K):
+        """Smallest row key (row 1 most significant) of each design of an
+        (N, J) array of row masks over all K! column permutations, by brute
+        force over the permutations in chunks."""
+        J = codes.shape[1]
+        bits = (codes[:, :, None] >> np.arange(K)) & 1
+        radix = 1 << (K * np.arange(J - 1, -1, -1))
+        best = np.full(len(codes), np.iinfo(np.int64).max)
+        perms = itertools.permutations(range(K))
+        while chunk := list(itertools.islice(perms, 50_000)):
+            moved = bits @ (1 << np.array(chunk).T)  # bit k of a row goes to bit perm[k]
+            best = np.minimum(best, (moved.transpose(0, 2, 1) @ radix).min(axis=1))
+        return best
+
+    # Each design is the smallest member of its class and the keys strictly
+    # increase, so no class appears twice; with the Burnside count above,
+    # every class appears.
+    @pytest.mark.parametrize(
+        "J,K", [(J, K) for K in range(1, 11) for J in range(1, 10 // K + 1)]
+    )
+    def test_each_design_is_its_class_minimum(self, J, K):
+        codes = qmatrix._canonical_codes(J, K)
+        keys = codes @ (1 << (K * np.arange(J - 1, -1, -1)))
+        assert (keys == self._min_key_over_permutations(codes, K)).all()
+        assert (np.diff(keys) > 0).all()
+
+    @pytest.mark.parametrize("J,K", [(0, 2), (3, 0), (-1, 2), (3, -1)])
+    def test_bad_size_is_wrong_shape(self, J, K):
+        with pytest.raises(WrongShape):
+            enumerate_canonical(J, K)
 
 
 class TestEquivalence:

@@ -25,7 +25,7 @@ from qident.rlcm import (
     monotonicity_ok,
     pattern_string,
     response_distribution,
-    stringent_ok,
+    stringent_violation,
 )
 
 from tests.conftest import random_q
@@ -60,8 +60,10 @@ class TestParams:
         assert not monotonicity_ok(bad, q)
         good = np.array([[0.2, 0.3, 0.3, 0.8]])
         assert monotonicity_ok(good, q)
-        assert not stringent_ok(np.array([[0.3, 0.3, 0.3, 0.8]]), q)
-        assert stringent_ok(np.array([[0.2, 0.4, 0.5, 0.8]]), q)
+        # the strict subset order: a tie is no violation of the weak order
+        # but fails the strict one
+        assert stringent_violation(np.array([[0.3, 0.3, 0.3, 0.8]]), q) == 0
+        assert stringent_violation(np.array([[0.2, 0.4, 0.5, 0.8]]), q) < 0
 
     def test_valid_two_parameter_tables_always_monotone(self, rng):
         for _ in range(30):
@@ -211,7 +213,7 @@ class TestDistribution:
         q = random_q(rng, 5, 3, ensure_nonzero_rows=True)
         params = DinaParams(rng.uniform(0.05, 0.3, 5), rng.uniform(0.05, 0.3, 5))
         p = rng.dirichlet(np.ones(8))
-        embedded = GdinaParams.from_dina(q, params)
+        embedded = GdinaParams(theta_table("dina", q, params))
         embedded.validate_for(q)
         a = full_distribution("dina", q, params, p)
         b = full_distribution("gdina", q, embedded, p)
