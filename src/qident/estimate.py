@@ -1,8 +1,9 @@
 """Maximum-likelihood estimation and the simulation-evidence harnesses.
 
 One engine runs every expectation-maximization fit on pattern-count data at
-a fixed design matrix.  It advances a batch of fits together, each sweep one
-stacked E-step and one closed-form M-step for every model: a weighted mean
+a fixed design matrix.  It holds a batch of fits class-major (fit, class,
+item), so that a sweep is one matrix product for the E-step and one for the
+closed-form M-step over the whole batch, for every model: a weighted mean
 per (item, cell) of the response table, the cells being capable and not
 capable for DINA and DINO and a & row_mask[j] for GDINA.  Each fit still
 stops on its own.  ``em_fit`` is a batch of one, ``multistart_fit`` batches
@@ -154,66 +155,70 @@ def _flip_unit_attributes(theta, p, q):
     return theta, p
 
 
-def _observed_loglik(theta, p, X, Xc, W, work):
-    """E-step for a stack of fits: theta (B, J, C), p (B, C) and pattern
-    weights W (B, N) over the shared pattern bits X (N, J), Xc = 1 - X,
-    computed in the two (>= B, N, C) buffers of ``work``.  Returns each
-    fit's observed-data loglik and its posterior, a view of ``work[0]``."""
-    log_post, spare = (buf[: len(theta)] for buf in work)
-    np.matmul(X, np.log(theta), out=log_post)
-    log_post += np.matmul(Xc, np.log(1.0 - theta), out=spare)
-    log_post += np.log(p)[:, None, :]
-    # max class by class: exact in any order, and numpy reduces a short
-    # last axis several times slower
-    m = log_post[:, :, :1].copy()
-    for c in range(1, log_post.shape[2]):
-        np.maximum(m, log_post[:, :, c:c + 1], out=m)
+def _observed_loglik(theta, p, XX, W, work):
+    """E-step for a stack of fits held class-major: theta (B, C, J), p (B, C)
+    and pattern weights W (B, N) over XX = [X | 1 - X | 1] (N, 2J + 1).  One
+    GEMM [log theta | log(1 - theta) | log p] (B*C, 2J + 1) @ XX.T writes the
+    log joints (B, C, N) to ``work[0]``, so the class max and sum run over
+    contiguous rows.  Returns each fit's observed-data loglik and its
+    posterior times W, a (B*C, N) view of ``work[0]``."""
+    B, C, _ = theta.shape
+    log_post, spare = (buf[:B] for buf in work)
+    logs = np.log(np.concatenate([theta, 1.0 - theta, p[:, :, None]], axis=2))
+    np.matmul(logs.reshape(B * C, -1), XX.T, out=log_post.reshape(B * C, -1))
+    m = log_post.max(axis=1, keepdims=True)
     norm = np.exp(np.subtract(log_post, m, out=spare), out=spare)
-    denom = norm.sum(axis=2, keepdims=True)
-    # one BLAS dot per fit, so a fit's loglik does not depend on the batch
-    loglik = (W[:, None, :] @ (np.log(denom) + m))[:, 0, 0]
-    return loglik, np.divide(norm, denom, out=log_post)
+    denom = norm.sum(axis=1, keepdims=True)
+    # one dot per fit, so a fit's loglik does not depend on the batch
+    # (np.vecdot would do the same but needs numpy >= 2)
+    loglik = (W[:, None, :] @ (np.log(denom) + m).transpose(0, 2, 1))[:, 0, 0]
+    return loglik, np.multiply(norm, W[:, None, :] / denom, out=log_post).reshape(B * C, -1)
 
 
 def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
     """Advance one EM fit per design (all of one shape) together and yield
     the fits in order.
 
-    Fit b weights the shared patterns by ``W[b]`` and starts from
-    ``starts[b]``.  A sweep is one stacked E-step and one M-step for all
-    fits: a weighted mean per (fit, item, cell), pooled by two ``bincount``s
-    over bins offset by ``b * J * 2^K``.  A fit whose loglik gain drops
-    below ``tol`` is written out and leaves the batch, so its iterations,
-    path and estimate are those it gets alone.  Without ``paths`` no loglik
-    path is kept.
+    Fit b weights the shared patterns X (N, J) by ``W[b]`` and starts from
+    ``starts[b]``.  A sweep is two GEMMs over the whole batch: the E-step of
+    ``_observed_loglik`` and the M-step wpost (B*C, N) @ [X | 1] (N, J + 1),
+    the positive-response mass per (fit, class, item) with the class mass in
+    its last column, which one ``bincount`` pools per (fit, item, cell).  A
+    fit whose loglik gain drops below ``tol`` is written out and leaves the
+    batch, so its iterations, path and estimate are those it gets alone:
+    OpenBLAS rounds a row of a product alike in any batch when the product
+    is a multiple of 8 columns wide (``_fit_all`` pads the patterns, the
+    M-step pads [X | 1]) and sums at most 256 terms.  Without ``paths`` no
+    loglik path is kept.
     """
-    B, (J, C) = len(designs), starts[0][0].shape
-    theta, p = (np.stack(arrays) for arrays in zip(*starts))
+    B, (J, C), N = len(designs), starts[0][0].shape, len(X)
+    theta, p = np.stack([t.T for t, _ in starts]), np.stack([a for _, a in starts])
     labels = np.stack([
         _cells(q) if model == "gdina" else gamma_matrix(q, model).astype(bool)
         for q in designs
     ])
-    # the M-step pools theta[j, a] over the patterns sharing its label, so
-    # (item, label) flattens into one bin, in a J * C range per fit
-    bins = (labels + C * np.arange(J)[:, None]).reshape(B, J * C)
-    offsets = J * C * np.arange(B)[:, None]
-    Xc, work = 1.0 - X, np.empty((2, B, len(X), C))
+    # the M-step pools theta[j, a] over the classes sharing its label, so
+    # (fit, item, label) flattens into one bin, and the class mass pools in
+    # a second copy of the bins
+    bins = labels.transpose(0, 2, 1) + C * np.arange(J) + J * C * np.arange(B)[:, None, None]
+    flat = bins = np.stack([bins, bins + bins.size])
+    XX = np.hstack([X, 1.0 - X, np.ones((N, 1))])
+    XI = np.hstack([X, np.ones((N, 1)), np.zeros((N, -(J + 1) % 8))])
+    work = np.empty((2, B, C, N))
     out_theta, out_p = theta.copy(), p.copy()
     iterations, converged = np.full(B, max_iter), np.zeros(B, dtype=bool)
     active, w, n, prev = np.arange(B), W, W.sum(axis=1), np.full(B, -np.inf)
     trail = [(active[:0], prev[:0])]  # (fits, logliks) of every sweep
     for it in range(1, max_iter + 1):
-        flat = (bins[active] + offsets[: len(active)]).ravel()
-        loglik, post = _observed_loglik(theta, p, X, Xc, w, work)
-        wpost = np.multiply(post, w[:, :, None], out=work[1][: len(active)])
-        m1 = wpost.transpose(0, 2, 1) @ X  # positive-response mass per (class, item)
-        m_tot = wpost.sum(axis=1)  # mass per class
-
-        pos = np.bincount(flat, m1.transpose(0, 2, 1).ravel())
-        tot = np.bincount(flat, np.tile(m_tot, J).ravel())
+        loglik, wpost = _observed_loglik(theta, p, XX, w, work)
+        mass = wpost[:, :256] @ XI[:256]
+        for lo in range(256, N, 256):
+            mass += wpost[:, lo:lo + 256] @ XI[lo:lo + 256]
+        weights = np.concatenate([mass[:, :J], np.broadcast_to(mass[:, J:J + 1], (len(mass), J))])
+        pos, tot = np.bincount(flat.ravel(), weights.ravel(), minlength=bins.size).reshape(2, -1)
         val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
-        theta = np.clip(val, _CLAMP, 1 - _CLAMP)[flat].reshape(theta.shape)
-        p = np.clip(m_tot / n[:, None], _CLAMP / C, None)
+        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[flat[0]]
+        p = np.maximum(mass[:, J].reshape(p.shape) / n[:, None], _CLAMP / C)
         p /= p.sum(axis=1, keepdims=True)
 
         if paths:
@@ -226,16 +231,17 @@ def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
             active, theta, p, prev, w, n = (a[~done] for a in (active, theta, p, prev, w, n))
             if not len(active):
                 break
+            flat = bins[:, active]
     out_theta[active], out_p[active] = theta, p
 
-    theta, p = out_theta, out_p
+    theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
     if model != "gdina":
         for b, q in enumerate(designs):
             theta[b], p[b] = _flip_unit_attributes(theta[b], p[b], q)
         gate = labels.astype(bool)
         c = np.where(gate.any(axis=2), np.where(gate, theta, -np.inf).max(axis=2), theta[:, :, 0])
         g = np.where((~gate).any(axis=2), np.where(gate, np.inf, theta).min(axis=2), theta[:, :, 0])
-    final, _ = _observed_loglik(theta, p, X, Xc, W, work)
+    final, _ = _observed_loglik(out_theta, p, XX, W, work)
     if paths:
         order = np.argsort(np.concatenate([a for a, _ in trail]), kind="stable")
         sweeps = np.split(np.concatenate([v for _, v in trail])[order], np.cumsum(iterations)[:-1])
@@ -270,11 +276,13 @@ def _fit_all(model, designs, datasets, starts, tol, max_iter, paths=False):
     if not designs:
         return
     patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
-    W = np.zeros((len(datasets), len(patterns)))
+    # zero-weight all-zero patterns pad N to a multiple of 8 (see _em_batch)
+    W = np.zeros((len(datasets), len(patterns) + -len(patterns) % 8))
     for b, d in enumerate(datasets):
         W[b, np.searchsorted(patterns, d.patterns)] = d.counts
-    X = ((patterns[:, None] >> np.arange(datasets[0].n_items)) & 1).astype(float)
-    size = max(1, _BATCH_CELLS // (len(patterns) << designs[0].n_attributes))
+    X = np.zeros((W.shape[1], datasets[0].n_items))
+    X[: len(patterns)] = (patterns[:, None] >> np.arange(datasets[0].n_items)) & 1
+    size = max(1, _BATCH_CELLS // (W.shape[1] << designs[0].n_attributes))
     for lo in range(0, len(designs), size):
         batch = slice(lo, lo + size)
         yield from _em_batch(

@@ -79,7 +79,7 @@ class QMatrix:
             raise WrongShape(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise WrongShape(f"need at least one row and one column, got {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("Q-matrix entries must be 0 or 1")
         arr = arr.astype(np.int8, copy=True)
         arr.setflags(write=False)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import DinaParams, QMatrix, q_equivalent, simulate
+from qident import DinaParams, QMatrix, enumerate_canonical, q_equivalent, simulate
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
 from qident.errors import EmptyData, QidentError, TooLarge, WrongShape
 from qident.estimate import (
+    _BATCH_CELLS,
     _fit_all,
     _start,
     align_to_truth,
@@ -18,9 +19,9 @@ from qident.estimate import (
     multistart_fit,
     spearman,
 )
-from qident.rlcm import Dataset, full_distribution, theta_table
+from qident.rlcm import Dataset, full_distribution, response_distribution, theta_table
 
-from tests.conftest import dina_information, dina_jacobian, gap_z_score
+from tests.conftest import dina_information, dina_jacobian, gap_z_score, random_q
 
 
 def _simulated(rng, q, n=5000, seed=0):
@@ -206,6 +207,52 @@ class TestBatchEngine:
         assert all(_same_fit(a, b) for a, b in zip(alone, batch))
         assert all(f.iterations == 140 for f in batch if not f.converged)
         assert all(len(f.loglik_path) == f.iterations + 1 for f in batch)
+
+    def _alone(self, model, designs, data, seeds, max_iter, tol=1e-6):
+        return [em_fit(model, q, data, tol=tol, max_iter=max_iter, seed=np.random.default_rng(s))
+                for q, s in zip(designs, seeds)]
+
+    @pytest.mark.parametrize("model", ["dina", "gdina"])
+    def test_canonical_5x2_census(self, rng, model):
+        # all 121 canonical 5 x 2 designs in one batch (B * C = 484 rows per
+        # GEMM), some converging early and some capped
+        designs = enumerate_canonical(5, 2)
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=3000, seed=40)
+        seeds = range(len(designs))
+        batch = self._batch(model, designs, data, seeds, max_iter=120, tol=1e-3)
+        assert len(batch) == 121 and {f.converged for f in batch} == {True, False}
+        alone = self._alone(model, designs, data, seeds, max_iter=120, tol=1e-3)
+        assert all(_same_fit(a, b) for a, b in zip(alone, batch))
+
+    def test_k3_gdina(self, rng):
+        # eight classes per fit, different designs and starts in one batch
+        designs = [random_q(rng, 6, 3, ensure_nonzero_rows=True) for _ in range(12)]
+        _, _, data = _simulated(rng, designs[0], n=4000, seed=41)
+        seeds = range(100, 112)
+        batch = self._batch("gdina", designs, data, seeds, max_iter=80)
+        assert all(_same_fit(a, b) for a, b in zip(self._alone("gdina", designs, data, seeds, 80), batch))
+
+    def test_batch_split_into_chunks(self, rng):
+        # 300 patterns, padded to 304: a full chunk's E-step GEMM passes 10^6
+        # multiply-adds and its M-step sums run in pieces of 256 patterns
+        q = QMatrix([[1, 0], [0, 1]] * 4 + [[1, 1]])
+        _, _, data = _simulated(rng, q, n=30_000, seed=42)
+        data = Dataset(q.n_items, data.patterns[:300], data.counts[:300])
+        size = _BATCH_CELLS // (304 << 2)
+        seeds = range(size + 7)
+        designs = [q] * len(seeds)
+        batch = self._batch("dina", designs, data, seeds, max_iter=25)
+        assert all(_same_fit(a, b) for a, b in zip(self._alone("dina", designs, data, seeds, 25), batch))
+
+    @pytest.mark.parametrize("model", ["dina", "gdina"])
+    def test_loglik_matches_2j_kernel(self, rng, model):
+        # every fit of a large batch against the exact 2^J distribution
+        designs = enumerate_canonical(5, 2)
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=3000, seed=43)
+        counts = data.counts.astype(float)
+        for fit in self._batch(model, designs, data, range(len(designs)), max_iter=200):
+            exact = counts @ np.log(response_distribution(fit.theta, fit.p)[data.patterns])
+            assert fit.loglik == pytest.approx(exact, rel=1e-10)
 
 
 class TestMultistart:

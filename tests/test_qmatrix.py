@@ -42,6 +42,38 @@ from qident.errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
 from tests.conftest import brute_force_generic_complete, random_q
 
 
+class TestQMatrixEntries:
+    """Entries equal to 0 or 1 are accepted whatever the dtype; anything
+    else, NaN included, is rejected."""
+
+    @pytest.mark.parametrize("entries", [
+        np.array([[True, False], [False, True]]),
+        np.array([[1, 0], [1, 1]]),
+        np.array([[1, 0], [1, 1]], dtype=np.uint8),
+        np.array([[1.0, -0.0], [0.0, 1.0]]),
+        np.array([[1, 0], [0, 1]], dtype=object),
+        [[1, 0], [0, 1]],
+    ])
+    def test_accepts_zero_one(self, entries):
+        q = QMatrix(entries)
+        assert q.entries.dtype == np.int8
+        assert np.array_equal(q.entries, np.asarray(entries).astype(int))
+
+    @pytest.mark.parametrize("entries", [
+        np.array([[1, 2], [0, 1]]),
+        np.array([[1, -1], [0, 1]]),
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[1j, 0], [0, 1]]),
+        np.array([[1, None], [0, 1]], dtype=object),
+        np.array([["1", "0"], ["0", "1"]]),
+    ])
+    def test_rejects_other_values(self, entries):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            QMatrix(entries)
+
+
 class TestConditionA:
     def test_paired_design_complete(self):
         ok, witness = check_condition_A(Q4X2_PAIRED)
