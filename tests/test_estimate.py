@@ -208,7 +208,8 @@ class TestBatchEngine:
         assert all(f.iterations == 140 for f in batch if not f.converged)
         assert all(len(f.loglik_path) == f.iterations + 1 for f in batch)
 
-    def _alone(self, model, designs, data, seeds, max_iter, tol=1e-6):
+    @staticmethod
+    def _alone(model, designs, data, seeds, max_iter, tol=1e-6):
         return [em_fit(model, q, data, tol=tol, max_iter=max_iter, seed=np.random.default_rng(s))
                 for q, s in zip(designs, seeds)]
 
@@ -238,6 +239,7 @@ class TestBatchEngine:
         q = QMatrix([[1, 0], [0, 1]] * 4 + [[1, 1]])
         _, _, data = _simulated(rng, q, n=30_000, seed=42)
         data = Dataset(q.n_items, data.patterns[:300], data.counts[:300])
+        assert len(data.patterns) == 300
         size = _BATCH_CELLS // (304 << 2)
         seeds = range(size + 7)
         designs = [q] * len(seeds)
