@@ -199,6 +199,8 @@ def cmd_search(args) -> int:
     k = args.attributes or (first.n_attributes if first else None)
     if k is None:
         raise QidentError("--attributes (or --truth) is required to enumerate candidates")
+    if first is not None and (data.n_items, k) != first.entries.shape:
+        raise QidentError(f"shapes differ: {(data.n_items, k)} vs {first.entries.shape}")
     candidates = enumerate_canonical(data.n_items, k)
     report = exhaustive_search(
         args.model, data, candidates, restarts=args.restarts,
@@ -238,6 +240,8 @@ def cmd_witness(args) -> int:
     files, needs_sg, build = _WITNESSES[args.construction]
     if args.count < 1:
         raise QidentError(f"count must be at least 1, got {args.count}")
+    if args.free is not None and args.construction not in ("one-item", "scenario-a"):
+        raise QidentError("--free is taken only by constructions 'one-item' and 'scenario-a'")
     model, params, p = load_params_json(args.params)
     if p is None:
         raise QidentError("params file must carry a 'p' vector")

@@ -23,8 +23,10 @@ and E by Hall's condition over attribute subsets, then the model's decision
 rules in order.  ``classify_dina`` and ``classify_gdina`` run it on a batch of
 one and return a structured verdict for the conjunctive two-parameter model
 and the saturated general model, respectively.  The ``check_*`` functions
-decide one design by search and matching and return the certificate behind
-each flag.
+decide one design and return the certificate behind each flag.  Both paths
+share two kernels over row masks: ``_cover_sets``, the one search for the
+minimal covers behind E, and ``_match_attributes``, the one bipartite
+matcher behind generic completeness, D and E.
 
 Conventions: attribute patterns and item rows are encoded little-endian as
 bit masks (bit k = attribute k+1), and all checks are invariant under row and
@@ -59,8 +61,10 @@ __all__ = [
 ]
 
 # Search guards.  Hall's condition runs over all 2^K attribute subsets and
-# the D/E matcher over covers; enumeration is exponential in J*K.
+# the D/E matcher over covers, at most _MAX_COVER_SETS candidate sets of
+# row masks; enumeration is exponential in J*K.
 _MAX_K_SEARCH = 8
+_MAX_COVER_SETS = 200_000
 _MAX_ENUM_BITS = 24
 
 
@@ -296,25 +300,21 @@ def check_condition_C(q: QMatrix, min_count: int = 3) -> bool:
     return bool((q.column_sums() >= min_count).all())
 
 
-def _match_attributes(q: QMatrix, copies: int, banned: frozenset = frozenset()):
-    """Assign ``copies`` distinct non-banned items to every attribute.
+def _match_attributes(masks: list, K: int, copies: int, banned=frozenset()):
+    """Assign ``copies`` distinct non-banned items to every attribute, item
+    j being given by its row mask ``masks[j]``.
 
     Augmenting-path bipartite matching where each attribute appears
     ``copies`` times on the left.  Returns a list of ``copies`` item lists
     (one item per attribute each) or None.
     """
-    K = q.n_attributes
-    entries = q.entries
-    adj = [
-        [j for j in range(q.n_items) if j not in banned and entries[j, k]]
-        for k in range(K)
-    ]
+    adj = [[j for j, m in enumerate(masks) if m >> k & 1 and j not in banned]
+           for k in range(K)]
     owner = {}  # item -> left-node id
     match_of = [None] * (K * copies)
 
     def try_assign(node, seen):
-        k = node % K
-        for j in adj[k]:
+        for j in adj[node % K]:
             if j in seen:
                 continue
             seen.add(j)
@@ -337,46 +337,10 @@ def check_generic_completeness(q: QMatrix):
     Returns ``(flag, assignment)`` where ``assignment[k]`` is the item
     matched to attribute k (None when the matching does not exist).
     """
-    result = _match_attributes(q, copies=1)
+    result = _match_attributes(q.row_masks.tolist(), q.n_attributes, 1)
     if result is None:
         return False, None
     return True, tuple(result[0])
-
-
-def _minimal_covers(q: QMatrix, budget: int = 200_000):
-    """Yield inclusion-minimal item sets whose rows jointly hit every column."""
-    K = q.n_attributes
-    entries = q.entries
-    col_items = [tuple(np.flatnonzero(entries[:, k])) for k in range(K)]
-    if any(len(c) == 0 for c in col_items):
-        return
-    seen = set()
-    work = 0
-
-    def extend(chosen: frozenset, covered: int):
-        nonlocal work
-        work += 1
-        if work > budget:
-            raise TooLarge("cover enumeration budget exceeded in condition D/E search")
-        if covered == (1 << K) - 1:
-            yield chosen
-            return
-        k = min(
-            (k for k in range(K) if not covered >> k & 1),
-            key=lambda k: len(col_items[k]),
-        )
-        for j in col_items[k]:
-            nxt = chosen | {j}
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            new_cov = covered
-            for kk in range(K):
-                if entries[j, kk]:
-                    new_cov |= 1 << kk
-            yield from extend(nxt, new_cov)
-
-    yield from extend(frozenset(), 0)
 
 
 def check_conditions_DE(q: QMatrix):
@@ -385,31 +349,36 @@ def check_conditions_DE(q: QMatrix):
     D holds when two disjoint K-row blocks each admit a perfect matching
     attributes <-> items; because the rows inside a block may be reordered
     freely, a single capacity-2 matching decides this (no column-permutation
-    search is needed).  E holds, for the partition returned, when every
-    attribute is required by at least one row outside the two blocks.
+    search is needed).  E holds when, in addition, the rows outside the two
+    blocks require every attribute.  It is decided jointly with D: each
+    minimal cover of at most min(K, J - 2K) distinct row masks from
+    ``_cover_sets`` is held back, one item per mask (the first; which copy
+    does not matter, see ``_hall``), and the capacity-2 matching is sought
+    among the other items.  Any leftover that covers every attribute holds
+    such a cover, so E holds iff one of these matchings exists.
 
     Returns ``(d_flag, e_flag, partition)`` with ``partition = (rows1,
-    rows2, rest)``; when D and E hold jointly the partition witnesses both,
-    otherwise it witnesses D alone (or is None when D fails).
+    rows2, rest)``; when D and E hold the partition witnesses both (``rest``
+    holds the cover), otherwise it witnesses D alone (or is None when D
+    fails).
     """
     if q.n_attributes > _MAX_K_SEARCH:
         raise TooLarge(f"condition D search guarded to K <= {_MAX_K_SEARCH}")
-    K = q.n_attributes
+    K, masks = q.n_attributes, q.row_masks.tolist()
+    first = {}
+    for j, m in enumerate(masks):
+        first.setdefault(m, j)
     blocks = None
-    if q.n_items >= 2 * K + 1:
-        # Joint search: reserve a minimal covering set for E, then ask for a
-        # capacity-2 matching among the remaining items; E then holds.
-        for cover in _minimal_covers(q):
-            blocks = _match_attributes(q, copies=2, banned=cover)
-            if blocks is not None:
-                break
-    joint = blocks is not None
-    blocks = blocks or _match_attributes(q, copies=2)
+    for cover in _cover_sets(sorted(first), K, min(K, len(masks) - 2 * K)):
+        blocks = _match_attributes(masks, K, 2, banned={first[m] for m in cover})
+        if blocks is not None:
+            break
+    e_flag = blocks is not None
+    blocks = blocks or _match_attributes(masks, K, 2)
     if blocks is None:
         return False, False, None
     used = set(blocks[0]) | set(blocks[1])
-    rest = tuple(j for j in range(q.n_items) if j not in used)
-    e_flag = joint or (bool(rest) and bool((q.entries[list(rest)].sum(axis=0) >= 1).all()))
+    rest = tuple(j for j in range(len(masks)) if j not in used)
     return True, e_flag, (tuple(blocks[0]), tuple(blocks[1]), rest)
 
 
@@ -505,7 +474,7 @@ def _two_item_forms(masks: np.ndarray, K: int) -> _TwoItemForms:
     )
 
 
-def _cover_sets(values: list, K: int, width: int, budget: int = 200_000) -> list:
+def _cover_sets(values: list, K: int, width: int) -> list:
     """Sets of at most ``width`` masks from ``values`` whose union is every
     attribute, every inclusion-minimal one among them: each step adds a
     mask holding the lowest attribute still uncovered."""
@@ -516,14 +485,14 @@ def _cover_sets(values: list, K: int, width: int, budget: int = 200_000) -> list
         if covered == full:
             found.append(chosen)
             return
-        if len(chosen) == width:
+        if len(chosen) >= width:
             return
         lowest = ~covered & (covered + 1)
         for v in values:
             nxt = chosen | {v}
             if v & lowest and nxt not in seen:
                 seen.add(nxt)
-                if len(seen) > budget:
+                if len(seen) > _MAX_COVER_SETS:
                     raise TooLarge("cover enumeration budget exceeded in condition E search")
                 extend(nxt, covered | v)
 
@@ -588,8 +557,7 @@ def _flags(masks: np.ndarray, K: int, hall: bool = True) -> dict:
     if not hall:
         return flags
     if K > _MAX_K_SEARCH:
-        entries = (masks[:, :, None] >> np.arange(K)) & 1
-        gc = np.array([check_generic_completeness(QMatrix(e))[0] for e in entries])
+        gc = np.array([_match_attributes(m, K, 1) is not None for m in masks.tolist()])
         flags.update(generic_complete=gc, D=None, E=None)
     else:
         gc, d, e = _hall(masks, K)

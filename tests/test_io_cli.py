@@ -295,6 +295,25 @@ class TestCli:
         assert all(c["iterations"] >= 1 for c in payload["candidates"])
         assert payload["unconverged"] == sum(not c["converged"] for c in payload["candidates"])
 
+    @pytest.mark.parametrize("items, extra, shapes", [
+        (4, ["--attributes", "3"], "(4, 3) vs (4, 2)"),  # attribute count
+        (5, [], "(5, 2) vs (4, 2)"),  # item count of the responses
+    ])
+    def test_search_shape_mismatch_before_fit(self, tmp_path, capsys, monkeypatch,
+                                              items, extra, shapes):
+        from qident import cli
+
+        qfile, _ = self._write_paired_inputs(tmp_path)
+        data = tmp_path / "responses.csv"
+        data.write_text(",".join(f"item{j + 1}" for j in range(items)) + "\n"
+                        + ",".join("1" * items) + "\n")
+        monkeypatch.setattr(cli, "exhaustive_search", lambda *a, **kw: pytest.fail("fit ran"))
+        assert main(["search", "--model", "dina", "--data", str(data),
+                     "--truth", str(qfile), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: shapes differ: {shapes}\n"
+        assert captured.out == ""
+
     def test_search_stringent_without_eligible_candidate(self, tmp_path, capsys, monkeypatch):
         # the all-ones design as the only candidate, which cannot satisfy
         # the subset order on saturated-model data
@@ -417,3 +436,16 @@ class TestWitnessCli:
                      "--out", str(out), "--dump-table"]) == 2
         assert "J <= 16" in capsys.readouterr().err
         assert not (out / "witness.json").exists()
+
+    @pytest.mark.parametrize("construction, inputs", [
+        ("q24", dict(rows=_PAIRED)),
+        ("gdina-one", dict(rows=[[1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")),
+        ("gdina-two", dict(rows=[[1, 1], [1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")),
+        ("gamma-merge", dict(rows=_MERGE[0], qbar_rows=_MERGE[1])),
+    ])
+    def test_free_rejected_where_ignored(self, tmp_path, capsys, construction, inputs):
+        argv = _witness_inputs(tmp_path, **inputs)
+        assert main(["witness", "--construction", construction, *argv, "--free", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "--free is taken only by constructions 'one-item' and 'scenario-a'" in captured.err
+        assert captured.out == ""

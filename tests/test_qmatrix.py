@@ -167,6 +167,18 @@ class TestConditionsDE:
         d, e, _ = check_conditions_DE(Q3X2_ALL_ONES)
         assert not (d and e)
 
+    def test_repeated_rows_decided_at_once(self):
+        # two items on attribute 1 and 320 on each of the others: the covers
+        # are sets of distinct row masks, not of items, so there is one
+        q = QMatrix.from_rows([[1, 0, 0]] * 2 + [[0, 1, 0]] * 320 + [[0, 0, 1]] * 320)
+        d, e, partition = check_conditions_DE(q)
+        assert d and not e
+        rows1, rows2, _ = partition
+        assert _is_matching(q, rows1) and _is_matching(q, rows2)
+        assert not set(rows1) & set(rows2)
+        flags = classify_gdina(q).condition_flags
+        assert (d, e) == (flags["D"], flags["E"])
+
     def test_de_implies_repetition(self, rng):
         hits = 0
         for _ in range(200):
@@ -434,6 +446,10 @@ class TestBatchedClassifier:
           for family in (incomplete_20x3_family, incomplete_20x5_family)),
         *((q, Scenario.NOT_LOCALLY_GENERIC_A, Scenario.NOT_GENERIC_C_GDINA)
           for pair in (two_item_20x3_pair, two_item_20x5_pair) for q in pair()),
+        # K = 9 and not generically complete: four attributes on three items
+        (QMatrix.from_rows([[1, 1, 1, 1, 0, 0, 0, 0, 0]] * 3
+                           + np.eye(9, dtype=int)[4:].tolist() * 3),
+         Scenario.NOT_LOCALLY_GENERIC_A, Scenario.NOT_GENERIC_GC),
     ])
     def test_edge_cases(self, q, dina, gdina):
         for classify, scenario in ((classify_dina, dina), (classify_gdina, gdina)):
