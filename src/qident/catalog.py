@@ -131,6 +131,7 @@ def equal_effects_theta(q: QMatrix, lo: float = 0.2, hi: float = 0.8) -> np.ndar
 
         theta[j, a] = lo + (hi - lo) * (2^overlap - 1) / (2^m - 1).
     """
-    overlap = (_cells(q)[:, :, None] >> np.arange(q.n_attributes) & 1).sum(axis=2)
+    K = q.n_attributes
+    overlap = (_cells(q.row_masks, K)[:, :, None] >> np.arange(K) & 1).sum(axis=2)
     m = overlap[:, -1:]  # the all-ones pattern holds every required attribute
     return lo + (hi - lo) * (np.exp2(overlap) - 1.0) / np.maximum(np.exp2(m) - 1.0, 1.0)

@@ -38,10 +38,11 @@ from .io import (
 from .qmatrix import (
     Scenario,
     _canonical_codes,
+    _design_rows,
     classify_batch,
     classify_dina,
     classify_gdina,
-    enumerate_canonical,
+    q_equivalent,
     strip_zero_rows,
 )
 from .rlcm import simulate, theta_table
@@ -117,14 +118,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _design_rows(codes: np.ndarray, n_attributes: int) -> list[str]:
-    """Each design of an (N, J) array of row masks as its rows, '0'/'1'
-    strings with attribute 1 first, joined by ';'."""
-    bits = (np.arange(1 << n_attributes)[:, None] >> np.arange(n_attributes)) & 1
-    text = np.array(["".join(map(str, row)) for row in bits.tolist()], dtype=object)
-    return [";".join(rows) for rows in text[codes].tolist()]
-
-
 def cmd_enumerate(args) -> int:
     codes = _canonical_codes(args.items, args.attributes)
     rows = _design_rows(codes, args.attributes)
@@ -196,20 +189,17 @@ def cmd_search(args) -> int:
     if args.counts and first is None:
         raise QidentError("--counts needs --truth to fix the item count")
     data = _load_dataset(args, first.n_items if first else 0)
-    k = args.attributes or (first.n_attributes if first else None)
+    k = args.attributes if args.attributes is not None else (first.n_attributes if first else None)
     if k is None:
         raise QidentError("--attributes (or --truth) is required to enumerate candidates")
     if first is not None and (data.n_items, k) != first.entries.shape:
         raise QidentError(f"shapes differ: {(data.n_items, k)} vs {first.entries.shape}")
-    candidates = enumerate_canonical(data.n_items, k)
     report = exhaustive_search(
-        args.model, data, candidates, restarts=args.restarts,
+        args.model, data, _canonical_codes(data.n_items, k), k, restarts=args.restarts,
         require_stringent=args.stringent, seed=args.seed, tol=args.tol,
     )
     payload = report.to_json_dict()
     if first is not None:
-        from .qmatrix import q_equivalent
-
         payload["truthRows"] = ";".join(first.row_strings())
         payload["truthIsArgmax"] = q_equivalent(report.argmax_q, first)
     _emit(args, payload, "search.json")

@@ -1,7 +1,8 @@
 """Maximum-likelihood estimation and the simulation-evidence harnesses.
 
 One engine runs every expectation-maximization fit on pattern-count data at
-a fixed design matrix.  It holds a batch of fits class-major (fit, class,
+a fixed design matrix, a batch of designs entering as a (B, J) array of row
+masks plus K, the form ``qmatrix.classify_batch`` takes.  It holds a batch of fits class-major (fit, class,
 item), so that a sweep is one matrix product for the E-step and one for the
 closed-form M-step over the whole batch, for every model: a weighted mean
 per (item, cell) of the response table, the cells being capable and not
@@ -22,15 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyData, QidentError, TooLarge, WrongShape
-from .qmatrix import QMatrix, _cells, gamma_matrix
-from .rlcm import (
-    Dataset,
-    DinaParams,
-    monotonicity_violation,
-    simulate,
-    stringent_violation,
-    theta_table,
-)
+from .qmatrix import QMatrix, _cells, _check_masks, _design_rows, _gate
+from .rlcm import Dataset, _order_violations, simulate
 
 __all__ = [
     "FitResult",
@@ -90,14 +84,15 @@ class FitResult:
         return self.stringent_violation <= 0
 
 
-def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
-    J, K = q.n_items, q.n_attributes
+def _random_init(model: str, mask: np.ndarray, K: int, rng: np.random.Generator):
+    """A random start for the design with row masks ``mask`` (J,)."""
+    J = len(mask)
     p = rng.dirichlet(np.ones(1 << K))
     if model in ("dina", "dino"):
         s = rng.uniform(0.05, 0.35, size=J)
         g = rng.uniform(0.05, 0.35, size=J)
-        return theta_table(model, q, DinaParams(s, g)), p
-    cells = _cells(q)
+        return np.where(_gate(mask, K, model), (1.0 - s)[:, None], g[:, None]), p
+    cells = _cells(mask, K)
     theta = np.empty(cells.shape)
     for j in range(J):
         uniq = np.unique(cells[j])
@@ -109,29 +104,32 @@ def _random_init(model: str, q: QMatrix, rng: np.random.Generator):
     return theta, p
 
 
-def _start(model: str, q: QMatrix, data: Dataset, rng, init=None):
-    """Check one fit's inputs and return its clamped start ``(theta, p)``:
-    ``init`` when given, else a random start drawn from ``rng``."""
+def _start(model: str, mask: np.ndarray, K: int, data: Dataset, rng, init=None):
+    """Check one fit's inputs and return its clamped start ``(theta, p)``
+    for the design with row masks ``mask`` (J,): ``init`` when given, else
+    a random start drawn from ``rng``."""
     if model not in ("dina", "dino", "gdina"):
         raise ValueError(f"unknown model {model!r}")
-    if data.n_items != q.n_items:
-        raise WrongShape(
-            f"data has {data.n_items} items but the design has {q.n_items}"
-        )
+    if data.n_items != len(mask):
+        raise WrongShape(f"data has {data.n_items} items but the design has {len(mask)}")
     if data.n_subjects == 0:
         raise EmptyData("no observations")
     if init is not None:
         theta, p = np.array(init[0], float), np.array(init[1], float)
+        if theta.shape != (len(mask), 1 << K) or p.shape != (1 << K,):
+            raise WrongShape(f"init needs theta of shape {(len(mask), 1 << K)} and p of "
+                             f"length {1 << K}, got {theta.shape} and {p.shape}")
     else:
-        theta, p = _random_init(model, q, rng)
+        theta, p = _random_init(model, mask, K, rng)
     theta = np.clip(theta, _CLAMP, 1 - _CLAMP)
     p = np.clip(p, _CLAMP, None)
     p /= p.sum()
     return theta, p
 
 
-def _flip_unit_attributes(theta, p, q):
-    """Canonicalize a two-parameter fit under attribute-flip symmetry.
+def _flip_unit_attributes(theta, p, masks):
+    """Canonicalize a batch of two-parameter fits, theta (B, J, 2^K) and p
+    (B, 2^K) on row masks (B, J), in place under attribute-flip symmetry.
 
     When every item requiring attribute k is a unit row, negating that
     attribute's mastery label (and swapping the affected items' capable and
@@ -139,20 +137,15 @@ def _flip_unit_attributes(theta, p, q):
     representative.  Pick the one where capable beats guessing, which is the
     only representative inside the monotone parameter region.
     """
-    masks = q.row_masks
-    for k in range(q.n_attributes):
+    for k in range(p.shape[1].bit_length() - 1):
         bit = 1 << k
-        users = [j for j in range(q.n_items) if int(masks[j]) & bit]
-        if not users or any(int(masks[j]) != bit for j in users):
-            continue
-        gap = sum(float(theta[j, bit] - theta[j, 0]) for j in users)
-        if gap < 0:
-            flip = np.arange(len(p)) ^ bit
-            p = p[flip]
-            theta = theta.copy()
-            for j in users:
-                theta[j] = theta[j][flip]
-    return theta, p
+        users = (masks & bit) != 0
+        only_units = users.any(axis=1) & ~(users & (masks != bit)).any(axis=1)
+        gap = np.where(users, theta[:, :, bit] - theta[:, :, 0], 0.0).sum(axis=1)
+        flip, fits = np.arange(p.shape[1]) ^ bit, only_units & (gap < 0)
+        p[fits] = p[fits][:, flip]
+        items = fits[:, None] & users
+        theta[items] = theta[items][:, flip]
 
 
 def _observed_loglik(theta, p, XX, W, work):
@@ -175,9 +168,9 @@ def _observed_loglik(theta, p, XX, W, work):
     return loglik, np.multiply(norm, W[:, None, :] / denom, out=log_post).reshape(B * C, -1)
 
 
-def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
-    """Advance one EM fit per design (all of one shape) together and yield
-    the fits in order.
+def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
+    """Advance one EM fit per design, given by its row masks ``masks[b]``
+    over K attributes, together and yield the fits in order.
 
     Fit b weights the shared patterns X (N, J) by ``W[b]`` and starts from
     ``starts[b]``.  A sweep is two GEMMs over the whole batch: the E-step of
@@ -189,14 +182,12 @@ def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
     OpenBLAS rounds a row of a product alike in any batch when the product
     is a multiple of 8 columns wide (``_fit_all`` pads the patterns, the
     M-step pads [X | 1]) and sums at most 256 terms.  Without ``paths`` no
-    loglik path is kept.
+    loglik path is kept.  The attribute-flip canonicalization and the order
+    checks run once over the whole batch.
     """
-    B, (J, C), N = len(designs), starts[0][0].shape, len(X)
+    (B, J), C, N = masks.shape, 1 << K, len(X)
     theta, p = np.stack([t.T for t, _ in starts]), np.stack([a for _, a in starts])
-    labels = np.stack([
-        _cells(q) if model == "gdina" else gamma_matrix(q, model).astype(bool)
-        for q in designs
-    ])
+    labels = _cells(masks, K) if model == "gdina" else _gate(masks, K, model)
     # the M-step pools theta[j, a] over the classes sharing its label, so
     # (fit, item, label) flattens into one bin, and the class mass pools in
     # a second copy of the bins
@@ -236,18 +227,17 @@ def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
 
     theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
     if model != "gdina":
-        for b, q in enumerate(designs):
-            theta[b], p[b] = _flip_unit_attributes(theta[b], p[b], q)
-        gate = labels.astype(bool)
+        _flip_unit_attributes(theta, p, masks)
+        gate = labels
         c = np.where(gate.any(axis=2), np.where(gate, theta, -np.inf).max(axis=2), theta[:, :, 0])
         g = np.where((~gate).any(axis=2), np.where(gate, np.inf, theta).min(axis=2), theta[:, :, 0])
+    mono, stringent = _order_violations(theta, masks)
     final, _ = _observed_loglik(out_theta, p, XX, W, work)
     if paths:
         order = np.argsort(np.concatenate([a for a, _ in trail]), kind="stable")
         sweeps = np.split(np.concatenate([v for _, v in trail])[order], np.cumsum(iterations)[:-1])
 
-    for b, q in enumerate(designs):
-        mono = monotonicity_violation(theta[b], q)
+    for b in range(B):
         yield FitResult(
             model=model,
             loglik=float(final[b]),
@@ -257,23 +247,23 @@ def _em_batch(model, designs, X, W, starts, tol, max_iter, paths):
             p=p[b].copy(),
             iterations=int(iterations[b]),
             converged=bool(converged[b]),
-            monotonicity_violation=mono if mono > -np.inf else 0.0,
-            stringent_violation=max(0.0, stringent_violation(theta[b], q)),
+            monotonicity_violation=float(mono[b]) if mono[b] > -np.inf else 0.0,
+            stringent_violation=max(0.0, float(stringent[b])),
             loglik_path=np.append(sweeps[b], final[b]) if paths else None,
         )
 
 
-def _fit_all(model, designs, datasets, starts, tol, max_iter, paths=False):
-    """EM fits of ``designs[b]`` on ``datasets[b]`` from ``starts[b]``,
-    yielded in order, run in batches of one shape over the sorted union of
-    the datasets' patterns.
+def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
+    """EM fits of the design with row masks ``masks[b]`` over K attributes
+    on ``datasets[b]`` from ``starts[b]``, yielded in order, run in batches
+    over the sorted union of the datasets' patterns.
 
     Each fit weights the patterns it did not observe by zero.  Such rows add
     exact zeros to the E- and M-step sums, but the loglik dot then sums in
     another order: a fit among datasets with other patterns may differ from
     the fit alone in the last bits of its loglik.
     """
-    if not designs:
+    if not len(masks):
         return
     patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
     # zero-weight all-zero patterns pad N to a multiple of 8 (see _em_batch)
@@ -282,11 +272,11 @@ def _fit_all(model, designs, datasets, starts, tol, max_iter, paths=False):
         W[b, np.searchsorted(patterns, d.patterns)] = d.counts
     X = np.zeros((W.shape[1], datasets[0].n_items))
     X[: len(patterns)] = (patterns[:, None] >> np.arange(datasets[0].n_items)) & 1
-    size = max(1, _BATCH_CELLS // (W.shape[1] << designs[0].n_attributes))
-    for lo in range(0, len(designs), size):
+    size = max(1, _BATCH_CELLS // (W.shape[1] << K))
+    for lo in range(0, len(masks), size):
         batch = slice(lo, lo + size)
         yield from _em_batch(
-            model, designs[batch], X, W[batch], starts[batch], tol, max_iter, paths
+            model, masks[batch], K, X, W[batch], starts[batch], tol, max_iter, paths
         )
 
 
@@ -295,12 +285,13 @@ def _best(fits):
     return max(fits, key=lambda fit: fit.loglik)
 
 
-def _restart_starts(model, q, data, seed, restarts):
+def _restart_starts(model, mask, K, data, seed, restarts):
     """Random starts of ``restarts`` EM runs, one child of ``seed`` each."""
     if restarts < 1:
         raise QidentError(f"restarts must be at least 1, got {restarts}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [_start(model, q, data, np.random.default_rng(child)) for child in seq.spawn(restarts)]
+    return [_start(model, mask, K, data, np.random.default_rng(child))
+            for child in seq.spawn(restarts)]
 
 
 def em_fit(
@@ -322,8 +313,9 @@ def em_fit(
     drops below ``tol`` or after ``max_iter`` sweeps.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    start = _start(model, q, data, rng, init)
-    return next(_fit_all(model, [q], [data], [start], tol, max_iter, paths=True))
+    start = _start(model, q.row_masks, q.n_attributes, data, rng, init)
+    return next(_fit_all(model, q.row_masks[None], q.n_attributes, [data], [start], tol,
+                         max_iter, paths=True))
 
 
 def multistart_fit(
@@ -337,20 +329,22 @@ def multistart_fit(
 ) -> FitResult:
     """Best-of-``restarts`` EM runs by log-likelihood, deterministic in the
     seed; the restarts run as one batch."""
-    starts = _restart_starts(model, q, data, seed, restarts)
-    fits = _fit_all(model, [q] * restarts, [data] * restarts, starts, tol, max_iter, paths=True)
-    return _best(fits)
+    K = q.n_attributes
+    starts = _restart_starts(model, q.row_masks, K, data, seed, restarts)
+    masks = np.broadcast_to(q.row_masks, (restarts, q.n_items))
+    return _best(_fit_all(model, masks, K, [data] * restarts, starts, tol, max_iter, paths=True))
 
 
 @dataclass
 class SearchEntry:
+    """The best fit of one candidate design, given by its row masks."""
+
     index: int
-    q: QMatrix
+    masks: np.ndarray
     loglik: float
     stringent_ok: bool
     converged: bool
     iterations: int = 0
-    error: str | None = None
 
 
 @dataclass
@@ -358,6 +352,7 @@ class SearchReport:
     """Per-candidate results of an exhaustive design sweep."""
 
     model: str
+    n_attributes: int
     entries: list[SearchEntry]
     argmax_index: int
     gap_to_runner_up: float
@@ -365,14 +360,16 @@ class SearchReport:
 
     @property
     def argmax_q(self) -> QMatrix:
-        return next(e.q for e in self.entries if e.index == self.argmax_index)
+        masks = self.entries[self.argmax_index].masks
+        return QMatrix((masks[:, None] >> np.arange(self.n_attributes)) & 1)
 
     @property
     def unconverged(self) -> int:
-        """Fitted candidates whose best fit stopped at ``max_iter``."""
-        return sum(e.error is None and not e.converged for e in self.entries)
+        """Candidates whose best fit stopped at ``max_iter``."""
+        return sum(not e.converged for e in self.entries)
 
     def to_json_dict(self) -> dict:
+        rows = _design_rows(np.array([e.masks for e in self.entries]), self.n_attributes)
         return {
             "model": self.model,
             "requireStringent": self.require_stringent,
@@ -382,14 +379,14 @@ class SearchReport:
             "candidates": [
                 {
                     "index": e.index,
-                    "rows": ";".join(e.q.row_strings()),
+                    "rows": text,
                     "loglik": e.loglik,
                     "stringentOk": e.stringent_ok,
                     "converged": e.converged,
                     "iterations": e.iterations,
-                    "error": e.error,
+                    "error": None,  # kept for report readers: no candidate fails on its own
                 }
-                for e in self.entries
+                for e, text in zip(self.entries, rows)
             ],
         }
 
@@ -397,7 +394,8 @@ class SearchReport:
 def exhaustive_search(
     model: str,
     data: Dataset,
-    candidates: list[QMatrix],
+    candidates: np.ndarray,
+    n_attributes: int,
     restarts: int = 10,
     require_stringent: bool = False,
     seed: int = 0,
@@ -406,51 +404,39 @@ def exhaustive_search(
 ) -> SearchReport:
     """Fit every candidate design and report which maximizes the likelihood.
 
-    With ``require_stringent`` the argmax is taken only over candidates whose
-    fitted table satisfies the subset order (the rest stay in the report but
-    are excluded from the argmax).  A candidate whose inputs raise a domain
-    error (:class:`QidentError`) is recorded per candidate without aborting
-    the sweep; any other exception propagates.  Exact ties break toward
-    fewer ones in the design, then lexicographically.  When no candidate
-    can be fit (or none is given) the sweep raises :class:`QidentError`
-    quoting the first candidate's error, and with ``require_stringent`` it
-    raises when no fitted candidate satisfies the subset order.
+    ``candidates`` is an (N, J) int64 array of row masks over
+    ``n_attributes`` attributes, one design per row, as ``classify_batch``
+    takes.  With ``require_stringent`` the argmax is taken only over
+    candidates whose fitted table satisfies the subset order (the rest stay
+    in the report but are excluded from the argmax), and the sweep raises
+    :class:`QidentError` when none does.  Exact ties break toward fewer ones
+    in the design, then lexicographically.  Inputs that fail one candidate
+    (an item count other than the data's, empty data) fail them all, so
+    they raise before any fit.
 
-    Candidates x restarts run as one EM batch per design shape.  The
-    restarts of candidate ``i`` are seeded from ``(seed, i)``, so a
-    candidate's entry does not depend on the rest of the list.
+    Candidates x restarts run as one EM batch.  The restarts of candidate
+    ``i`` are seeded from ``(seed, i)``, so a candidate's entry does not
+    depend on the rest of the list.
     """
-    entries, batches = [None] * len(candidates), {}
-    for idx, cand in enumerate(candidates):
-        try:
-            starts = _restart_starts(model, cand, data, [seed, idx], restarts)
-        except QidentError as exc:
-            entries[idx] = SearchEntry(
-                idx, cand, -np.inf, stringent_ok=False, converged=False, error=str(exc))
-            continue
-        batches.setdefault(cand.n_attributes, []).append((idx, starts))
-    for batch in batches.values():
-        designs = [candidates[idx] for idx, _ in batch for _ in range(restarts)]
-        starts = [start for _, group in batch for start in group]
-        fits = _fit_all(model, designs, [data] * len(designs), starts, tol, max_iter)
-        for idx, _ in batch:
-            fit = _best(itertools.islice(fits, restarts))
-            entries[idx] = SearchEntry(
-                idx, candidates[idx], fit.loglik, fit.stringent_ok, fit.converged, fit.iterations
-            )
-    fitted = [e for e in entries if e.error is None]
-    if not fitted:
-        reason = entries[0].error if entries else "no candidates given"
-        raise QidentError(f"no candidate design could be fit: {reason}")
-    eligible = [e for e in fitted if not require_stringent or e.stringent_ok]
+    masks, K = _check_masks(candidates, n_attributes), n_attributes
+    if not len(masks):
+        raise QidentError("no candidates given")
+    starts = [start for idx, mask in enumerate(masks)
+              for start in _restart_starts(model, mask, K, data, [seed, idx], restarts)]
+    fits = _fit_all(model, np.repeat(masks, restarts, axis=0), K, [data] * len(starts), starts,
+                    tol, max_iter)
+    best = [_best(itertools.islice(fits, restarts)) for _ in masks]
+    entries = [SearchEntry(idx, mask, fit.loglik, fit.stringent_ok, fit.converged, fit.iterations)
+               for idx, (mask, fit) in enumerate(zip(masks, best))]
+    eligible = [e for e in entries if not require_stringent or e.stringent_ok]
     if not eligible:
         raise QidentError("no fitted candidate satisfies the subset order")
 
-    ranked = sorted(
-        eligible, key=lambda e: (-e.loglik, int(e.q.entries.sum()), e.q.entries.tobytes())
-    )
+    bits = ((masks[:, :, None] >> np.arange(K)) & 1).astype(np.int8)
+    ranked = sorted(eligible, key=lambda e: (
+        -e.loglik, int(bits[e.index].sum()), bits[e.index].tobytes()))
     gap = float(ranked[0].loglik - ranked[1].loglik) if len(ranked) > 1 else float("inf")
-    return SearchReport(model, entries, ranked[0].index, gap, require_stringent)
+    return SearchReport(model, K, entries, ranked[0].index, gap, require_stringent)
 
 
 def _bit_permutation_table(perm, K: int) -> np.ndarray:
@@ -549,9 +535,11 @@ def mse_experiment(
                 data = simulate(model, q, params, truth["p"], int(n), seed=stream)
                 datasets += [data] * restarts
                 starts += _restart_starts(
-                    model, q, data, int(stream.integers(2**31)), restarts
+                    model, q.row_masks, q.n_attributes, data, int(stream.integers(2**31)),
+                    restarts
                 )
-    fits = _fit_all(model, [q] * len(starts), datasets, starts, tol, max_iter)
+    masks = np.broadcast_to(q.row_masks, (len(starts), q.n_items))
+    fits = _fit_all(model, masks, q.n_attributes, datasets, starts, tol, max_iter)
     for idx, n, truth in cells:
         errs = np.zeros(3)
         unconverged = 0

@@ -208,11 +208,23 @@ class IdentifiabilityVerdict:
         }
 
 
-def _cells(q: QMatrix) -> np.ndarray:
-    """The (J, 2^K) map from (item, pattern) to the response-table cell the
-    item reads: the pattern restricted to the item's required attributes,
-    a & row_mask[j].  A saturated table is constant on each cell."""
-    return np.arange(1 << q.n_attributes, dtype=np.int64)[None, :] & q.row_masks[:, None]
+def _cells(masks: np.ndarray, K: int) -> np.ndarray:
+    """The (..., J, 2^K) map from (item, pattern) to the response-table cell
+    the item reads, for row masks of shape (..., J): the pattern restricted
+    to the item's required attributes, a & row_mask[j].  A saturated table
+    is constant on each cell."""
+    return np.arange(1 << K, dtype=np.int64) & np.asarray(masks)[..., None]
+
+
+def _gate(masks: np.ndarray, K: int, model: str) -> np.ndarray:
+    """Capable-subject gate of the two-parameter models, True where pattern
+    a makes item j capable, of shape (..., J, 2^K) for row masks (..., J)."""
+    cells = _cells(masks, K)
+    if model == "dina":
+        return cells == np.asarray(masks)[..., None]
+    if model == "dino":
+        return cells != 0
+    raise ValueError(f"unknown model {model!r}")
 
 
 def gamma_matrix(q: QMatrix, model: str = "dina") -> np.ndarray:
@@ -225,12 +237,7 @@ def gamma_matrix(q: QMatrix, model: str = "dina") -> np.ndarray:
     required attribute, so a zero row is never capable.  Columns are indexed
     by attribute-pattern bit masks.
     """
-    cells = _cells(q)
-    if model == "dina":
-        return (cells == q.row_masks[:, None]).astype(np.uint8)
-    if model == "dino":
-        return (cells != 0).astype(np.uint8)
-    raise ValueError(f"unknown model {model!r}")
+    return _gate(q.row_masks, q.n_attributes, model).astype(np.uint8)
 
 
 def strip_zero_rows(q: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -411,6 +418,24 @@ def _required_by(q: QMatrix, count: int) -> list[tuple[int, list[int]]]:
 
 # The batched kernels below take an (N, J) int64 array of row masks, one
 # design per row, all with K attributes, and return one value per design.
+
+
+def _check_masks(masks, K: int) -> np.ndarray:
+    """``masks`` as an (N, J) int64 array of row masks; raises
+    :class:`WrongShape` unless it is 2-d and every mask lies in [0, 2^K)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.ndim != 2 or K < 1 or not ((masks >= 0) & (masks < 1 << K)).all():
+        raise WrongShape(f"expected an (N, J) array of row masks in [0, 2^K) with K >= 1, "
+                         f"got shape {masks.shape} and K = {K}")
+    return masks
+
+
+def _design_rows(masks: np.ndarray, n_attributes: int) -> list[str]:
+    """Each design of an (N, J) array of row masks as its rows, '0'/'1'
+    strings with attribute 1 first, joined by ';'."""
+    bits = (np.arange(1 << n_attributes)[:, None] >> np.arange(n_attributes)) & 1
+    text = np.array(["".join(map(str, row)) for row in bits.tolist()], dtype=object)
+    return [";".join(rows) for rows in text[masks].tolist()]
 
 
 def _column_sums(masks: np.ndarray, K: int) -> np.ndarray:
@@ -709,7 +734,7 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     are computed (A, B and C for DINA)."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = _check_masks(masks, n_attributes)
     if (masks == 0).any():
         raise HasZeroRows("strip zero rows before classifying")
     _, decide, rules = _MODELS[model]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalCoefficient, TooLarge, WrongShape
+from .errors import IllegalCoefficient, QidentError, TooLarge, WrongShape
 from .qmatrix import QMatrix, _cells, gamma_matrix
 from .tmatrix import _split_product, shift_matrix
 
@@ -137,7 +137,8 @@ class GdinaParams:
         if self.theta.shape != (q.n_items, 1 << q.n_attributes):
             raise WrongShape("theta shape does not match the Q-matrix")
         # equality: theta depends on a only through a & mask
-        varies = (np.take_along_axis(self.theta, _cells(q), 1) != self.theta).any(axis=1)
+        cells = _cells(q.row_masks, q.n_attributes)
+        varies = (np.take_along_axis(self.theta, cells, 1) != self.theta).any(axis=1)
         if varies.any():
             j = int(np.argmax(varies))
             raise ValueError(f"item {j + 1}: theta varies with non-required attributes")
@@ -162,19 +163,30 @@ def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
     return np.where(gate, params.c[:, None], params.g[:, None])
 
 
+def _order_violations(theta: np.ndarray, masks: np.ndarray):
+    """``monotonicity_violation`` and ``stringent_violation`` of a batch of
+    response tables, theta (B, J, 2^K) on row masks (B, J), as two (B,)
+    arrays.  A zero row has no non-covering pattern, so its gap is -inf."""
+    pats = np.arange(theta.shape[-1], dtype=np.int64)
+    cells = _cells(masks, len(pats).bit_length() - 1)
+    covers = cells == masks[..., None]
+    worst_non = np.where(covers, -np.inf, theta).max(axis=-1)
+    mono = (worst_non - np.where(covers, theta, np.inf).min(axis=-1)).max(axis=-1)
+    below = (pats[:, None] & pats[None, :]) == pats[None, :]  # below[a, b]: b within a
+    np.fill_diagonal(below, False)
+    inside = cells == pats  # pattern within item j's row
+    pairs = below & inside[..., :, None] & inside[..., None, :]
+    excess = np.where(pairs, theta[..., None, :] - theta[..., :, None], -np.inf)
+    return mono, excess.reshape(len(excess), -1).max(axis=1)
+
+
 def monotonicity_violation(theta: np.ndarray, q: QMatrix) -> float:
     """Largest excess of a non-covering over a covering pattern's response
     probability, over the items with a nonzero row; -inf when there is none.
 
     Negative means covering patterns answer strictly better, zero is a tie.
     """
-    covers = gamma_matrix(q).astype(bool)
-    rows = q.row_masks != 0
-    if not rows.any():
-        return -np.inf
-    worst_non = np.where(covers, -np.inf, theta)[rows].max(axis=1)
-    best_cap = np.where(covers, theta, np.inf)[rows].min(axis=1)
-    return float((worst_non - best_cap).max())
+    return float(_order_violations(np.asarray(theta)[None], q.row_masks[None])[0][0])
 
 
 def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
@@ -184,14 +196,7 @@ def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
 
     Negative means strict increase along the order, zero is a tie.
     """
-    pats = np.arange(theta.shape[1], dtype=np.int64)
-    below = (pats[:, None] & pats[None, :]) == pats[None, :]  # below[a, b]: b within a
-    np.fill_diagonal(below, False)
-    inside = _cells(q) == pats  # pattern within item j's row
-    pairs = below[None] & inside[:, :, None] & inside[:, None, :]
-    if not pairs.any():
-        return -np.inf
-    return float((theta[:, None, :] - theta[:, :, None])[pairs].max())
+    return float(_order_violations(np.asarray(theta)[None], q.row_masks[None])[1][0])
 
 
 def monotonicity_ok(theta: np.ndarray, q: QMatrix) -> bool:
@@ -232,7 +237,7 @@ def theta_to_beta(params: GdinaParams | np.ndarray, q: QMatrix) -> list[dict]:
     subsets of its row."""
     theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
     beta = theta @ shift_matrix(np.ones(q.n_attributes)).T
-    subsets = _cells(q) == np.arange(theta.shape[1])
+    subsets = _cells(q.row_masks, q.n_attributes) == np.arange(theta.shape[1])
     return [
         {int(s): beta[j, s] for s in np.flatnonzero(subsets[j])}
         for j in range(q.n_items)
@@ -320,6 +325,10 @@ def simulate(model: str, q: QMatrix, params, p, n: int, seed=None) -> Dataset:
     """
     theta = theta_table(model, q, params)
     pvec = np.asarray(p, float)
+    if pvec.shape != (theta.shape[1],):
+        raise WrongShape(f"p has {pvec.size} entries but the design has {theta.shape[1]} patterns")
+    if n < 0:
+        raise QidentError(f"the number of subjects must be nonnegative, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n == 0:
         return Dataset(q.n_items, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

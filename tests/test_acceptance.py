@@ -45,6 +45,7 @@ from qident.catalog import (
 )
 from qident.errors import ConstraintHolds
 from qident.estimate import em_fit, exhaustive_search, mse_experiment, spearman
+from qident.qmatrix import _canonical_codes
 from qident.rlcm import response_distribution, theta_table
 from qident.tmatrix import build_t, shift_matrix, shift_t
 from qident.witness import (
@@ -188,7 +189,7 @@ def _search_replications(truth, n_reps, seed_base, candidates):
         p = rng.dirichlet(np.full(4, 3.0))
         data = simulate("dina", truth, params, p, 10_000, seed=rng)
         report = exhaustive_search(
-            "dina", data, candidates,
+            "dina", data, candidates, 2,
             restarts=3, seed=seed_base + rep, tol=1e-6, max_iter=300,
         )
         if q_equivalent(report.argmax_q, truth):
@@ -199,7 +200,7 @@ def _search_replications(truth, n_reps, seed_base, candidates):
 def test_criterion_5_exhaustive_search():
     """Identifiable truths win the 121-candidate sweep; a deficient one loses."""
     start = time.perf_counter()
-    candidates = enumerate_canonical(5, 2)
+    candidates = _canonical_codes(5, 2)
     wins_single = _search_replications(Q5X2_SINGLE_IDENTITY, 10, 41_000, candidates)
     wins_paired = _search_replications(Q5X2_PAIRED_PLUS_ONE, 10, 42_000, candidates)
     wins_lonely = _search_replications(Q5X2_LONELY_ATTRIBUTE, 10, 43_000, candidates)

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import DinaParams, QMatrix, enumerate_canonical, q_equivalent, simulate
+from qident import (
+    DinaParams,
+    QMatrix,
+    classify_batch,
+    enumerate_canonical,
+    q_equivalent,
+    simulate,
+)
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
 from qident.errors import EmptyData, QidentError, TooLarge, WrongShape
 from qident.estimate import (
     _BATCH_CELLS,
     _fit_all,
+    _flip_unit_attributes,
     _start,
     align_to_truth,
     em_fit,
@@ -127,6 +135,13 @@ class TestEmFit:
         with pytest.raises(EmptyData):
             em_fit("dina", Q4X2_PAIRED, data)
 
+    @pytest.mark.parametrize("theta_shape, p_len", [((4, 3), 4), ((3, 4), 4), ((4, 4), 8)])
+    def test_init_shape_checked(self, rng, theta_shape, p_len):
+        _, _, data = _simulated(rng, Q4X2_PAIRED, n=100, seed=5)
+        init = (np.full(theta_shape, 0.5), np.full(p_len, 1 / p_len))
+        with pytest.raises(WrongShape, match="init needs theta of shape"):
+            em_fit("dina", Q4X2_PAIRED, data, init=init)
+
     def test_gdina_fit(self, rng):
         from qident.catalog import equal_effects_theta
 
@@ -137,6 +152,11 @@ class TestEmFit:
         fit = multistart_fit("gdina", q, data, restarts=4, seed=7)
         assert np.abs(fit.theta - theta).max() < 0.05
         assert (np.diff(fit.loglik_path) > -1e-9).all()
+
+
+def _masks(designs):
+    """The designs as an (N, J) array of row masks."""
+    return np.array([q.row_masks for q in designs])
 
 
 def _same_fit(a, b):
@@ -156,9 +176,11 @@ class TestBatchEngine:
 
     @staticmethod
     def _batch(model, designs, data, seeds, max_iter, tol=1e-6):
-        starts = [_start(model, q, data, np.random.default_rng(s)) for q, s in zip(designs, seeds)]
-        return list(_fit_all(model, designs, [data] * len(designs), starts, tol, max_iter,
-                             paths=True))
+        K = designs[0].n_attributes
+        starts = [_start(model, q.row_masks, K, data, np.random.default_rng(s))
+                  for q, s in zip(designs, seeds)]
+        return list(_fit_all(model, _masks(designs), K, [data] * len(designs), starts, tol,
+                             max_iter, paths=True))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,6 +279,59 @@ class TestBatchEngine:
             assert fit.loglik == pytest.approx(exact, rel=1e-10)
 
 
+def _flip_one(theta, p, masks):
+    """Reference: the attribute-flip canonicalization of one fit, item by
+    item in Python."""
+    for k in range(len(p).bit_length() - 1):
+        bit = 1 << k
+        users = [j for j in range(len(masks)) if int(masks[j]) & bit]
+        if not users or any(int(masks[j]) != bit for j in users):
+            continue
+        gap = sum(float(theta[j, bit] - theta[j, 0]) for j in users)
+        if gap < 0:
+            flip = np.arange(len(p)) ^ bit
+            p = p[flip]
+            theta = theta.copy()
+            for j in users:
+                theta[j] = theta[j][flip]
+    return theta, p
+
+
+def test_flip_batch_matches_per_design_reference(rng):
+    # designs where the flip can fire (every item of each attribute a unit
+    # row; the paired 4 x 2 design plus an item requiring nothing) mixed
+    # with one where it never fires
+    paired = np.append(Q4X2_PAIRED.row_masks, 0)
+    masks = np.array([paired, Q5X2_SINGLE_IDENTITY.row_masks] * 20)
+    theta = rng.uniform(0.05, 0.95, size=(len(masks), 5, 4))
+    p = rng.dirichlet(np.ones(4), size=len(masks))
+    want = [_flip_one(t, a, m) for t, a, m in zip(theta, p, masks)]
+    got_theta, got_p = theta.copy(), p.copy()
+    _flip_unit_attributes(got_theta, got_p, masks)
+    for b, (t, a) in enumerate(want):
+        assert got_theta[b].tobytes() == t.tobytes() and got_p[b].tobytes() == a.tobytes()
+    changed = (got_p != p).any(axis=1)
+    assert changed[::2].any() and not changed[1::2].any()
+
+
+@pytest.mark.parametrize("masks, K", [
+    (np.array([[1, 2, 8]]), 2),  # a bit the design does not have
+    (np.array([[1, 2, 4, 3, 5]]), 2),
+    (np.array([[-1, 1, 2]]), 2),
+    (np.array([1, 2, 3]), 2),  # one design, not a batch
+    (np.ones((1, 2, 3), dtype=np.int64), 2),
+    (np.array([[1, 1, 1]]), 0),
+])
+@pytest.mark.parametrize("entry", ["classify_batch", "exhaustive_search"])
+def test_bulk_masks_checked(masks, K, entry):
+    with pytest.raises(WrongShape, match=r"row masks in \[0, 2\^K\)"):
+        if entry == "classify_batch":
+            classify_batch(masks, K, "gdina")
+        else:
+            data = Dataset(masks.shape[-1], np.array([0]), np.array([1]))
+            exhaustive_search("dina", data, masks, K, restarts=1)
+
+
 class TestMultistart:
     def test_single_restart_reduces_to_em(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=8)
@@ -280,7 +355,7 @@ class TestMultistart:
             with pytest.raises(QidentError, match="restarts must be at least 1"):
                 multistart_fit("dina", Q4X2_PAIRED, data, restarts=restarts)
             with pytest.raises(QidentError, match="restarts must be at least 1"):
-                exhaustive_search("dina", data, [Q4X2_PAIRED], restarts=restarts)
+                exhaustive_search("dina", data, _masks([Q4X2_PAIRED]), 2, restarts=restarts)
 
     def test_deterministic(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=13)
@@ -300,8 +375,9 @@ class TestSearch:
             QMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 1], [1, 1]]),
             QMatrix.from_rows([[1, 1], [1, 1], [1, 1], [1, 1], [1, 1]]),
         ]
-        report = exhaustive_search("dina", data, candidates, restarts=3, seed=15)
-        report2 = exhaustive_search("dina", data, candidates[::-1], restarts=3, seed=15)
+        report = exhaustive_search("dina", data, _masks(candidates), 2, restarts=3, seed=15)
+        report2 = exhaustive_search("dina", data, _masks(candidates[::-1]), 2, restarts=3,
+                                    seed=15)
         assert q_equivalent(report.argmax_q, report2.argmax_q)
 
     def test_truth_wins_at_scale(self, rng):
@@ -312,36 +388,35 @@ class TestSearch:
             QMatrix.from_rows([[0, 1], [1, 0], [1, 1], [1, 0], [0, 1]]),
             QMatrix.from_rows([[1, 1], [1, 1], [1, 1], [1, 1], [1, 1]]),
         ]
-        report = exhaustive_search("dina", data, [q] + rivals, restarts=4, seed=17)
+        report = exhaustive_search("dina", data, _masks([q] + rivals), 2, restarts=4, seed=17)
         assert report.argmax_index == 0
         # fitting the truth from the true parameters dominates every rival fit
         oracle = em_fit("dina", q, data, init=(theta_table("dina", q, params), p))
         for entry in report.entries[1:]:
             assert oracle.loglik >= entry.loglik - 1e-6
 
-    def test_error_entries_recorded(self, rng):
-        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=500, seed=18)
-        candidates = [Q5X2_SINGLE_IDENTITY, Q4X2_PAIRED]  # second has wrong J
-        report = exhaustive_search("dina", data, candidates, restarts=2, seed=19)
-        assert report.entries[1].error is not None
-        assert report.argmax_index == 0
-
     def test_no_fittable_candidate_raises(self, rng):
+        # candidates share one shape, so a wrong item count fails them all
+        # before any fit
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
         for candidates in ([Q4X2_PAIRED, Q4X2_PAIRED], [Q4X2_PAIRED]):
-            with pytest.raises(QidentError, match="no candidate.*has 5 items but the design has 4"):
-                exhaustive_search("dina", data, candidates, restarts=1, seed=19)
+            with pytest.raises(WrongShape, match="has 5 items but the design has 4"):
+                exhaustive_search("dina", data, _masks(candidates), 2, restarts=1, seed=19)
+        empty = Dataset(5, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        with pytest.raises(EmptyData):
+            exhaustive_search("dina", empty, _masks([Q5X2_SINGLE_IDENTITY]), 2, restarts=1)
 
     def test_empty_candidate_list_raises(self, rng):
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
         with pytest.raises(QidentError, match="no candidates given"):
-            exhaustive_search("dina", data, [], restarts=1, seed=19)
+            exhaustive_search("dina", data, np.empty((0, 5), dtype=np.int64), 2, restarts=1,
+                              seed=19)
 
     def test_programming_errors_propagate(self, rng):
-        # only domain errors become per-candidate entries
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=200, seed=18)
         with pytest.raises(ValueError, match="unknown model"):
-            exhaustive_search("xyz", data, [Q5X2_SINGLE_IDENTITY], restarts=1, seed=19)
+            exhaustive_search("xyz", data, _masks([Q5X2_SINGLE_IDENTITY]), 2, restarts=1,
+                              seed=19)
 
     def test_stringent_without_eligible_candidate_raises(self):
         # the all-ones design nests the saturated model; its fit ties or
@@ -350,26 +425,25 @@ class TestSearch:
 
         q = Q5X2_SINGLE_IDENTITY
         data = simulate("gdina", q, equal_effects_theta(q), np.full(4, 0.25), 10_000, seed=0)
-        ones = [QMatrix.from_rows([[1, 1]] * 5)]
+        ones = np.full((1, 5), 3)
         kwargs = dict(restarts=3, seed=25, tol=1e-6, max_iter=400)
-        assert not exhaustive_search("gdina", data, ones, **kwargs).entries[0].stringent_ok
+        assert not exhaustive_search("gdina", data, ones, 2, **kwargs).entries[0].stringent_ok
         with pytest.raises(QidentError, match="no fitted candidate satisfies the subset order"):
-            exhaustive_search("gdina", data, ones, require_stringent=True, **kwargs)
+            exhaustive_search("gdina", data, ones, 2, require_stringent=True, **kwargs)
 
     def test_reports_iterations_and_unconverged(self, rng):
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=2000, seed=18)
-        candidates = [Q5X2_SINGLE_IDENTITY, Q4X2_PAIRED, QMatrix.from_rows([[1, 1]] * 5)]
-        report = exhaustive_search("dina", data, candidates, restarts=2, seed=19, max_iter=25)
-        fitted = [e for e in report.entries if e.error is None]
-        assert [e.iterations for e in report.entries] == [
-            fitted[0].iterations, 0, fitted[1].iterations]
-        assert all(1 <= e.iterations <= 25 for e in fitted)
-        assert all(e.converged == (e.iterations < 25) for e in fitted)
-        assert report.unconverged == sum(not e.converged for e in fitted)
+        candidates = _masks([Q5X2_SINGLE_IDENTITY, QMatrix.from_rows([[1, 1]] * 5)])
+        report = exhaustive_search("dina", data, candidates, 2, restarts=2, seed=19, max_iter=25)
+        assert all(1 <= e.iterations <= 25 for e in report.entries)
+        assert all(e.converged == (e.iterations < 25) for e in report.entries)
+        assert report.unconverged == sum(not e.converged for e in report.entries)
         payload = report.to_json_dict()
         assert payload["unconverged"] == report.unconverged
         assert [c["iterations"] for c in payload["candidates"]] == [
             e.iterations for e in report.entries]
+        assert [c["rows"] for c in payload["candidates"]] == [
+            ";".join(q.row_strings()) for q in (Q5X2_SINGLE_IDENTITY, QMatrix([[1, 1]] * 5))]
 
     def test_stringent_filter_gdina(self):
         # entrywise supersets nest the saturated model, so unfiltered sweeps
@@ -387,9 +461,9 @@ class TestSearch:
             QMatrix.from_rows([[1, 1], [1, 1], [1, 1], [1, 1], [1, 1]]),
         ]
         kwargs = dict(restarts=3, seed=25, tol=1e-6, max_iter=400)
-        unfiltered = exhaustive_search("gdina", data, candidates, **kwargs)
+        unfiltered = exhaustive_search("gdina", data, _masks(candidates), 2, **kwargs)
         filtered = exhaustive_search(
-            "gdina", data, candidates, require_stringent=True, **kwargs
+            "gdina", data, _masks(candidates), 2, require_stringent=True, **kwargs
         )
         assert unfiltered.argmax_index == 2  # the all-ones superset
         assert not unfiltered.entries[2].stringent_ok

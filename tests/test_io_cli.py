@@ -225,6 +225,21 @@ class TestCli:
         assert len(text) == 1  # header only
         capsys.readouterr()
 
+    @pytest.mark.parametrize("p, n, message", [
+        ([0.5, 0.5], "10", "p has 2 entries but the design has 4 patterns"),
+        ([0.125] * 8, "10", "p has 8 entries but the design has 4 patterns"),
+        ([0.25] * 4, "-5", "the number of subjects must be nonnegative, got -5"),
+    ])
+    def test_simulate_bad_inputs_exit_2(self, tmp_path, capsys, p, n, message):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        save_params_json(params, "dina", DinaParams(np.full(4, 0.2), np.full(4, 0.2)),
+                         np.array(p))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--q", str(qfile), "--params", str(params),
+                     "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "dataset.csv").exists()
+
     def test_witness_q24(self, tmp_path, capsys):
         _, params = self._write_paired_inputs(tmp_path)
         assert main([
@@ -265,6 +280,7 @@ class TestCli:
         assert (out_a / "dataset.csv").read_bytes() == (out_b / "dataset.csv").read_bytes()
 
     def test_search_without_fittable_candidate(self, tmp_path, capsys):
+        # empty data fails every candidate alike, so the sweep raises first
         qfile, _ = self._write_paired_inputs(tmp_path)
         counts = tmp_path / "counts.csv"
         counts.write_text("pattern_bits,count\n0,0\n")
@@ -273,7 +289,7 @@ class TestCli:
             "--truth", str(qfile), "--restarts", "1",
         ]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: no candidate design could be fit")
+        assert captured.err == "error: no observations\n"
         assert captured.out == ""
 
     def test_search_small(self, tmp_path, capsys):
@@ -314,6 +330,22 @@ class TestCli:
         assert captured.err == f"error: shapes differ: {shapes}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("truth, message", [
+        (True, "shapes differ: (4, 0) vs (4, 2)"),
+        (False, "need at least one row and one column, got (4, 0)"),
+    ])
+    def test_search_zero_attributes_exit_2(self, tmp_path, capsys, monkeypatch, truth, message):
+        from qident import cli
+
+        qfile, _ = self._write_paired_inputs(tmp_path)
+        data = tmp_path / "responses.csv"
+        data.write_text("item1,item2,item3,item4\n1,0,1,0\n")
+        monkeypatch.setattr(cli, "exhaustive_search", lambda *a, **kw: pytest.fail("fit ran"))
+        extra = ["--truth", str(qfile)] if truth else []
+        assert main(["search", "--model", "dina", "--data", str(data),
+                     "--attributes", "0", *extra]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_search_stringent_without_eligible_candidate(self, tmp_path, capsys, monkeypatch):
         # the all-ones design as the only candidate, which cannot satisfy
         # the subset order on saturated-model data
@@ -326,8 +358,7 @@ class TestCli:
         counts, qfile = tmp_path / "counts.csv", tmp_path / "q.txt"
         save_pattern_counts_csv(data, counts)
         save_q(q, qfile)
-        monkeypatch.setattr(
-            cli, "enumerate_canonical", lambda J, K: [QMatrix.from_rows([[1, 1]] * J)])
+        monkeypatch.setattr(cli, "_canonical_codes", lambda J, K: np.full((1, J), 3))
         argv = ["search", "--model", "gdina", "--data", str(counts), "--counts",
                 "--truth", str(qfile), "--restarts", "3", "--seed", "25", "--tol", "1e-6"]
         assert main(argv) == 0

@@ -20,8 +20,9 @@ from qident import (
     theta_to_beta,
 )
 from qident.catalog import Q4X2_PAIRED
-from qident.errors import IllegalCoefficient, TooLarge
+from qident.errors import IllegalCoefficient, QidentError, TooLarge, WrongShape
 from qident.rlcm import (
+    _order_violations,
     monotonicity_ok,
     pattern_string,
     response_distribution,
@@ -273,6 +274,17 @@ class TestSimulate:
         bound = 3 * np.sqrt(dist * (1 - dist) / n)
         assert (np.abs(freq - dist) <= bound + 1e-12).all()
 
+    @pytest.mark.parametrize("p", [np.full(2, 0.5), np.full(8, 0.125)])
+    def test_p_length_checked(self, p):
+        params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
+        with pytest.raises(WrongShape, match=f"p has {len(p)} entries but the design has 4"):
+            simulate("dina", Q4X2_PAIRED, params, p, 10, seed=1)
+
+    def test_negative_n_rejected(self):
+        params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
+        with pytest.raises(QidentError, match="nonnegative, got -5"):
+            simulate("dina", Q4X2_PAIRED, params, np.full(4, 0.25), -5, seed=1)
+
     def test_dataset_round_trip(self):
         matrix = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]])
         data = Dataset.from_matrix(matrix)
@@ -310,3 +322,29 @@ def test_theta_table_dispatch(rng):
     assert theta_table("dino", q, params).shape == (3, 4)
     with pytest.raises(ValueError):
         theta_table("logit", q, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 3), J=st.integers(1, 4), size=st.integers(1, 4), data=st.data())
+def test_order_kernel_matches_loops(K, J, size, data):
+    # the batched monotonicity and subset-order checks against a loop over
+    # designs, items and pattern pairs; ties come from a coarse value grid
+    C = 1 << K
+    masks = np.array(data.draw(st.lists(st.lists(st.integers(0, C - 1), min_size=J, max_size=J),
+                                        min_size=size, max_size=size)))
+    levels = st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])
+    theta = np.array(data.draw(st.lists(levels, min_size=size * J * C, max_size=size * J * C)))
+    theta = theta.reshape(size, J, C)
+    mono, order = _order_violations(theta, masks)
+    for b in range(size):
+        want_mono = want_order = -np.inf
+        for j, row in enumerate(masks[b].tolist()):
+            covering = [theta[b, j, a] for a in range(C) if a & row == row]
+            other = [theta[b, j, a] for a in range(C) if a & row != row]
+            if other:
+                want_mono = max(want_mono, max(other) - min(covering))
+            for a in range(C):
+                for c in range(C):
+                    if a | row == row and c | row == row and c != a and c & a == c:
+                        want_order = max(want_order, theta[b, j, c] - theta[b, j, a])
+        assert mono[b] == want_mono and order[b] == want_order

@@ -43,11 +43,11 @@ def main(argv=None) -> int:
     params = rlcm.DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
     data = rlcm.simulate("dina", Q5X2_SINGLE_IDENTITY, params, rng.dirichlet(np.full(4, 3.0)),
                          10_000, seed=rng)
-    designs = qmatrix.enumerate_canonical(5, 2) * 3
+    designs = np.tile(qmatrix._canonical_codes(5, 2), (3, 1))
 
     def run(model, batch, starts, sweeps):
         t0 = time.perf_counter()
-        for _ in estimate._fit_all(model, batch, [data] * len(batch), starts, 0.0, sweeps):
+        for _ in estimate._fit_all(model, batch, 2, [data] * len(batch), starts, 0.0, sweeps):
             pass
         return time.perf_counter() - t0
 
@@ -56,8 +56,8 @@ def main(argv=None) -> int:
     for size in SIZES:
         batch, cells = designs[:size], []
         for model in ("dina", "gdina"):
-            starts = [estimate._start(model, q, data, np.random.default_rng(b))
-                      for b, q in enumerate(batch)]
+            starts = [estimate._start(model, mask, 2, data, np.random.default_rng(b))
+                      for b, mask in enumerate(batch)]
             run(model, batch, starts, SHORT)  # warm-up
             cost = [(run(model, batch, starts, LONG) - run(model, batch, starts, SHORT))
                     / (LONG - SHORT) for _ in range(args.reps)]
