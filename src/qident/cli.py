@@ -230,6 +230,8 @@ def cmd_witness(args) -> int:
     files, needs_sg, build = _WITNESSES[args.construction]
     if args.count < 1:
         raise QidentError(f"count must be at least 1, got {args.count}")
+    if args.dump_table and not args.out:
+        raise QidentError("--dump-table needs --out")
     if args.free is not None and args.construction not in ("one-item", "scenario-a"):
         raise QidentError("--free is taken only by constructions 'one-item' and 'scenario-a'")
     model, params, p = load_params_json(args.params)
@@ -241,7 +243,7 @@ def cmd_witness(args) -> int:
     if needs_sg and model != "dina":
         raise QidentError(f"construction {args.construction!r} needs a params file with s and g "
                           f"of the DINA model; the params file is for model {model!r}")
-    if args.dump_table and args.out and params.n_items > 16:
+    if args.dump_table and params.n_items > 16:
         raise QidentError("--dump-table limited to J <= 16")
     pairs = build(args, model, params, p.p, *(load_q(getattr(args, name)) for name in files))
 
@@ -263,7 +265,7 @@ def cmd_witness(args) -> int:
         ],
     }
     _emit(args, payload, "witness.json")
-    if args.dump_table and args.out:
+    if args.dump_table:
         J = pairs[0].truth.q.n_items
         lines = ["pattern_bits,p_truth,p_alternative"]
         base = pairs[0].truth.distribution()
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, default=2)
     sub.add_argument("--free", type=float, default=None, help="free parameter value")
     sub.add_argument("--dump-table", action="store_true",
-                     help="also write both full distributions (J <= 16)")
+                     help="also write both full distributions to --out (J <= 16)")
     _add_common(sub)
     sub.set_defaults(func=cmd_witness)
 

@@ -14,7 +14,10 @@ numerically.  Every 2^J product table goes through one kernel: the items
 split into a low and a high half, doubling builds one half table per
 half for all attribute patterns at once, and one BLAS product joins the
 two.  It fills T, the survival vector and the exact distribution of
-``rlcm.response_distribution``.
+``rlcm.response_distribution``.  A weighted table pools the patterns with
+equal high-half columns, so its inner dimension is their distinct count; the
+difference of two distributions, certifying a witness, is such a product
+taken in blocks of rows, in memory O(2^(J/2) * 2^K) plus one block.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
 _MAX_T_J = 20
 _MAX_D_J = 12
 _RANK_TOL = 1e-10
+_BLOCK = 1 << 17  # entries (1 MB of float64) of the blocked difference's buffer
 
 
 def _product_table(out: np.ndarray, hi, lo, weight=1.0) -> np.ndarray:
@@ -54,25 +58,57 @@ def _product_table(out: np.ndarray, hi, lo, weight=1.0) -> np.ndarray:
     return out
 
 
+def _half_tables(hi: np.ndarray, lo: np.ndarray, weight: np.ndarray):
+    """High half table H (2^(J-h) x m) and weighted low half table L (m x 2^h),
+    H @ L the weighted product table: zero weights drop out, and patterns with
+    equal high-half columns of (hi, lo) share a column of H, summing in order."""
+    h, keep = len(hi) // 2, weight != 0
+    cols, pool = np.unique(np.vstack([hi[h:, keep], lo[h:, keep]]), axis=1, return_inverse=True)
+    low = _product_table(np.empty((1 << h, keep.sum())), hi[:h, keep], lo[:h, keep], weight[keep])
+    high = _product_table(np.empty((1 << (len(hi) - h), cols.shape[1])), *np.split(cols, 2))
+    pooled = np.zeros((cols.shape[1], 1 << h))
+    for a, c in enumerate(pool.reshape(-1)):
+        pooled[c] += low[:, a]
+    return high, pooled
+
+
 def _split_product(hi: np.ndarray, lo: np.ndarray, weight=None) -> np.ndarray:
     """Product tables over all 2^J response patterns, from two half tables.
 
     The low half table L covers items 0..h-1 (h = J // 2) and the high half
     table H items h..J-1, each for all 2^K attribute patterns, so pattern r
     splits as r = r_high * 2^h + r_low.  With ``weight`` (length 2^K) the
-    length-2^J vector sum over a of weight[a] * prod(...) is one GEMM
-    ``H @ (weight * L).T``; without it the 2^J x 2^K table is the row-wise
-    (face-splitting) product of H and L.  The output is allocated before
-    the half tables so that freeing them leaves no hole below it.
+    length-2^J vector sum over a of weight[a] * prod(...) is one GEMM over
+    the pooled tables of :func:`_half_tables`; without it the 2^J x 2^K
+    table is the row-wise (face-splitting) product of H and L.  The output
+    is allocated first so that freeing the half tables leaves no hole below.
     """
+    if weight is not None:
+        weight = np.asarray(weight, float)
+        if hi.ndim != 2 or weight.shape != hi.shape[1:]:
+            raise WrongShape(f"{weight.shape} weights for a table of shape {hi.shape}")
     J, n = hi.shape
     h = J // 2
     out = np.empty((1 << (J - h), 1 << h) + ((n,) if weight is None else ()))
-    low = _product_table(np.empty((1 << h, n)), hi[:h], lo[:h], 1.0 if weight is None else weight)
+    if weight is not None:
+        return np.matmul(*_half_tables(hi, lo, weight), out=out).reshape(-1)
+    low = _product_table(np.empty((1 << h, n)), hi[:h], lo[:h])
     high = _product_table(np.empty((1 << (J - h), n)), hi[h:], lo[h:])
-    if weight is None:
-        return np.multiply(high[:, None, :], low[None, :, :], out=out).reshape(1 << J, n)
-    return np.matmul(high, low.T, out=out).reshape(-1)
+    return np.multiply(high[:, None, :], low[None, :, :], out=out).reshape(1 << J, n)
+
+
+def _max_abs_difference(theta_a, p_a, theta_b, p_b) -> float:
+    """max |P_a - P_b| over the 2^J patterns: both models' classes pool with
+    weights (p_a, -p_b), interleaved so that equal models cancel exactly, and
+    H @ L runs in blocks of rows into one buffer of ``_BLOCK`` entries."""
+    hi = np.stack([theta_a, theta_b], axis=-1).reshape(len(theta_a), -1)
+    high, low = _half_tables(hi, 1.0 - hi, np.stack([p_a, -p_b], axis=-1).reshape(-1))
+    rows = max(1, _BLOCK // low.shape[1])
+    buf, worst = np.empty((rows, low.shape[1])), 0.0
+    for start in range(0, len(high), rows):
+        block = np.matmul(high[start : start + rows], low, out=buf[: len(high) - start])
+        worst = max(worst, float(np.abs(block, out=block).max()))
+    return worst
 
 
 def build_t(theta: np.ndarray) -> np.ndarray:

@@ -57,6 +57,7 @@ from .errors import (
 )
 from .qmatrix import QMatrix, _required_by, _two_item_forms, gamma_matrix, q_equivalent
 from .rlcm import DinaParams, RlcmModel, theta_table
+from .tmatrix import _max_abs_difference
 
 __all__ = [
     "CERT_TOL",
@@ -98,20 +99,21 @@ class WitnessPair:
         return gap > DISTINCT_FLOOR
 
 
-def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> float:
-    """Exact certification by enumerating all 2^J response patterns.
+def certify(pair: WitnessPair) -> float:
+    """Exact certification over all 2^J response patterns, blockwise over
+    pooled half tables in memory O(2^(J/2) * 2^K) plus one block.
 
     Stores and returns the maximum absolute probability difference.  Raises
+    :class:`WrongShape` unless the two models share J and K, and
     :class:`NotCertified` when the difference exceeds ``CERT_TOL`` or the
     two models do not genuinely differ.
     """
-    if pair.truth.q.n_items > _MAX_CERT_J:
+    truth, alt = pair.truth, pair.alternative
+    if truth.theta.shape != alt.theta.shape:
+        raise WrongShape(f"{pair.construction}: theta {truth.theta.shape} vs {alt.theta.shape}")
+    if truth.q.n_items > _MAX_CERT_J:
         raise TooLarge(f"exact certification guarded to J <= {_MAX_CERT_J}")
-    base = pair.truth.distribution() if truth_distribution is None else truth_distribution
-    # in place: one 2^J array per check; base may be shared and is never written
-    alt = pair.alternative.distribution()
-    alt -= base
-    diff = float(np.max(np.abs(alt, out=alt)))
+    diff = _max_abs_difference(truth.theta, truth.p, alt.theta, alt.p)
     pair.certified_max_diff = diff
     if diff >= CERT_TOL:
         raise NotCertified(
@@ -125,9 +127,8 @@ def certify(pair: WitnessPair, truth_distribution: np.ndarray | None = None) -> 
     return diff
 
 
-def _first_certified(candidates, count: int, base: np.ndarray, what: str) -> list[WitnessPair]:
-    """The first ``count`` candidates, in order, that pass :func:`certify`
-    against the truth distribution ``base``.
+def _first_certified(candidates, count: int, what: str) -> list[WitnessPair]:
+    """The first ``count`` candidates, in order, that pass :func:`certify`.
 
     A ``None`` candidate (an invalid draw) and a candidate that fails
     certification are skipped; running out of candidates raises
@@ -140,7 +141,7 @@ def _first_certified(candidates, count: int, base: np.ndarray, what: str) -> lis
         if pair is None:
             continue
         try:
-            certify(pair, truth_distribution=base)
+            certify(pair)
         except NotCertified:
             continue
         out.append(pair)
@@ -376,7 +377,7 @@ def dina_q24_two_solutions(
         for attr, ((ja, jb), w) in blocks.items()
         for off in (0.15, -0.15, 0.1, -0.1, 0.2, -0.2, 0.05, -0.05)
     )
-    return _first_certified(candidates, count, truth.distribution(), "alternatives")
+    return _first_certified(candidates, count, "alternatives")
 
 
 def gdina_one_item_attr(
@@ -445,7 +446,7 @@ def gdina_one_item_attr(
         alternative(np.clip(truths + rng.uniform(-0.1, 0.1, size=truths.shape), 1e-4, 1 - 1e-4))
         for _ in range(400)
     )
-    return _first_certified(draws, 1, truth.distribution(), "witnesses")[0]
+    return _first_certified(draws, 1, "witnesses")[0]
 
 
 def gdina_two_item_attr(
@@ -562,7 +563,7 @@ def gdina_two_item_attr(
         )
 
     draws = (alternative() for _ in range(51 * count + 100))
-    return _first_certified(draws, count, truth.distribution(), "witnesses")
+    return _first_certified(draws, count, "witnesses")
 
 
 def incomplete_gamma_merge(

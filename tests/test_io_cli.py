@@ -468,6 +468,11 @@ class TestWitnessCli:
         assert "J <= 16" in capsys.readouterr().err
         assert not (out / "witness.json").exists()
 
+    def test_dump_table_needs_out(self, tmp_path, capsys):
+        argv = _witness_inputs(tmp_path, _PAIRED)
+        assert main(["witness", "--construction", "q24", *argv, "--dump-table"]) == 2
+        assert "--dump-table needs --out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("construction, inputs", [
         ("q24", dict(rows=_PAIRED)),
         ("gdina-one", dict(rows=[[1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")),

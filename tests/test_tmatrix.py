@@ -1,14 +1,21 @@
 """Marginal-probability matrices, the shift transform, and rank checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qident import DinaParams, QMatrix, check_conditions_DE
 from qident.catalog import Q5X2_DOUBLE_IDENTITY
 from qident.errors import TooLarge, WrongShape
-from qident.rlcm import response_distribution, theta_table
+from qident.qmatrix import _cells
+from qident.rlcm import pmf, response_distribution, theta_table
+from qident import tmatrix
 from qident.tmatrix import (
+    _max_abs_difference,
     build_t,
     rank,
     identifiable_subset_check,
@@ -113,6 +120,56 @@ class TestSplitKernel:
         factors = np.where(bits[:, :, None] == 1, theta, 1.0 - theta)
         expected = np.prod(factors, axis=1) @ p
         assert_allclose(response_distribution(theta, p), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", [response_distribution, tp_vector])
+    @pytest.mark.parametrize("theta, p", [
+        (np.full((3, 4), 0.5), np.full(3, 1 / 3)),
+        (np.full((3, 4), 0.5), np.full(8, 1 / 8)),
+        (np.full(4, 0.5), np.full(4, 0.25)),
+    ])
+    def test_weights_must_match_the_classes(self, kernel, theta, p):
+        with pytest.raises(WrongShape):
+            kernel(theta, p)
+
+
+def _pooling_draw(rng, model, q):
+    """A response table on ``q`` and a p with empty classes; GDINA values
+    on a coarse grid half the time, so that items share columns."""
+    J, K = q.n_items, q.n_attributes
+    if model == "gdina":
+        grid = rng.random() < 0.5
+        base = rng.choice([0.1, 0.3, 0.6, 0.9], (J, 1 << K)) if grid else rng.uniform(0.05, 0.95, (J, 1 << K))
+        params = np.take_along_axis(base, _cells(q.row_masks, K), 1)
+    else:
+        params = DinaParams(rng.uniform(0.05, 0.3, J), rng.uniform(0.05, 0.3, J))
+    p = rng.dirichlet(np.ones(1 << K))
+    p[rng.permutation(1 << K)[: rng.integers(0, 1 << K)]] = 0.0
+    return theta_table(model, q, params), params, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.integers(1, 10), K=st.integers(1, 4), model=st.sampled_from(["dina", "dino", "gdina"]),
+       same_q=st.booleans(), rows=st.sampled_from([None, 1, 2, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pooled_kernels_match_pmf(J, K, model, same_q, rows, seed):
+    # the pooled half tables and the blocked difference against pmf, one
+    # response pattern at a time; ``rows`` rows of H per block (None: the
+    # default buffer) makes several blocks and a short last one at small J
+    rng = np.random.default_rng(seed)
+    q_a = random_q(rng, J, K, ensure_nonzero_rows=True)
+    q_b = q_a if same_q else random_q(rng, J, K, ensure_nonzero_rows=True)
+    (theta_a, params_a, p_a), (theta_b, params_b, p_b) = (
+        _pooling_draw(rng, model, q_a), _pooling_draw(rng, model, q_b))
+    P_a = np.array([pmf(model, q_a, params_a, p_a, r) for r in range(1 << J)])
+    P_b = np.array([pmf(model, q_b, params_b, p_b, r) for r in range(1 << J)])
+    scale = 1e-15 * max(P_a.max(), P_b.max())
+    block = tmatrix._BLOCK if rows is None else rows << J // 2
+    with mock.patch.object(tmatrix, "_BLOCK", block):
+        diff = _max_abs_difference(theta_a, p_a, theta_b, p_b)
+    assert abs(diff - np.max(np.abs(P_a - P_b))) <= scale
+    assert np.max(np.abs(response_distribution(theta_a, p_a) - P_a)) <= scale
+    survival = build_t(theta_a) @ p_a
+    assert np.max(np.abs(tp_vector(theta_a, p_a) - survival)) <= 1e-15 * survival.max()
 
 
 class TestShift:

@@ -1,5 +1,7 @@
 """Certified indistinguishable-alternative constructions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qident.errors import (
     InvalidFreeValues,
     NotCertified,
     NotSubsumed,
+    TooLarge,
     WrongShape,
 )
 from qident.qmatrix import enumerate_canonical
@@ -62,16 +65,57 @@ class TestCertify:
             certify(pair)
         assert pair.certified_max_diff > 1e-4
 
-    def test_shared_truth_distribution_left_unchanged(self):
-        # witnesses of one truth share its distribution; certify must not write it
+    def test_equal_models_differ_by_exactly_zero(self):
         q, _ = two_item_20x3_pair()
-        p = np.full(8, 1 / 8)
-        pair = gdina_two_item_attr(q, equal_effects_theta(q), p, count=1, seed=3)[0]
-        base = pair.truth.distribution()
-        before = base.tobytes()
-        for _ in range(2):
-            assert certify(pair, truth_distribution=base) < CERT_TOL
-        assert base.tobytes() == before
+        theta, p = equal_effects_theta(q), np.full(8, 1 / 8)
+        pair = WitnessPair(truth=RlcmModel(q, theta, p),
+                           alternative=RlcmModel(q, theta.copy(), p.copy()), construction="copy")
+        with pytest.raises(NotCertified, match="coincides"):
+            certify(pair)
+        assert pair.certified_max_diff == 0.0
+
+    def test_one_theta_entry_moved_by_1e9_rejected_at_j20(self):
+        q = QMatrix(np.tile(np.eye(3, dtype=int), (7, 1))[:20])
+        p = np.random.default_rng(0).dirichlet(np.ones(8))
+        truth = _dina_model(q, DinaParams(np.full(20, 0.2), np.full(20, 0.2)), p)
+        theta = truth.theta.copy()
+        theta[19, 7] += 1e-9
+        pair = WitnessPair(truth=truth, alternative=RlcmModel(q, theta, p), construction="moved")
+        with pytest.raises(NotCertified, match="differ by"):
+            certify(pair)
+        assert pair.certified_max_diff > 1e-12
+
+    def test_no_2j_array_at_j20(self):
+        # the full distributions would be two 8 MB arrays
+        q, _ = two_item_20x3_pair()
+        pair = gdina_two_item_attr(q, equal_effects_theta(q), np.full(8, 1 / 8), count=1, seed=3)[0]
+        tracemalloc.start()
+        try:
+            assert certify(pair) < CERT_TOL
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("alt_rows", [
+        [[1, 0], [0, 1], [1, 1], [1, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ])
+    def test_models_of_other_shapes_rejected(self, alt_rows):
+        truth = _dina_model(QMatrix.from_rows([[1, 0], [0, 1], [1, 1]]),
+                            DinaParams(np.full(3, 0.2), np.full(3, 0.2)), np.full(4, 0.25))
+        q_alt = QMatrix.from_rows(alt_rows)
+        n = len(alt_rows)
+        alt = _dina_model(q_alt, DinaParams(np.full(n, 0.2), np.full(n, 0.2)),
+                          np.full(1 << q_alt.n_attributes, 1 / (1 << q_alt.n_attributes)))
+        with pytest.raises(WrongShape):
+            certify(WitnessPair(truth=truth, alternative=alt, construction="shapes"))
+
+    def test_guard_at_j21(self):
+        q = QMatrix(np.ones((21, 1), dtype=int))
+        model = _dina_model(q, DinaParams(np.full(21, 0.2), np.full(21, 0.2)), np.full(2, 0.5))
+        with pytest.raises(TooLarge):
+            certify(WitnessPair(truth=model, alternative=model, construction="big"))
 
 
 class TestDinaOneItemAttr:

@@ -1,7 +1,7 @@
 """Cost of one EM sweep of the batched engine, in microseconds per sweep.
 
-    python3 tools/em_sweep_cost.py                # the checkout's src/
-    python3 tools/em_sweep_cost.py --src OTHER/src --reps 7
+    python3 tools/em_sweep_cost.py                          # the checkout's src/
+    python3 tools/em_sweep_cost.py --src OTHER/src --reps 7  # the checkout against OTHER
 
 The data are 10,000 subjects simulated from the 5 x 2 design
 ``Q5X2_SINGLE_IDENTITY`` (32 observed patterns).  A batch of B fits runs
@@ -10,11 +10,19 @@ times) from random starts, with ``tol = 0`` so that no fit leaves the batch.
 A sweep costs the time difference of ``LONG`` and ``SHORT`` sweeps over
 their difference, which cancels the batch's setup and final E-step.  Each
 cell is the median over ``--reps`` such pairs.  BLAS is held to one thread.
+
+With ``--src`` both trees load into this one process, each package under
+its own module name, and their measurements interleave pair by pair (the
+tree that goes first alternates), so that the machine's drift over a run
+falls on both columns alike.  The last column is OTHER over the checkout.
+Both trees must share this version's ``estimate._fit_all`` and ``_start``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import os
 import statistics
 import sys
@@ -26,43 +34,80 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 SIZES = (1, 3, 16, 121, 363)
 SHORT, LONG = 20, 120
+MODELS = ("dina", "gdina")
+
+
+def _load(src: Path, name: str):
+    """The modules of the qident package under ``src``, imported as package
+    ``name`` so that two trees can live in one process."""
+    init = src.resolve() / "qident" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return [importlib.import_module(f"{name}.{mod}") for mod in ("estimate", "qmatrix", "rlcm", "catalog")]
+
+
+class Tree:
+    """One tree's data, designs and starts; ``cost`` times one sweep."""
+
+    def __init__(self, src: Path, name: str):
+        import numpy as np
+
+        self.estimate, qmatrix, rlcm, catalog = _load(src, name)
+        self.where = Path(self.estimate.__file__).parent
+        rng = np.random.default_rng(0)
+        params = rlcm.DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
+        self.data = rlcm.simulate("dina", catalog.Q5X2_SINGLE_IDENTITY, params,
+                                  rng.dirichlet(np.full(4, 3.0)), 10_000, seed=rng)
+        designs = np.tile(qmatrix._canonical_codes(5, 2), (3, 1))
+        self.cells = {}
+        for size in SIZES:
+            batch = designs[:size]
+            for model in MODELS:
+                starts = [self.estimate._start(model, mask, 2, self.data, np.random.default_rng(b))
+                          for b, mask in enumerate(batch)]
+                self.cells[size, model] = (batch, starts)
+                self._run(model, batch, starts, SHORT)  # warm-up
+
+    def _run(self, model, batch, starts, sweeps) -> float:
+        t0 = time.perf_counter()
+        for _ in self.estimate._fit_all(model, batch, 2, [self.data] * len(batch), starts,
+                                        0.0, sweeps):
+            pass
+        return time.perf_counter() - t0
+
+    def cost(self, size: int, model: str) -> float:
+        batch, starts = self.cells[size, model]
+        long_s = self._run(model, batch, starts, LONG)
+        return (long_s - self._run(model, batch, starts, SHORT)) / (LONG - SHORT)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--src", type=Path, default=None,
+                        help="a second tree's src/ to measure against the checkout's")
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    checkout = Path(__file__).resolve().parents[1] / "src"
+    trees = [Tree(checkout, "qident_checkout")]
+    if args.src is not None:
+        trees.append(Tree(args.src, "qident_other"))
 
-    import numpy as np
-    from qident import estimate, qmatrix, rlcm
-    from qident.catalog import Q5X2_SINGLE_IDENTITY
-
-    rng = np.random.default_rng(0)
-    params = rlcm.DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
-    data = rlcm.simulate("dina", Q5X2_SINGLE_IDENTITY, params, rng.dirichlet(np.full(4, 3.0)),
-                         10_000, seed=rng)
-    designs = np.tile(qmatrix._canonical_codes(5, 2), (3, 1))
-
-    def run(model, batch, starts, sweeps):
-        t0 = time.perf_counter()
-        for _ in estimate._fit_all(model, batch, 2, [data] * len(batch), starts, 0.0, sweeps):
-            pass
-        return time.perf_counter() - t0
-
-    print(f"qident from {Path(estimate.__file__).parent}")
-    print(f"{'B':>5} {'dina_us':>9} {'gdina_us':>9}")
+    for label, tree in zip(("checkout", "other"), trees):
+        print(f"{label}: qident from {tree.where}")
+    head = " ".join(f"{label + '_us':>12}" for label in ("checkout", "other")[: len(trees)])
+    print(f"{'B':>5} {'model':>6} {head}" + (f" {'ratio':>6}" if len(trees) == 2 else ""))
     for size in SIZES:
-        batch, cells = designs[:size], []
-        for model in ("dina", "gdina"):
-            starts = [estimate._start(model, mask, 2, data, np.random.default_rng(b))
-                      for b, mask in enumerate(batch)]
-            run(model, batch, starts, SHORT)  # warm-up
-            cost = [(run(model, batch, starts, LONG) - run(model, batch, starts, SHORT))
-                    / (LONG - SHORT) for _ in range(args.reps)]
-            cells.append(1e6 * statistics.median(cost))
-        print(f"{size:>5} {cells[0]:>9.1f} {cells[1]:>9.1f}")
+        for model in MODELS:
+            costs = [[] for _ in trees]
+            for rep in range(args.reps):
+                order = range(len(trees)) if rep % 2 == 0 else reversed(range(len(trees)))
+                for i in order:
+                    costs[i].append(trees[i].cost(size, model))
+            us = [1e6 * statistics.median(c) for c in costs]
+            line = f"{size:>5} {model:>6} " + " ".join(f"{u:>12.1f}" for u in us)
+            print(line + (f" {us[1] / us[0]:>6.3f}" if len(us) == 2 else ""))
     return 0
 
 
