@@ -168,6 +168,8 @@ def cmd_fit(args) -> int:
         "loglik": fit.loglik,
         "iterations": fit.iterations,
         "converged": fit.converged,
+        "restartLogliks": fit.restart_logliks,
+        "restartIterations": fit.restart_iterations,
         "monotonicityOk": fit.monotonicity_ok,
         "stringentOk": fit.stringent_ok,
         "p": fit.p,

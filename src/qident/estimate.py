@@ -11,6 +11,10 @@ stops on its own.  ``em_fit`` is a batch of one, ``multistart_fit`` batches
 its restarts, ``exhaustive_search`` sweeps candidate designs x restarts, and
 ``mse_experiment`` fits every replication of an error-decay experiment.
 
+The E-step needs no class-max shift: with item probabilities clamped to
+[1e-4, 1 - 1e-4] and proportions floored at 1e-4 / C, every log joint is at
+least -603 (J = 63, K = 20), inside exp's normal range.
+
 The observed-data log-likelihood is nondecreasing across iterations (up to
 a small numerical slack); tests rely on this invariant.
 """
@@ -55,7 +59,9 @@ class FitResult:
     ``loglik_path`` holds the loglik before each sweep and at the returned
     parameters; it is None for the fits inside a sweep or an error-decay
     experiment, which keep only their outcome.  Monotonicity is audited on
-    the output, never enforced during iteration.
+    the output, never enforced during iteration.  ``restart_logliks`` and
+    ``restart_iterations`` hold the loglik and sweep count of every restart
+    of a ``multistart_fit``, in seed order; they are None for other fits.
     """
 
     model: str
@@ -69,6 +75,8 @@ class FitResult:
     monotonicity_violation: float
     stringent_violation: float
     loglik_path: np.ndarray | None
+    restart_logliks: list[float] | None = None
+    restart_iterations: list[int] | None = None
 
     @property
     def monotonicity_ok(self) -> bool:
@@ -152,20 +160,22 @@ def _observed_loglik(theta, p, XX, W, work):
     """E-step for a stack of fits held class-major: theta (B, C, J), p (B, C)
     and pattern weights W (B, N) over XX = [X | 1 - X | 1] (N, 2J + 1).  One
     GEMM [log theta | log(1 - theta) | log p] (B*C, 2J + 1) @ XX.T writes the
-    log joints (B, C, N) to ``work[0]``, so the class max and sum run over
-    contiguous rows.  Returns each fit's observed-data loglik and its
-    posterior times W, a (B*C, N) view of ``work[0]``."""
+    log joints (B, C, N) to ``work``, so the class sum runs over contiguous
+    rows.  Returns each fit's observed-data loglik and its posterior times
+    W, a (B*C, N) view of ``work``.  With theta in [1e-4, 1 - 1e-4] and p at
+    least 1e-4 / (1.0001 C), every log joint is at least
+    J ln(1e-4) + ln(1e-4 / (1.0001 C)), -603 at J = 63 (the widest int64
+    pattern mask) and C = 2^20, above exp's normal range limit of -708: the
+    joints are exponentiated with no class-max shift."""
     B, C, _ = theta.shape
-    log_post, spare = (buf[:B] for buf in work)
+    joint = work[:B]
     logs = np.log(np.concatenate([theta, 1.0 - theta, p[:, :, None]], axis=2))
-    np.matmul(logs.reshape(B * C, -1), XX.T, out=log_post.reshape(B * C, -1))
-    m = log_post.max(axis=1, keepdims=True)
-    norm = np.exp(np.subtract(log_post, m, out=spare), out=spare)
-    denom = norm.sum(axis=1, keepdims=True)
+    np.matmul(logs.reshape(B * C, -1), XX.T, out=joint.reshape(B * C, -1))
+    denom = np.exp(joint, out=joint).sum(axis=1, keepdims=True)
     # one dot per fit, so a fit's loglik does not depend on the batch
     # (np.vecdot would do the same but needs numpy >= 2)
-    loglik = (W[:, None, :] @ (np.log(denom) + m).transpose(0, 2, 1))[:, 0, 0]
-    return loglik, np.multiply(norm, W[:, None, :] / denom, out=log_post).reshape(B * C, -1)
+    loglik = (W[:, None, :] @ np.log(denom).transpose(0, 2, 1))[:, 0, 0]
+    return loglik, np.multiply(joint, W[:, None, :] / denom, out=joint).reshape(B * C, -1)
 
 
 def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
@@ -190,12 +200,14 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
     labels = _cells(masks, K) if model == "gdina" else _gate(masks, K, model)
     # the M-step pools theta[j, a] over the classes sharing its label, so
     # (fit, item, label) flattens into one bin, and the class mass pools in
-    # a second copy of the bins
+    # a second copy of the bins; laid out (fit, class, copy, item) as the
+    # gathered M-step product is, each bin sums its classes in order
     bins = labels.transpose(0, 2, 1) + C * np.arange(J) + J * C * np.arange(B)[:, None, None]
-    flat = bins = np.stack([bins, bins + bins.size])
+    flat = bins = np.stack([bins, bins + bins.size], axis=2)
+    take = np.append(np.arange(J), np.full(J, J))
     XX = np.hstack([X, 1.0 - X, np.ones((N, 1))])
     XI = np.hstack([X, np.ones((N, 1)), np.zeros((N, -(J + 1) % 8))])
-    work = np.empty((2, B, C, N))
+    work = np.empty((B, C, N))
     out_theta, out_p = theta.copy(), p.copy()
     iterations, converged = np.full(B, max_iter), np.zeros(B, dtype=bool)
     active, w, n, prev = np.arange(B), W, W.sum(axis=1), np.full(B, -np.inf)
@@ -205,16 +217,16 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
         mass = wpost[:, :256] @ XI[:256]
         for lo in range(256, N, 256):
             mass += wpost[:, lo:lo + 256] @ XI[lo:lo + 256]
-        weights = np.concatenate([mass[:, :J], np.broadcast_to(mass[:, J:J + 1], (len(mass), J))])
-        pos, tot = np.bincount(flat.ravel(), weights.ravel(), minlength=bins.size).reshape(2, -1)
-        val = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.5)
-        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[flat[0]]
+        pos, tot = np.bincount(flat.ravel(), mass[:, take].ravel(), bins.size).reshape(2, -1)
+        # posteriors are positive (see _observed_loglik): only unread bins have tot = 0
+        val = pos / np.maximum(tot, 1e-300)
+        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[flat[:, :, 0]]
         p = np.maximum(mass[:, J].reshape(p.shape) / n[:, None], _CLAMP / C)
         p /= p.sum(axis=1, keepdims=True)
 
         if paths:
             trail.append((active, loglik))
-        done = np.isfinite(prev) & (np.abs(loglik - prev) < tol)
+        done = np.abs(loglik - prev) < tol  # prev starts at -inf: never done at sweep 1
         prev = loglik
         if done.any():
             out_theta[active[done]], out_p[active[done]] = theta[done], p[done]
@@ -222,7 +234,7 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
             active, theta, p, prev, w, n = (a[~done] for a in (active, theta, p, prev, w, n))
             if not len(active):
                 break
-            flat = bins[:, active]
+            flat = bins[active]
     out_theta[active], out_p[active] = theta, p
 
     theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
@@ -263,6 +275,10 @@ def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
     another order: a fit among datasets with other patterns may differ from
     the fit alone in the last bits of its loglik.
     """
+    if max_iter < 1:
+        raise QidentError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise QidentError(f"tol must be finite and non-negative, got {tol}")
     if not len(masks):
         return
     patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
@@ -310,7 +326,8 @@ def em_fit(
     saturated cells started monotone).  The E-step computes posterior class
     membership per observed pattern; M-steps are closed-form with
     probabilities clamped to [1e-4, 1 - 1e-4].  Stops when the loglik gain
-    drops below ``tol`` or after ``max_iter`` sweeps.
+    drops below ``tol`` or after ``max_iter`` sweeps; a ``max_iter`` below 1
+    or a ``tol`` that is negative or not finite raises :class:`QidentError`.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     start = _start(model, q.row_masks, q.n_attributes, data, rng, init)
@@ -328,11 +345,16 @@ def multistart_fit(
     max_iter: int = 2000,
 ) -> FitResult:
     """Best-of-``restarts`` EM runs by log-likelihood, deterministic in the
-    seed; the restarts run as one batch."""
+    seed; the restarts run as one batch, and the best fit carries every
+    restart's loglik and sweep count."""
     K = q.n_attributes
     starts = _restart_starts(model, q.row_masks, K, data, seed, restarts)
     masks = np.broadcast_to(q.row_masks, (restarts, q.n_items))
-    return _best(_fit_all(model, masks, K, [data] * restarts, starts, tol, max_iter, paths=True))
+    fits = list(_fit_all(model, masks, K, [data] * restarts, starts, tol, max_iter, paths=True))
+    best = _best(fits)
+    best.restart_logliks = [fit.loglik for fit in fits]
+    best.restart_iterations = [fit.iterations for fit in fits]
+    return best
 
 
 @dataclass

@@ -19,6 +19,7 @@ from qident.estimate import (
     _BATCH_CELLS,
     _fit_all,
     _flip_unit_attributes,
+    _observed_loglik,
     _start,
     align_to_truth,
     em_fit,
@@ -279,6 +280,33 @@ class TestBatchEngine:
             assert fit.loglik == pytest.approx(exact, rel=1e-10)
 
 
+def test_shift_free_estep_at_the_clamp(rng):
+    # J = 62, every theta entry at the clamp, p at its floor: fit 0 holds the
+    # floor of K = 2, fit 1 the floor of K = 20 in every class (the least
+    # proportion any fit can hold).  Each class's least likely pattern puts
+    # its log joint below -590, where only the absence of underflow keeps
+    # the E-step exact without a class-max shift.
+    J, C = 62, 4
+    theta = np.where(rng.random((2, C, J)) < 0.5, 1e-4, 1 - 1e-4)
+    p = np.maximum([0.0, 0.0, 0.0, 1.0], 1e-4 / C)
+    p = np.stack([p / p.sum(), np.full(C, 1e-4 / (1 << 20) / 1.0001)])
+    X = np.vstack([theta.reshape(-1, J) == 1e-4, np.zeros(J), np.ones(J),
+                   rng.random((6, J)) < 0.5]).astype(float)
+    W = rng.integers(1, 1000, size=(2, len(X))).astype(float)
+    XX = np.hstack([X, 1.0 - X, np.ones((len(X), 1))])
+    loglik, wpost = _observed_loglik(theta, p, XX, W, np.empty((2, C, len(X))))
+
+    # independent reference: item by item, then a max-shifted log-sum-exp
+    log_joint = np.where(X == 1, np.log(theta)[:, :, None], np.log1p(-theta)[:, :, None])
+    log_joint = log_joint.sum(axis=3) + np.log(p)[:, :, None]
+    assert log_joint.min() < -590
+    want = (W * np.logaddexp.reduce(log_joint, axis=1)).sum(axis=1)
+    np.testing.assert_allclose(loglik, want, rtol=1e-12, atol=0)
+    post = wpost.reshape(2, C, -1) / W[:, None, :]
+    assert np.isfinite(post).all() and (post > 0).all()
+    np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
+
+
 def _flip_one(theta, p, masks):
     """Reference: the attribute-flip canonicalization of one fit, item by
     item in Python."""
@@ -343,11 +371,15 @@ class TestMultistart:
     def test_best_of_restarts(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=12)
         singles = [
-            em_fit("dina", Q4X2_PAIRED, data, seed=np.random.default_rng(child)).loglik
+            em_fit("dina", Q4X2_PAIRED, data, seed=np.random.default_rng(child))
             for child in np.random.SeedSequence(33).spawn(5)
         ]
         multi = multistart_fit("dina", Q4X2_PAIRED, data, restarts=5, seed=33)
-        assert multi.loglik >= max(singles) - 1e-9
+        assert multi.loglik >= max(f.loglik for f in singles) - 1e-9
+        # every restart in seed order, as each runs alone
+        assert multi.restart_logliks == [f.loglik for f in singles]
+        assert multi.restart_iterations == [f.iterations for f in singles]
+        assert singles[0].restart_logliks is None
 
     def test_no_restarts_raises(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
@@ -356,6 +388,35 @@ class TestMultistart:
                 multistart_fit("dina", Q4X2_PAIRED, data, restarts=restarts)
             with pytest.raises(QidentError, match="restarts must be at least 1"):
                 exhaustive_search("dina", data, _masks([Q4X2_PAIRED]), 2, restarts=restarts)
+
+    @pytest.mark.parametrize("stop, message", [
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"max_iter": -3}, "max_iter must be at least 1"),
+        ({"tol": float("nan")}, "tol must be finite and non-negative"),
+        ({"tol": float("inf")}, "tol must be finite and non-negative"),
+        ({"tol": -1e-8}, "tol must be finite and non-negative"),
+    ])
+    def test_bad_stopping_rule_raises(self, rng, stop, message):
+        _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
+
+        def sampler(rng):
+            return DinaParams(np.full(4, 0.2), np.full(4, 0.2)), np.full(4, 0.25)
+
+        calls = [
+            lambda: em_fit("dina", Q4X2_PAIRED, data, **stop),
+            lambda: multistart_fit("dina", Q4X2_PAIRED, data, restarts=2, **stop),
+            lambda: exhaustive_search("dina", data, _masks([Q4X2_PAIRED]), 2, restarts=1, **stop),
+            lambda: mse_experiment(Q4X2_PAIRED, sampler, n_truths=1, n_grid=[100],
+                                   replications=1, restarts=1, **stop),
+        ]
+        for call in calls:
+            with pytest.raises(QidentError, match=message):
+                call()
+
+    def test_zero_tol_runs_to_the_cap(self, rng):
+        _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
+        fit = em_fit("dina", Q4X2_PAIRED, data, tol=0.0, max_iter=7, seed=3)
+        assert fit.iterations == 7 and not fit.converged
 
     def test_deterministic(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=1000, seed=13)

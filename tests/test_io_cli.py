@@ -196,6 +196,8 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
         assert len(payload["s"]) == 4
+        assert len(payload["restartLogliks"]) == len(payload["restartIterations"]) == 2
+        assert max(payload["restartLogliks"]) == payload["loglik"]
 
     @pytest.mark.parametrize("command", ["fit", "search"])
     def test_zero_restarts_exit_2(self, tmp_path, capsys, command):
@@ -213,6 +215,18 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "restarts must be at least 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6", "inf"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        qfile, params = self._write_paired_inputs(tmp_path, uniform=False)
+        out = tmp_path / "sim"
+        main(["simulate", "--q", str(qfile), "--params", str(params),
+              "--n", "200", "--seed", "7", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["fit", "--model", "dina", "--q", str(qfile),
+                     "--data", str(out / "dataset.csv"), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be finite and non-negative" in captured.err and captured.out == ""
 
     def test_simulate_empty(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path)

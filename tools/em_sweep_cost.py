@@ -14,7 +14,10 @@ cell is the median over ``--reps`` such pairs.  BLAS is held to one thread.
 With ``--src`` both trees load into this one process, each package under
 its own module name, and their measurements interleave pair by pair (the
 tree that goes first alternates), so that the machine's drift over a run
-falls on both columns alike.  The last column is OTHER over the checkout.
+falls on both columns alike.  The ratio column is OTHER over the checkout,
+and the last column the largest relative difference between the two trees'
+final logliks over the cell's fits after ``LONG`` sweeps, so that a change
+to the sweep shows its numerical drift next to its speed.
 Both trees must share this version's ``estimate._fit_all`` and ``_start``.
 """
 
@@ -70,12 +73,21 @@ class Tree:
                 self.cells[size, model] = (batch, starts)
                 self._run(model, batch, starts, SHORT)  # warm-up
 
+    def _fits(self, model, batch, starts, sweeps):
+        return self.estimate._fit_all(model, batch, 2, [self.data] * len(batch), starts,
+                                      0.0, sweeps)
+
     def _run(self, model, batch, starts, sweeps) -> float:
         t0 = time.perf_counter()
-        for _ in self.estimate._fit_all(model, batch, 2, [self.data] * len(batch), starts,
-                                        0.0, sweeps):
+        for _ in self._fits(model, batch, starts, sweeps):
             pass
         return time.perf_counter() - t0
+
+    def logliks(self, size: int, model: str):
+        """The final logliks of the cell's fits after ``LONG`` sweeps."""
+        import numpy as np
+
+        return np.array([fit.loglik for fit in self._fits(model, *self.cells[size, model], LONG)])
 
     def cost(self, size: int, model: str) -> float:
         batch, starts = self.cells[size, model]
@@ -97,7 +109,8 @@ def main(argv=None) -> int:
     for label, tree in zip(("checkout", "other"), trees):
         print(f"{label}: qident from {tree.where}")
     head = " ".join(f"{label + '_us':>12}" for label in ("checkout", "other")[: len(trees)])
-    print(f"{'B':>5} {'model':>6} {head}" + (f" {'ratio':>6}" if len(trees) == 2 else ""))
+    print(f"{'B':>5} {'model':>6} {head}"
+          + (f" {'ratio':>6} {'max_rel_dll':>11}" if len(trees) == 2 else ""))
     for size in SIZES:
         for model in MODELS:
             costs = [[] for _ in trees]
@@ -107,7 +120,11 @@ def main(argv=None) -> int:
                     costs[i].append(trees[i].cost(size, model))
             us = [1e6 * statistics.median(c) for c in costs]
             line = f"{size:>5} {model:>6} " + " ".join(f"{u:>12.1f}" for u in us)
-            print(line + (f" {us[1] / us[0]:>6.3f}" if len(us) == 2 else ""))
+            if len(trees) == 2:
+                ours, theirs = (tree.logliks(size, model) for tree in trees)
+                drift = float(max(abs(ours - theirs) / abs(ours)))
+                line += f" {us[1] / us[0]:>6.3f} {drift:>11.1e}"
+            print(line)
     return 0
 
 
