@@ -127,6 +127,9 @@ def _start(model: str, mask: np.ndarray, K: int, data: Dataset, rng, init=None):
         if theta.shape != (len(mask), 1 << K) or p.shape != (1 << K,):
             raise WrongShape(f"init needs theta of shape {(len(mask), 1 << K)} and p of "
                              f"length {1 << K}, got {theta.shape} and {p.shape}")
+        if not p.sum() > 0:
+            raise WrongShape(f"init p needs a positive sum, got {p.sum()}")
+        p /= p.sum()  # so that the floor below bounds every class from below
     else:
         theta, p = _random_init(model, mask, K, rng)
     theta = np.clip(theta, _CLAMP, 1 - _CLAMP)
@@ -265,6 +268,16 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
         )
 
 
+def _check_run(tol, max_iter, restarts=1):
+    """Raise :class:`QidentError` on a run setting no EM fit can take."""
+    if restarts < 1:
+        raise QidentError(f"restarts must be at least 1, got {restarts}")
+    if max_iter < 1:
+        raise QidentError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise QidentError(f"tol must be finite and non-negative, got {tol}")
+
+
 def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
     """EM fits of the design with row masks ``masks[b]`` over K attributes
     on ``datasets[b]`` from ``starts[b]``, yielded in order, run in batches
@@ -275,10 +288,7 @@ def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
     another order: a fit among datasets with other patterns may differ from
     the fit alone in the last bits of its loglik.
     """
-    if max_iter < 1:
-        raise QidentError(f"max_iter must be at least 1, got {max_iter}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise QidentError(f"tol must be finite and non-negative, got {tol}")
+    _check_run(tol, max_iter)
     if not len(masks):
         return
     patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
@@ -296,18 +306,25 @@ def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
         )
 
 
-def _best(fits):
-    """The fit of highest loglik, the first one among ties."""
-    return max(fits, key=lambda fit: fit.loglik)
-
-
-def _restart_starts(model, mask, K, data, seed, restarts):
-    """Random starts of ``restarts`` EM runs, one child of ``seed`` each."""
-    if restarts < 1:
-        raise QidentError(f"restarts must be at least 1, got {restarts}")
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [_start(model, mask, K, data, np.random.default_rng(child))
-            for child in seq.spawn(restarts)]
+def _multistart(model, masks, K, datasets, seeds, restarts, tol, max_iter, paths=False):
+    """Best-of-``restarts`` EM fits of the design with row masks ``masks[d]``
+    on ``datasets[d]``, yielded in order, all restarts in one ``_fit_all``.
+    Design d's restarts start from the children of ``seeds[d]`` (a
+    ``SeedSequence`` or its entropy); its best fit, the first of highest
+    loglik, carries every restart's loglik and sweep count in seed order."""
+    _check_run(tol, max_iter, restarts)
+    starts = []
+    for mask, data, seed in zip(masks, datasets, seeds):
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        starts += [_start(model, mask, K, data, np.random.default_rng(child))
+                   for child in seq.spawn(restarts)]
+    fits = _fit_all(model, np.repeat(masks, restarts, axis=0), K,
+                    [d for d in datasets for _ in range(restarts)], starts, tol, max_iter, paths)
+    for group in zip(*[fits] * restarts):  # each design's restarts, in seed order
+        best = max(group, key=lambda fit: fit.loglik)
+        best.restart_logliks = [fit.loglik for fit in group]
+        best.restart_iterations = [fit.iterations for fit in group]
+        yield best
 
 
 def em_fit(
@@ -347,14 +364,8 @@ def multistart_fit(
     """Best-of-``restarts`` EM runs by log-likelihood, deterministic in the
     seed; the restarts run as one batch, and the best fit carries every
     restart's loglik and sweep count."""
-    K = q.n_attributes
-    starts = _restart_starts(model, q.row_masks, K, data, seed, restarts)
-    masks = np.broadcast_to(q.row_masks, (restarts, q.n_items))
-    fits = list(_fit_all(model, masks, K, [data] * restarts, starts, tol, max_iter, paths=True))
-    best = _best(fits)
-    best.restart_logliks = [fit.loglik for fit in fits]
-    best.restart_iterations = [fit.iterations for fit in fits]
-    return best
+    return next(_multistart(model, q.row_masks[None], q.n_attributes, [data], [seed], restarts,
+                            tol, max_iter, paths=True))
 
 
 @dataclass
@@ -443,11 +454,8 @@ def exhaustive_search(
     masks, K = _check_masks(candidates, n_attributes), n_attributes
     if not len(masks):
         raise QidentError("no candidates given")
-    starts = [start for idx, mask in enumerate(masks)
-              for start in _restart_starts(model, mask, K, data, [seed, idx], restarts)]
-    fits = _fit_all(model, np.repeat(masks, restarts, axis=0), K, [data] * len(starts), starts,
-                    tol, max_iter)
-    best = [_best(itertools.islice(fits, restarts)) for _ in masks]
+    best = _multistart(model, masks, K, [data] * len(masks),
+                       [[seed, idx] for idx in range(len(masks))], restarts, tol, max_iter)
     entries = [SearchEntry(idx, mask, fit.loglik, fit.stringent_ok, fit.converged, fit.iterations)
                for idx, (mask, fit) in enumerate(zip(masks, best))]
     eligible = [e for e in entries if not require_stringent or e.stringent_ok]
@@ -538,14 +546,15 @@ def mse_experiment(
     and fit by multistart EM, all fits batched together; the estimate is aligned
     to the truth over attribute permutations and squared errors are averaged
     per component.  Each cell also counts the replications whose fit hit
-    ``max_iter``.
+    ``max_iter``.  The run settings are checked before any truth is drawn.
     """
+    _check_run(tol, max_iter, restarts)
     root = np.random.SeedSequence(seed)
     sampler_rng = np.random.default_rng(root.spawn(1)[0])
     report = MseReport(records=[])
     if replications <= 0 or n_truths <= 0:
         return report
-    cells, datasets, starts = [], [], []
+    cells, datasets, seeds = [], [], []
     for idx in range(n_truths):
         params, p = truth_sampler(sampler_rng)
         truth = {"s": params.s, "g": params.g, "p": np.asarray(p, float)}
@@ -555,18 +564,15 @@ def mse_experiment(
             for rep in range(replications):
                 stream = np.random.default_rng((seed, idx, int(n), rep))
                 data = simulate(model, q, params, truth["p"], int(n), seed=stream)
-                datasets += [data] * restarts
-                starts += _restart_starts(
-                    model, q.row_masks, q.n_attributes, data, int(stream.integers(2**31)),
-                    restarts
-                )
-    masks = np.broadcast_to(q.row_masks, (len(starts), q.n_items))
-    fits = _fit_all(model, masks, q.n_attributes, datasets, starts, tol, max_iter)
+                datasets.append(data)
+                seeds.append(int(stream.integers(2**31)))
+    masks = np.broadcast_to(q.row_masks, (len(datasets), q.n_items))
+    fits = _multistart(model, masks, q.n_attributes, datasets, seeds, restarts, tol, max_iter)
     for idx, n, truth in cells:
         errs = np.zeros(3)
         unconverged = 0
         for rep in range(replications):
-            fit = _best(itertools.islice(fits, restarts))
+            fit = next(fits)
             _, p_aligned, _ = align_to_truth(fit, truth, q.n_attributes)
             errs[0] += float(np.mean((fit.s - truth["s"]) ** 2))
             errs[1] += float(np.mean((fit.g - truth["g"]) ** 2))

@@ -591,7 +591,7 @@ def _flags(masks: np.ndarray, K: int, hall: bool = True) -> dict:
 
 
 def _note(*texts: str):
-    return lambda K, attr, sums: ([], list(texts))
+    return lambda attr, sums: ([], list(texts))
 
 
 def _listed(hits: np.ndarray) -> list[int]:
@@ -602,52 +602,6 @@ _FREE_GUESS = (
     "free guessing value restricted to a neighborhood of the truth "
     "(local identifiability only)"
 )
-
-# Decision rules in the order they are tried: (scenario, render), where
-# render(K, attribute, column sums) gives the constraints and the notes; the
-# conditions of _dina_rules and _gdina_rules come in the same order.
-_DINA_RULES = (
-    (Scenario.STRICT, _note()),  # A, B and C
-    (Scenario.NOT_GENERIC_ONE_ITEM, _note()),  # K = 1, one item
-    (Scenario.NOT_LOCALLY_GENERIC_A,  # K = 1, two items
-     _note("two items on a single attribute admit a continuum of alternatives")),
-    (Scenario.NOT_GENERIC_ONE_ITEM, lambda K, attr, sums: (
-        [], [f"attributes required by at most one item: {_listed(sums <= 1)}"])),
-    (Scenario.NOT_LOCALLY_GENERIC_A, lambda K, attr, sums: ([], [
-        f"attribute {attr + 1} is required by exactly two items, one of which "
-        "requires every attribute"])),
-    (Scenario.GENERIC_B2, lambda K, attr, sums: (_b2_constraints(K), [])),
-    (Scenario.GENERIC_B1, lambda K, attr, sums: ([_b1_constraint(attr)], [])),
-    (Scenario.LOCAL_GENERIC_C, lambda K, attr, sums: (
-        [_b1_constraint(attr), _FREE_GUESS], [])),
-    (Scenario.NOT_LOCALLY_GENERIC_A,  # A fails
-     _note("incomplete design: some latent classes stay equivalent")),
-    (Scenario.NOT_LOCALLY_GENERIC_A,  # K = 2 and B fails
-     _note("K = 2 residual columns coincide: alternatives exist everywhere")),
-    (Scenario.UNDETERMINED,
-     _note("no classified structure applies (e.g. a twice-required attribute "
-           "without a unit row, with K > 2)")),
-)
-
-_GDINA_RULES = (
-    (Scenario.GENERIC_DE, lambda K, attr, sums: ([
-        "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
-        "T(Q*) . diag(p) has pairwise-distinct columns",
-    ], [])),
-    (Scenario.NOT_GENERIC_C_GDINA, lambda K, attr, sums: (
-        [], [f"attributes required by fewer than three items: {_listed(sums < 3)}"])),
-    (Scenario.NOT_GENERIC_GC, _note()),
-    (Scenario.NOT_GENERIC_K2_DE,
-     _note("for two attributes the block conditions are also necessary")),
-    (Scenario.UNDETERMINED, _note()),
-)
-
-
-def _first_rule(conds, attrs):
-    """Index of the first true condition of each design (the last is always
-    true), and the matching entry of ``attrs``."""
-    rule = np.argmax(conds, axis=0)
-    return rule, np.array(attrs)[rule, np.arange(len(rule))]
 
 
 def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
@@ -679,9 +633,12 @@ def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
 
 
 def _dina_rules(masks: np.ndarray, K: int, flags: dict):
-    """Index into ``_DINA_RULES`` of the rule deciding each design, and the
-    attribute that rule names (-1 for none).  The two-item scenarios are
-    searched only in designs that the rules before them leave open."""
+    """The DINA decision rules in the order they are tried, each as
+    ``(scenario, condition, attribute, render)``: which designs the rule
+    decides, the attribute it names (-1 for none), and render(attribute,
+    column sums) giving the constraints and the notes.  The last rule holds
+    for every design.  The two-item scenarios are searched only in designs
+    that the rules before them leave open."""
     N = len(masks)
     a, b, c = flags["A"], flags["B"], flags["C"]
     sums = _column_sums(masks, K)
@@ -690,39 +647,54 @@ def _dina_rules(masks: np.ndarray, K: int, flags: dict):
     if len(todo):
         for s, hits in _two_item_scenarios(masks[todo], K).items():
             found[s][todo] = hits
+    hit = {s: (f.any(axis=1), f.argmax(axis=1)) for s, f in found.items()}
     no = np.full(N, -1)
-    conds, attrs = zip(
-        (a & b & c, no),                              # strict
-        ((K == 1) & (sums[:, 0] == 1), no),           # K = 1: one item
-        (np.full(N, K == 1), no),                     # K = 1: two items
-        ((sums <= 1).any(axis=1), no),                # an attribute on <= 1 item
-        *((f.any(axis=1), f.argmax(axis=1)) for f in found.values()),
-        (~a, no),                                     # incomplete
-        ((K == 2) & ~b, no),                          # K = 2, equal residual columns
-        (np.ones(N, dtype=bool), no),                 # undetermined
-    )
-    return _first_rule(conds, attrs)
+    return [
+        (Scenario.STRICT, a & b & c, no, _note()),
+        (Scenario.NOT_GENERIC_ONE_ITEM, (K == 1) & (sums[:, 0] == 1), no, _note()),
+        (Scenario.NOT_LOCALLY_GENERIC_A, np.full(N, K == 1), no,  # K = 1, two items
+         _note("two items on a single attribute admit a continuum of alternatives")),
+        (Scenario.NOT_GENERIC_ONE_ITEM, (sums <= 1).any(axis=1), no, lambda attr, sums: (
+            [], [f"attributes required by at most one item: {_listed(sums <= 1)}"])),
+        (Scenario.NOT_LOCALLY_GENERIC_A, *hit["a"], lambda attr, sums: ([], [
+            f"attribute {attr + 1} is required by exactly two items, one of which "
+            "requires every attribute"])),
+        (Scenario.GENERIC_B2, *hit["b2"], lambda attr, sums: (_b2_constraints(K), [])),
+        (Scenario.GENERIC_B1, *hit["b1"], lambda attr, sums: ([_b1_constraint(attr)], [])),
+        (Scenario.LOCAL_GENERIC_C, *hit["c"], lambda attr, sums: (
+            [_b1_constraint(attr), _FREE_GUESS], [])),
+        (Scenario.NOT_LOCALLY_GENERIC_A, ~a, no,
+         _note("incomplete design: some latent classes stay equivalent")),
+        (Scenario.NOT_LOCALLY_GENERIC_A, (K == 2) & ~b, no,
+         _note("K = 2 residual columns coincide: alternatives exist everywhere")),
+        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no,
+         _note("no classified structure applies (e.g. a twice-required attribute "
+               "without a unit row, with K > 2)")),
+    ]
 
 
 def _gdina_rules(masks: np.ndarray, K: int, flags: dict):
-    """Index into ``_GDINA_RULES`` of the rule deciding each design, and -1
-    (no rule names an attribute)."""
+    """The GDINA decision rules in the order they are tried, as in
+    ``_dina_rules``; none names an attribute."""
     N = len(masks)
     d, e = flags["D"], flags["E"]
-    conds = [
-        np.zeros(N, dtype=bool) if d is None or e is None else d & e,
-        ~flags["C"],
-        ~flags["generic_complete"],
-        np.full(N, K == 2),
-        np.ones(N, dtype=bool),
+    no = np.full(N, -1)
+    return [
+        (Scenario.GENERIC_DE, np.zeros(N, dtype=bool) if d is None or e is None else d & e, no,
+         lambda attr, sums: ([
+             "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
+             "T(Q*) . diag(p) has pairwise-distinct columns",
+         ], [])),
+        (Scenario.NOT_GENERIC_C_GDINA, ~flags["C"], no, lambda attr, sums: (
+            [], [f"attributes required by fewer than three items: {_listed(sums < 3)}"])),
+        (Scenario.NOT_GENERIC_GC, ~flags["generic_complete"], no, _note()),
+        (Scenario.NOT_GENERIC_K2_DE, np.full(N, K == 2), no,
+         _note("for two attributes the block conditions are also necessary")),
+        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no, _note()),
     ]
-    return _first_rule(conds, [np.full(N, -1)] * len(conds))
 
 
-_MODELS = {
-    "dina": ("DINA", _dina_rules, _DINA_RULES),
-    "gdina": ("GDINA", _gdina_rules, _GDINA_RULES),
-}
+_MODELS = {"dina": ("DINA", _dina_rules), "gdina": ("GDINA", _gdina_rules)}
 _CHUNK = 1 << 10  # designs per kernel call: bounds the temporaries and peak RSS
 
 
@@ -737,25 +709,24 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     masks = _check_masks(masks, n_attributes)
     if (masks == 0).any():
         raise HasZeroRows("strip zero rows before classifying")
-    _, decide, rules = _MODELS[model]
-    names = np.array([scenario.value for scenario, _ in rules], dtype=object)
-    out = [names[:0]]
+    _, decide = _MODELS[model]
+    out = [np.array([], dtype=object)]
     for start in range(0, len(masks), _CHUNK):
         chunk = masks[start:start + _CHUNK]
-        rule, _ = decide(chunk, n_attributes, _flags(chunk, n_attributes, model == "gdina"))
-        out.append(names[rule])
+        rules = decide(chunk, n_attributes, _flags(chunk, n_attributes, model == "gdina"))
+        names = np.array([scenario.value for scenario, *_ in rules], dtype=object)
+        out.append(names[np.argmax([cond for _, cond, _, _ in rules], axis=0)])
     return np.concatenate(out)
 
 
 def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
     if q.has_zero_rows:
         raise HasZeroRows("strip zero rows before classifying")
-    name, decide, rules = _MODELS[model]
+    name, decide = _MODELS[model]
     K, masks = q.n_attributes, q.row_masks[None, :]
     flags = _flags(masks, K)
-    rule, attr = decide(masks, K, flags)
-    scenario, render = rules[rule[0]]
-    constraints, notes = render(K, int(attr[0]), q.column_sums())
+    scenario, _, attr, render = next(rule for rule in decide(masks, K, flags) if rule[1][0])
+    constraints, notes = render(int(attr[0]), q.column_sums())
     flags = {key: None if v is None else bool(v[0]) for key, v in flags.items()}
     return IdentifiabilityVerdict(name, flags, scenario, constraints, notes)
 

@@ -300,10 +300,12 @@ class Dataset:
     @classmethod
     def from_matrix(cls, responses) -> "Dataset":
         """Build from an N x J binary response matrix."""
-        arr = np.asarray(responses, dtype=np.int64)
+        arr = np.asarray(responses)
         if arr.ndim != 2:
             raise WrongShape("response matrix must be 2-d")
-        masks = (arr << np.arange(arr.shape[1], dtype=np.int64)).sum(axis=1)
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("responses must be 0 or 1")
+        masks = (arr.astype(np.int64) << np.arange(arr.shape[1], dtype=np.int64)).sum(axis=1)
         return cls.from_pattern_list(arr.shape[1], masks)
 
     @property

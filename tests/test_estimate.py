@@ -14,6 +14,7 @@ from qident import (
     simulate,
 )
 from qident.catalog import Q4X2_PAIRED, Q5X2_SINGLE_IDENTITY
+from qident import estimate
 from qident.errors import EmptyData, QidentError, TooLarge, WrongShape
 from qident.estimate import (
     _BATCH_CELLS,
@@ -412,6 +413,38 @@ class TestMultistart:
         for call in calls:
             with pytest.raises(QidentError, match=message):
                 call()
+
+    @pytest.mark.parametrize("bad", [{"tol": float("nan")}, {"max_iter": 0}, {"restarts": 0}])
+    def test_bad_settings_raise_before_any_work(self, rng, monkeypatch, bad):
+        _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("work done before the settings were checked")
+
+        monkeypatch.setattr(estimate, "_start", untouched)
+        run = {"restarts": 1, **bad}
+        calls = [
+            lambda: multistart_fit("dina", Q4X2_PAIRED, data, **run),
+            lambda: exhaustive_search("dina", data, _masks([Q4X2_PAIRED]), 2, **run),
+            lambda: mse_experiment(Q4X2_PAIRED, untouched, n_truths=1, n_grid=[100],
+                                   replications=1, **run),
+        ]
+        for call in calls:
+            with pytest.raises(QidentError, match="must be"):
+                call()
+
+    def test_given_start_normalized_before_floor(self, rng):
+        # unnormalized, the first three classes would start near 1e-312,
+        # far below the 1e-4 / C floor the E-step's bound needs
+        params, _, data = _simulated(rng, Q4X2_PAIRED, n=500, seed=21)
+        theta = theta_table("dina", Q4X2_PAIRED, params)
+        fits = [em_fit("dina", Q4X2_PAIRED, data, init=(theta, p))
+                for p in ([1e-4, 1e-4, 1e-4, 1e308], [0, 0, 0, 1])]
+        assert fits[0].iterations == fits[1].iterations
+        np.testing.assert_array_equal(fits[0].loglik_path, fits[1].loglik_path)
+        np.testing.assert_array_equal(fits[0].p, fits[1].p)
+        with pytest.raises(WrongShape, match="init p needs a positive sum"):
+            em_fit("dina", Q4X2_PAIRED, data, init=(theta, np.zeros(4)))
 
     def test_zero_tol_runs_to_the_cap(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)

@@ -476,6 +476,19 @@ class TestBatchedClassifier:
         with pytest.raises(ValueError, match="unknown model 'dino'"):
             classify_batch(np.array([[1]]), 1, "dino")
 
+    def test_rule_lists_cover_every_scenario(self, rng):
+        from qident.cli import _SCENARIO_SUMMARY
+
+        named = set()
+        for J, K in ((1, 1), (2, 1), (4, 2), (5, 3), (6, 4)):
+            codes = qmatrix._canonical_codes(J, K)
+            codes = codes[rng.choice(len(codes), size=min(len(codes), 500), replace=False)]
+            for _, decide in qmatrix._MODELS.values():
+                rules = decide(codes, K, qmatrix._flags(codes, K))
+                named |= {scenario for scenario, *_ in rules}
+                assert rules[-1][1].all()  # the last rule decides what the others leave
+        assert named == set(Scenario) == set(_SCENARIO_SUMMARY)
+
 
 class TestEnumeration:
     def test_census_5x2(self):

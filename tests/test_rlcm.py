@@ -292,6 +292,12 @@ class TestSimulate:
         back = data.to_matrix()
         assert sorted(map(tuple, back.tolist())) == sorted(map(tuple, matrix.tolist()))
 
+    @pytest.mark.parametrize("matrix", [[[2, 0], [1, 1]], [[0.5, 1]], [[-1, 0]]])
+    def test_dataset_rejects_non_binary_responses(self, matrix):
+        # a 2 would otherwise read as a response to the next item
+        with pytest.raises(ValueError, match="responses must be 0 or 1"):
+            Dataset.from_matrix(matrix)
+
 
 def test_pattern_string_orientation():
     # attribute 1 is bit 0 and prints first
