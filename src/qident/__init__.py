@@ -34,12 +34,10 @@ from .rlcm import (
     GdinaParams,
     Proportions,
     RlcmModel,
-    beta_to_theta,
     full_distribution,
     pmf,
     simulate,
     theta_table,
-    theta_to_beta,
 )
 from .witness import WitnessPair, certify
 
@@ -66,8 +64,6 @@ __all__ = [
     "GdinaParams",
     "Proportions",
     "RlcmModel",
-    "beta_to_theta",
-    "theta_to_beta",
     "theta_table",
     "full_distribution",
     "pmf",

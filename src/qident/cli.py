@@ -293,9 +293,19 @@ def cmd_tmatrix(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: numpy takes only non-negative integer seeds."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _add_common(sub, *, seed=True, threads=False):
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     if threads:

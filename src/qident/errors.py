@@ -47,10 +47,6 @@ class NotCertified(QidentError):
     """A constructed alternative failed the distribution-equality check."""
 
 
-class IllegalCoefficient(QidentError):
-    """An effect coefficient is attached to attributes the item does not require."""
-
-
 class EmptyData(QidentError):
     """The dataset contains no observations."""
 

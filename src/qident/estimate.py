@@ -41,7 +41,6 @@ __all__ = [
     "exhaustive_search",
     "align_to_truth",
     "mse_experiment",
-    "spearman",
 ]
 
 _CLAMP = 1e-4
@@ -181,6 +180,14 @@ def _observed_loglik(theta, p, XX, W, work):
     return loglik, np.multiply(joint, W[:, None, :] / denom, out=joint).reshape(B * C, -1)
 
 
+def _bins(cells):
+    """The C-contiguous M-step bins of the m fits left in a batch, renumbered
+    0..m-1, from their (item, label) bins ``cells`` (m, C, J): the gather index
+    and the flat (fit, class, copy, item) index whose second copy pools p."""
+    gather = cells + cells[0].size * np.arange(len(cells))[:, None, None]
+    return gather, np.stack([gather, gather + gather.size], axis=2).ravel()
+
+
 def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
     """Advance one EM fit per design, given by its row masks ``masks[b]``
     over K attributes, together and yield the fits in order.
@@ -201,12 +208,9 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
     (B, J), C, N = masks.shape, 1 << K, len(X)
     theta, p = np.stack([t.T for t, _ in starts]), np.stack([a for _, a in starts])
     labels = _cells(masks, K) if model == "gdina" else _gate(masks, K, model)
-    # the M-step pools theta[j, a] over the classes sharing its label, so
-    # (fit, item, label) flattens into one bin, and the class mass pools in
-    # a second copy of the bins; laid out (fit, class, copy, item) as the
-    # gathered M-step product is, each bin sums its classes in order
-    bins = labels.transpose(0, 2, 1) + C * np.arange(J) + J * C * np.arange(B)[:, None, None]
-    flat = bins = np.stack([bins, bins + bins.size], axis=2)
+    # the M-step pools theta[j, a] over the classes sharing its (item, label) bin
+    cells = np.ascontiguousarray(labels.transpose(0, 2, 1)) + C * np.arange(J)
+    gather, flat = _bins(cells)
     take = np.append(np.arange(J), np.full(J, J))
     XX = np.hstack([X, 1.0 - X, np.ones((N, 1))])
     XI = np.hstack([X, np.ones((N, 1)), np.zeros((N, -(J + 1) % 8))])
@@ -220,10 +224,10 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
         mass = wpost[:, :256] @ XI[:256]
         for lo in range(256, N, 256):
             mass += wpost[:, lo:lo + 256] @ XI[lo:lo + 256]
-        pos, tot = np.bincount(flat.ravel(), mass[:, take].ravel(), bins.size).reshape(2, -1)
+        pos, tot = np.bincount(flat, mass[:, take].ravel(), flat.size).reshape(2, -1)
         # posteriors are positive (see _observed_loglik): only unread bins have tot = 0
         val = pos / np.maximum(tot, 1e-300)
-        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[flat[:, :, 0]]
+        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[gather]
         p = np.maximum(mass[:, J].reshape(p.shape) / n[:, None], _CLAMP / C)
         p /= p.sum(axis=1, keepdims=True)
 
@@ -237,7 +241,7 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
             active, theta, p, prev, w, n = (a[~done] for a in (active, theta, p, prev, w, n))
             if not len(active):
                 break
-            flat = bins[active]
+            gather, flat = _bins(cells[active])
     out_theta[active], out_p[active] = theta, p
 
     theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
@@ -582,18 +586,3 @@ def mse_experiment(
         report.records.append(MseRecord(idx, n, mse_s, mse_g, mse_p, unconverged))
     return report
 
-
-def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-
-    def ranks(v):
-        # a tie group ending at rank `last` of `count` values averages
-        # last - (count - 1) / 2
-        _, group, count = np.unique(np.asarray(v, float), return_inverse=True, return_counts=True)
-        return (np.cumsum(count) - (count - 1) / 2.0)[group]
-
-    rx, ry = ranks(x), ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = float(np.sqrt((rx**2).sum() * (ry**2).sum()))
-    return float((rx * ry).sum() / denom) if denom else 0.0

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalCoefficient, QidentError, TooLarge, WrongShape
+from .errors import QidentError, TooLarge, WrongShape
 from .qmatrix import QMatrix, _cells, gamma_matrix
-from .tmatrix import _split_product, shift_matrix
+from .tmatrix import _split_product
 
 __all__ = [
     "Proportions",
@@ -31,21 +31,13 @@ __all__ = [
     "monotonicity_violation",
     "stringent_violation",
     "monotonicity_ok",
-    "beta_to_theta",
-    "theta_to_beta",
     "response_distribution",
     "full_distribution",
     "pmf",
     "simulate",
-    "pattern_string",
 ]
 
 _MAX_FULL_J = 24
-
-
-def pattern_string(mask: int, width: int) -> str:
-    """Render a pattern mask as a 0/1 string, first coordinate first."""
-    return "".join(str(mask >> k & 1) for k in range(width))
 
 
 @dataclass(frozen=True)
@@ -202,46 +194,6 @@ def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
 def monotonicity_ok(theta: np.ndarray, q: QMatrix) -> bool:
     """Covering patterns must answer strictly better than non-covering ones."""
     return monotonicity_violation(theta, q) < 0
-
-
-def beta_to_theta(betas: list[dict], q: QMatrix) -> GdinaParams:
-    """Build the theta table from per-item effect coefficients.
-
-    ``betas[j]`` maps an attribute-subset mask to its coefficient; a nonzero
-    coefficient is legal only when the item requires every attribute of the
-    subset.  theta[j, a] sums the coefficients of all subsets contained in
-    the pattern restricted to the item's requirements.
-    """
-    if len(betas) != q.n_items:
-        raise WrongShape("need one coefficient map per item")
-    K = q.n_attributes
-    n = 1 << K
-    patterns = np.arange(n)
-    theta = np.zeros((q.n_items, n))
-    for j, beta in enumerate(betas):
-        mask = int(q.row_masks[j])
-        for subset, coef in beta.items():
-            subset = int(subset)
-            if coef != 0 and (subset & mask) != subset:
-                raise IllegalCoefficient(
-                    f"item {j + 1}: coefficient on subset {subset:b} not supported by the row"
-                )
-            theta[j, (patterns & subset) == subset] += coef
-    return GdinaParams(theta)
-
-
-def theta_to_beta(params: GdinaParams | np.ndarray, q: QMatrix) -> list[dict]:
-    """Invert the effect decomposition by Moebius inversion on the subset
-    lattice, which is the parameter shift by theta* = 1: beta[j, s] sums
-    (-1)^|s - t| theta[j, t] over the subsets t of s.  Keeps, per item, the
-    subsets of its row."""
-    theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
-    beta = theta @ shift_matrix(np.ones(q.n_attributes)).T
-    subsets = _cells(q.row_masks, q.n_attributes) == np.arange(theta.shape[1])
-    return [
-        {int(s): beta[j, s] for s in np.flatnonzero(subsets[j])}
-        for j in range(q.n_items)
-    ]
 
 
 def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:

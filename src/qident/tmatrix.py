@@ -29,10 +29,8 @@ from .errors import TooLarge, WrongShape
 __all__ = [
     "build_t",
     "tp_vector",
-    "shift_t",
     "shift_matrix",
     "rank",
-    "identifiable_subset_check",
 ]
 
 _MAX_T_J = 20
@@ -141,46 +139,9 @@ def shift_matrix(theta_star: np.ndarray) -> np.ndarray:
     return d
 
 
-def shift_t(theta: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
-    """T built from the shifted table theta - theta_star (per item)."""
-    return build_t(theta - np.asarray(theta_star, float)[:, None])
-
-
 def rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
     """Numerical rank: the number of singular values above ``tol`` times
     the largest one, so the tolerance is relative."""
     sv = np.linalg.svd(np.asarray(matrix, float), compute_uv=False)
     return int((sv > tol * sv[0]).sum()) if sv.size else 0
 
-
-def identifiable_subset_check(
-    theta: np.ndarray,
-    p: np.ndarray,
-    partition,
-    tol: float = _RANK_TOL,
-) -> bool:
-    """Numeric check of the identifiable-subset constraints for a two-block
-    partition: both block T-matrices are nonsingular and the leftover block's
-    T-matrix, column-scaled by p, has pairwise-distinct columns.
-
-    ``partition`` is ``(rows1, rows2, rest)`` as returned by the condition
-    D/E search.
-    """
-    if partition is None:
-        raise WrongShape("no block partition available; run the condition D/E check")
-    rows1, rows2, rest = partition
-    n_alpha = theta.shape[1]
-    for rows in (rows1, rows2):
-        t_block = build_t(theta[list(rows)])
-        if t_block.shape[0] != n_alpha:
-            # K-item block gives a 2^K x 2^K matrix; anything else is malformed
-            raise WrongShape("block size does not match the attribute count")
-        if rank(t_block, tol) < n_alpha:
-            return False
-    if rest:
-        scaled = build_t(theta[list(rest)]) * p[None, :]
-        for a in range(n_alpha):
-            for b in range(a + 1, n_alpha):
-                if np.max(np.abs(scaled[:, a] - scaled[:, b])) <= tol:
-                    return False
-    return True

@@ -96,3 +96,20 @@ def gap_z_score(q: QMatrix, params: DinaParams, p, n: int) -> float:
     info = dina_information(q, params, p)
     var = float(grad @ np.linalg.pinv(info, hermitian=True) @ grad)
     return float(gap * np.sqrt(n / var)) if var > 0 else 0.0
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation with average ranks for ties (criterion 6's
+    statistic)."""
+
+    def ranks(v):
+        # a tie group ending at rank `last` of `count` values averages
+        # last - (count - 1) / 2
+        _, group, count = np.unique(np.asarray(v, float), return_inverse=True, return_counts=True)
+        return (np.cumsum(count) - (count - 1) / 2.0)[group]
+
+    rx, ry = ranks(x), ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = float(np.sqrt((rx**2).sum() * (ry**2).sum()))
+    return float((rx * ry).sum() / denom) if denom else 0.0

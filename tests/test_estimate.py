@@ -27,11 +27,10 @@ from qident.estimate import (
     exhaustive_search,
     mse_experiment,
     multistart_fit,
-    spearman,
 )
 from qident.rlcm import Dataset, full_distribution, response_distribution, theta_table
 
-from tests.conftest import dina_information, dina_jacobian, gap_z_score, random_q
+from tests.conftest import dina_information, dina_jacobian, gap_z_score, random_q, spearman
 
 
 def _simulated(rng, q, n=5000, seed=0):

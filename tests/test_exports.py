@@ -1,0 +1,19 @@
+"""Every public name the package and its modules export resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import qident
+
+MODULES = ["qident"] + [f"qident.{m.name}" for m in pkgutil.iter_modules(qident.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
+

@@ -228,6 +228,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert "tol must be finite and non-negative" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "search", "witness"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        # numpy rejects negative seeds; the parser does so before any work
+        qfile, params = self._write_paired_inputs(tmp_path)
+        data = str(tmp_path / "dataset.csv")
+        args = {
+            "simulate": ["--q", str(qfile), "--params", str(params), "--n", "10"],
+            "fit": ["--model", "dina", "--q", str(qfile), "--data", data],
+            "search": ["--model", "dina", "--truth", str(qfile), "--data", data],
+            "witness": ["--construction", "q24", "--params", str(params)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: must be a non-negative integer, got '-1'" in captured.err
+        assert captured.out == ""
+
     def test_simulate_empty(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path)
         out = tmp_path / "sim0"

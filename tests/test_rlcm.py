@@ -12,19 +12,16 @@ from qident import (
     GdinaParams,
     Proportions,
     QMatrix,
-    beta_to_theta,
     full_distribution,
     pmf,
     simulate,
     theta_table,
-    theta_to_beta,
 )
 from qident.catalog import Q4X2_PAIRED
-from qident.errors import IllegalCoefficient, QidentError, TooLarge, WrongShape
+from qident.errors import QidentError, TooLarge, WrongShape
 from qident.rlcm import (
     _order_violations,
     monotonicity_ok,
-    pattern_string,
     response_distribution,
     stringent_violation,
 )
@@ -119,51 +116,6 @@ class TestThetaTables:
             p_flip = p[::-1].copy()  # complementing a pattern reverses the mask order
             dual = response_distribution(swapped, p_flip)
             assert_allclose(dino, dual, atol=1e-14)
-
-
-class TestBetaConversion:
-    def test_main_effect_item(self):
-        q = QMatrix.from_rows([[0, 1]])
-        params = beta_to_theta([{0: 0.2, 0b10: 0.6}], q)
-        assert_allclose(params.theta[0], [0.2, 0.2, 0.8, 0.8])
-
-    def test_intercept_only(self):
-        q = QMatrix.from_rows([[1, 1]])
-        params = beta_to_theta([{0: 0.4}], q)
-        assert_allclose(params.theta[0], 0.4)
-
-    def test_illegal_support(self):
-        q = QMatrix.from_rows([[1, 0]])
-        with pytest.raises(IllegalCoefficient):
-            beta_to_theta([{0: 0.2, 0b10: 0.3}], q)
-
-    def test_round_trip_against_linear_solve(self, rng):
-        # independent oracle: solve the subset design system numerically
-        q = random_q(rng, 4, 3, ensure_nonzero_rows=True)
-        betas = []
-        for j in range(4):
-            mask = int(q.row_masks[j])
-            subsets = [s for s in range(8) if s & mask == s]
-            coefs = {s: 0.0 for s in subsets}
-            coefs[0] = 0.3
-            remaining = [s for s in subsets if s]
-            weights = rng.uniform(0.02, 0.5 / max(len(remaining), 1), size=len(remaining))
-            for s, wgt in zip(remaining, weights):
-                coefs[s] = float(wgt)
-            betas.append(coefs)
-        params = beta_to_theta(betas, q)
-        back = theta_to_beta(params, q)
-        for j in range(4):
-            mask = int(q.row_masks[j])
-            subsets = sorted(s for s in range(8) if s & mask == s)
-            design = np.array(
-                [[1.0 if (s & t) == s else 0.0 for s in subsets] for t in subsets]
-            )
-            rhs = np.array([params.theta[j, t] for t in subsets])
-            solved = np.linalg.solve(design, rhs)
-            for s, value in zip(subsets, solved):
-                assert back[j].get(s, 0.0) == pytest.approx(value, abs=1e-12)
-                assert betas[j].get(s, 0.0) == pytest.approx(value, abs=1e-12)
 
 
 class TestDistribution:
@@ -297,12 +249,6 @@ class TestSimulate:
         # a 2 would otherwise read as a response to the next item
         with pytest.raises(ValueError, match="responses must be 0 or 1"):
             Dataset.from_matrix(matrix)
-
-
-def test_pattern_string_orientation():
-    # attribute 1 is bit 0 and prints first
-    assert pattern_string(0b01, 2) == "10"
-    assert pattern_string(0b10, 2) == "01"
 
 
 def test_equal_effects_levels():

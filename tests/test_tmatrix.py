@@ -18,9 +18,7 @@ from qident.tmatrix import (
     _max_abs_difference,
     build_t,
     rank,
-    identifiable_subset_check,
     shift_matrix,
-    shift_t,
     tp_vector,
 )
 from qident.witness import q24_constraint_gap
@@ -177,7 +175,6 @@ class TestShift:
         _, theta, _ = _random_model(rng, 4, 2)
         d = shift_matrix(np.zeros(4))
         assert_allclose(d, np.eye(16))
-        assert_allclose(shift_t(theta, np.zeros(4)), build_t(theta))
 
     def test_two_item_expansion(self, rng):
         # hand expansion of (t1 - a)(t2 - b) for the four response patterns
@@ -192,7 +189,7 @@ class TestShift:
                 (theta[0] - 0.3) * (theta[1] - 0.5),
             ]
         )
-        assert_allclose(shift_t(theta, shift), expected, atol=1e-14)
+        assert_allclose(build_t(theta - shift[:, None]), expected, atol=1e-14)
         assert_allclose(shift_matrix(shift) @ t, expected, atol=1e-14)
 
     def test_transform_identity(self, rng):
@@ -202,8 +199,7 @@ class TestShift:
             _, theta, _ = _random_model(rng, j, k)
             shift = rng.uniform(-0.5, 0.5, j)
             d = shift_matrix(shift)
-            assert np.max(np.abs(d @ build_t(theta) - shift_t(theta, shift))) < 1e-10
-            assert np.array_equal(shift_t(theta, shift), build_t(theta - shift[:, None]))
+            assert np.max(np.abs(d @ build_t(theta) - build_t(theta - shift[:, None]))) < 1e-10
             assert abs(abs(np.linalg.det(d)) - 1.0) < 1e-9
 
     def test_guessing_shift_zeroes_noncapable(self, rng):
@@ -211,7 +207,7 @@ class TestShift:
         # pattern into (c - g)^J times the capable indicator
         q, theta, _ = _random_model(rng, 4, 2)
         g = theta.min(axis=1)
-        shifted = shift_t(theta, g)
+        shifted = build_t(theta - g[:, None])
         full = (1 << 4) - 1
         masks = q.row_masks
         for a in range(4):
@@ -258,27 +254,20 @@ class TestRank:
 
 class TestIdentifiableSubset:
     def test_random_parameters_pass(self, rng):
+        # generic parameters meet the constraints on the D/E partition: both
+        # K-item blocks give nonsingular T-matrices, and the rest block's
+        # T-matrix, column-scaled by p, has pairwise-distinct columns
         q = Q5X2_DOUBLE_IDENTITY
-        _, _, partition = check_conditions_DE(q)
+        _, _, (rows1, rows2, rest) = check_conditions_DE(q)
         for _ in range(100):
             params = DinaParams(rng.uniform(0.05, 0.3, 5), rng.uniform(0.05, 0.3, 5))
             theta = theta_table("dina", q, params)
             p = rng.dirichlet(np.full(4, 3.0))
-            assert identifiable_subset_check(theta, p, partition)
-
-    def test_constant_rows_fail(self):
-        q = Q5X2_DOUBLE_IDENTITY
-        _, _, partition = check_conditions_DE(q)
-        theta = np.full((5, 4), 0.5)
-        theta[list(partition[0] + partition[1])] = theta_table("dina", 
-            q, DinaParams(np.full(5, 0.2), np.full(5, 0.1))
-        )[list(partition[0] + partition[1])]
-        p = np.full(4, 0.25)
-        assert not identifiable_subset_check(theta, p, partition)
-
-    def test_requires_partition(self):
-        with pytest.raises(WrongShape):
-            identifiable_subset_check(np.full((2, 4), 0.5), np.full(4, 0.25), None)
+            for rows in (rows1, rows2):
+                assert rank(build_t(theta[list(rows)])) == 4
+            scaled = build_t(theta[list(rest)]) * p
+            gaps = np.abs(scaled[:, :, None] - scaled[:, None, :]).max(axis=0)
+            assert gaps[np.triu_indices(4, 1)].min() > 1e-10
 
     def test_paired_design_proportion_constraint(self, rng):
         # the product constraint holds for generic draws, fails at uniform p
