@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyData, QidentError, TooLarge, WrongShape
-from .qmatrix import QMatrix, _cells, _check_masks, _design_rows, _gate
+from .qmatrix import QMatrix, _bit_permutation_table, _cells, _check_masks, _design_rows, _gate
 from .rlcm import Dataset, _order_violations, simulate
 
 __all__ = [
@@ -473,13 +473,6 @@ def exhaustive_search(
     return SearchReport(model, K, entries, ranked[0].index, gap, require_stringent)
 
 
-def _bit_permutation_table(perm, K: int) -> np.ndarray:
-    """Lookup table sending each K-bit mask through the column permutation:
-    bit k of the mask moves to bit perm[k]."""
-    bits = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
-    return bits @ (1 << np.asarray(perm, dtype=np.int64))
-
-
 def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):
     """Relabel the estimated proportions by the attribute permutation that
     minimizes the total squared parameter error against the truth.
@@ -550,9 +543,12 @@ def mse_experiment(
     and fit by multistart EM, all fits batched together; the estimate is aligned
     to the truth over attribute permutations and squared errors are averaged
     per component.  Each cell also counts the replications whose fit hit
-    ``max_iter``.  The run settings are checked before any truth is drawn.
+    ``max_iter``.  The run settings and the model, DINA or DINO, are checked
+    before any truth is drawn.
     """
     _check_run(tol, max_iter, restarts)
+    if model not in ("dina", "dino"):
+        raise QidentError(f"model must be 'dina' or 'dino', got {model!r}")
     root = np.random.SeedSequence(seed)
     sampler_rng = np.random.default_rng(root.spawn(1)[0])
     report = MseReport(records=[])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, WrongShape
 from .qmatrix import QMatrix
 from .rlcm import Dataset, DinaParams, GdinaParams, Proportions
 
@@ -146,18 +146,25 @@ def load_params_json(path):
 
     Accepted shapes: ``{"model": "dina", "s": [...], "g": [...]}`` or
     ``{"model": "gdina", "theta": [[...]]}``, each optionally with ``"p"``.
+    Malformed JSON, a missing field and values the parameter classes reject
+    raise :class:`ParseError`.
     """
-    obj = json.loads(Path(path).read_text())
-    model = obj.get("model")
-    if model in ("dina", "dino"):
-        params = DinaParams(np.array(obj["s"], float), np.array(obj["g"], float))
-    elif model == "gdina":
-        params = GdinaParams(np.array(obj["theta"], float))
-    else:
-        raise ParseError(f"unknown or missing model field: {model!r}")
-    p = None
-    if "p" in obj:
-        p = Proportions(np.array(obj["p"], float), allow_zero=bool(obj.get("allowZero", False)))
+    try:
+        obj = json.loads(Path(path).read_text())
+        model = obj.get("model") if isinstance(obj, dict) else None
+        if model in ("dina", "dino"):
+            params = DinaParams(np.array(obj["s"], float), np.array(obj["g"], float))
+        elif model == "gdina":
+            params = GdinaParams(np.array(obj["theta"], float))
+        else:
+            raise ParseError(f"unknown or missing model field: {model!r}")
+        p = None
+        if "p" in obj:
+            p = Proportions(np.array(obj["p"], float), allow_zero=bool(obj.get("allowZero", False)))
+    except KeyError as exc:
+        raise ParseError(f"params file lacks the field {exc}") from None
+    except (TypeError, ValueError, WrongShape) as exc:
+        raise ParseError(f"invalid params file: {exc}") from None
     return model, params, p
 
 

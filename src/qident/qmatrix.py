@@ -10,8 +10,8 @@ recovered from response data:
 * completeness          -- some K rows form the K x K identity (condition A);
 * distinctness          -- the residual block left after removing an identity
                            has pairwise-distinct columns (condition B);
-* repetition            -- every attribute is required by >= ``min_count``
-                           items (condition C, and condition E with count 1);
+* repetition            -- every attribute is required by at least three
+                           items (condition C);
 * generic completeness  -- some K rows admit an all-ones diagonal after row
                            and column permutation, i.e. a perfect matching
                            between attributes and items;
@@ -302,9 +302,9 @@ def check_condition_B(q: QMatrix) -> bool:
     return len(set(cols)) == k
 
 
-def check_condition_C(q: QMatrix, min_count: int = 3) -> bool:
-    """Repetition: every attribute is required by at least ``min_count`` items."""
-    return bool((q.column_sums() >= min_count).all())
+def check_condition_C(q: QMatrix) -> bool:
+    """Repetition: every attribute is required by at least three items."""
+    return bool((q.column_sums() >= 3).all())
 
 
 def _match_attributes(masks: list, K: int, copies: int, banned=frozenset()):
@@ -447,7 +447,7 @@ def _unit_counts(masks: np.ndarray, K: int) -> np.ndarray:
 
 
 def _abc(masks: np.ndarray, K: int):
-    """Conditions A, B and C (``min_count`` 3) of each design.
+    """Conditions A, B and C of each design.
 
     A zero row counts as absent: it is no unit row and requires nothing, so
     a residual design is scored by zeroing the rows it drops.  B needs A:
@@ -830,3 +830,24 @@ def q_equivalent(a: QMatrix, b: QMatrix) -> bool:
     cols_a = sorted(a.entries[:, k].tobytes() for k in range(a.n_attributes))
     cols_b = sorted(b.entries[:, k].tobytes() for k in range(b.n_attributes))
     return cols_a == cols_b
+
+
+def _column_maps(a: QMatrix, b: QMatrix) -> list[tuple[int, ...]]:
+    """Every column permutation perm with b[:, perm[k]] == a[:, k] for all
+    k, built by matching equal columns only, so a design with distinct
+    columns has at most one.  Empty when the designs are not equivalent."""
+    if a.entries.shape != b.entries.shape:
+        raise WrongShape(f"shapes differ: {a.entries.shape} vs {b.entries.shape}")
+    cols_a, cols_b = ([m.entries[:, k].tobytes() for k in range(m.n_attributes)] for m in (a, b))
+    maps = [()]
+    for col in cols_a:
+        maps = [perm + (m,) for perm in maps
+                for m, c in enumerate(cols_b) if c == col and m not in perm]
+    return maps
+
+
+def _bit_permutation_table(perm, K: int) -> np.ndarray:
+    """Lookup table sending each K-bit mask through the column permutation:
+    bit k of the mask moves to bit perm[k]."""
+    bits = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
+    return bits @ (1 << np.asarray(perm, dtype=np.int64))

@@ -28,8 +28,6 @@ __all__ = [
     "Dataset",
     "RlcmModel",
     "theta_table",
-    "monotonicity_violation",
-    "stringent_violation",
     "monotonicity_ok",
     "response_distribution",
     "full_distribution",
@@ -61,10 +59,6 @@ class Proportions:
             raise ValueError("proportions must be positive (zeros only in witness models)")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-
-    @property
-    def n_attributes(self) -> int:
-        return int(np.log2(len(self.p)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +150,16 @@ def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
 
 
 def _order_violations(theta: np.ndarray, masks: np.ndarray):
-    """``monotonicity_violation`` and ``stringent_violation`` of a batch of
-    response tables, theta (B, J, 2^K) on row masks (B, J), as two (B,)
-    arrays.  A zero row has no non-covering pattern, so its gap is -inf."""
+    """The order violations of a batch of response tables, theta (B, J, 2^K)
+    on row masks (B, J), as two (B,) arrays.
+
+    The first is the largest excess of a non-covering over a covering
+    pattern's response probability, over the items with a nonzero row
+    (-inf when there is none).  The second is the largest excess of
+    theta[j, b] over theta[j, a] for patterns a > b in the strict order of
+    subsets of item j's required attributes (-inf when no item requires an
+    attribute).  Negative means strict order, zero is a tie.
+    """
     pats = np.arange(theta.shape[-1], dtype=np.int64)
     cells = _cells(masks, len(pats).bit_length() - 1)
     covers = cells == masks[..., None]
@@ -172,28 +173,9 @@ def _order_violations(theta: np.ndarray, masks: np.ndarray):
     return mono, excess.reshape(len(excess), -1).max(axis=1)
 
 
-def monotonicity_violation(theta: np.ndarray, q: QMatrix) -> float:
-    """Largest excess of a non-covering over a covering pattern's response
-    probability, over the items with a nonzero row; -inf when there is none.
-
-    Negative means covering patterns answer strictly better, zero is a tie.
-    """
-    return float(_order_violations(np.asarray(theta)[None], q.row_masks[None])[0][0])
-
-
-def stringent_violation(theta: np.ndarray, q: QMatrix) -> float:
-    """Largest excess of theta[j, b] over theta[j, a] for patterns a > b in
-    the strict order of subsets of item j's required attributes; -inf when
-    no item requires an attribute.
-
-    Negative means strict increase along the order, zero is a tie.
-    """
-    return float(_order_violations(np.asarray(theta)[None], q.row_masks[None])[1][0])
-
-
 def monotonicity_ok(theta: np.ndarray, q: QMatrix) -> bool:
     """Covering patterns must answer strictly better than non-covering ones."""
-    return monotonicity_violation(theta, q) < 0
+    return bool(_order_violations(np.asarray(theta)[None], q.row_masks[None])[0][0] < 0)
 
 
 def response_distribution(theta: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Each construction takes a true model on a deficient design and returns an
 alternative model, possibly on a different design, that induces exactly the
 same distribution over all 2^J response patterns.  Every returned pair is
 certified by full enumeration: the maximum absolute probability difference
-must stay below ``CERT_TOL`` and the two models must genuinely differ, or
-an error is raised.  There are no silent near-witnesses.
+must stay below ``CERT_TOL`` and the two models must genuinely differ, also
+after any column relabeling of the alternative's design, or an error is
+raised.  There are no silent near-witnesses.
 
 Available constructions:
 
@@ -55,8 +56,9 @@ from .errors import (
     TooLarge,
     WrongShape,
 )
-from .qmatrix import QMatrix, _required_by, _two_item_forms, gamma_matrix, q_equivalent
-from .rlcm import DinaParams, RlcmModel, theta_table
+from .qmatrix import (QMatrix, _bit_permutation_table, _column_maps, _required_by,
+                      _two_item_forms, gamma_matrix)
+from .rlcm import DinaParams, RlcmModel, monotonicity_ok, theta_table
 from .tmatrix import _max_abs_difference
 
 __all__ = [
@@ -76,6 +78,7 @@ __all__ = [
 CERT_TOL = 1e-12
 DISTINCT_FLOOR = 1e-6
 _MAX_CERT_J = 20
+_Q24_TOL = 1e-10  # largest constraint gap the q24 construction treats as zero
 
 
 @dataclass
@@ -89,14 +92,17 @@ class WitnessPair:
     details: dict = field(default_factory=dict)
 
     def is_distinct(self) -> bool:
-        """The pair must differ beyond numerical noise to count as a witness."""
-        if not q_equivalent(self.truth.q, self.alternative.q):
-            return True
-        gap = max(
-            float(np.max(np.abs(self.truth.theta - self.alternative.theta))),
-            float(np.max(np.abs(self.truth.p - self.alternative.p))),
-        )
-        return gap > DISTINCT_FLOOR
+        """The pair must differ beyond numerical noise to count as a witness,
+        under every column permutation that maps the alternative's design
+        onto the truth's: a relabeled truth is no witness."""
+        truth, alt = self.truth, self.alternative
+        for perm in _column_maps(truth.q, alt.q):
+            table = _bit_permutation_table(perm, truth.q.n_attributes)
+            gap = max(np.max(np.abs(truth.theta - alt.theta[:, table])),
+                      np.max(np.abs(truth.p - alt.p[table])))
+            if gap <= DISTINCT_FLOOR:
+                return False
+        return True
 
 
 def certify(pair: WitnessPair) -> float:
@@ -171,11 +177,22 @@ def _rebalance(p: np.ndarray, bit: int, side: int, ratio: float) -> np.ndarray:
     return np.clip(p_bar, 0.0, 1.0)
 
 
-def _full_mastery_best(theta: np.ndarray, items) -> bool:
-    """Monotonicity under an all-ones row: the full-mastery pattern answers
-    each of ``items`` strictly best."""
-    full = theta.shape[1] - 1
-    return all(theta[j, full] > np.delete(theta[j], full).max() for j in items)
+def _dina_pair(q, params, p, p_bar, construction, details, s_bar=(), g_bar=(), q_bar=None):
+    """The DINA truth on ``q`` and its alternative: proportions ``p_bar`` on
+    ``q_bar`` (default ``q``), with the (item, value) changes ``s_bar`` and
+    ``g_bar`` to the slipping and guessing parameters."""
+    s, g = params.s.copy(), params.g.copy()
+    for j, value in s_bar:
+        s[j] = value
+    for j, value in g_bar:
+        g[j] = value
+    q_bar = q if q_bar is None else q_bar
+    return WitnessPair(
+        truth=RlcmModel(q, theta_table("dina", q, params), p),
+        alternative=RlcmModel(q_bar, theta_table("dina", q_bar, DinaParams(s, g)), p_bar),
+        construction=construction,
+        details=details,
+    )
 
 
 def q24_constraint_gap(p: np.ndarray) -> float:
@@ -222,16 +239,9 @@ def dina_one_item_attr(
     if not (g_j < c_bar < 1.0):
         raise InvalidFreeValues(f"c_bar must lie in (g, 1) = ({g_j}, 1)")
     p_bar = _rebalance(p, k, 1, (c_j - g_j) / (c_bar - g_j))
-
-    s_bar = params.s.copy()
-    s_bar[j] = 1.0 - c_bar
-    alt_params = DinaParams(s_bar, params.g.copy())
-    pair = WitnessPair(
-        truth=RlcmModel(q, theta_table("dina", q, params), p),
-        alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
-        construction="DinaOneItemAttr",
-        details={"item": j + 1, "attribute": k + 1, "c_bar": c_bar},
-    )
+    pair = _dina_pair(q, params, p, p_bar, "DinaOneItemAttr",
+                      {"item": j + 1, "attribute": k + 1, "c_bar": c_bar},
+                      s_bar=[(j, 1.0 - c_bar)])
     certify(pair)
     return pair
 
@@ -275,23 +285,10 @@ def dina_scenario_a(
     if not (g2 < c2_bar < 1.0):
         raise InvalidFreeValues(f"re-solved capable probability {c2_bar} leaves (g2, 1)")
 
-    s_bar = params.s.copy()
-    g_bar = params.g.copy()
-    g_bar[j1] = g1_bar
-    s_bar[j2] = 1.0 - c2_bar
-    alt_params = DinaParams(s_bar, g_bar)
-    pair = WitnessPair(
-        truth=RlcmModel(q, theta_table("dina", q, params), p),
-        alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
-        construction="DinaScenarioA",
-        details={
-            "attribute": k + 1,
-            "unit_item": j1 + 1,
-            "full_item": j2 + 1,
-            "g1_bar": g1_bar,
-            "c2_bar": c2_bar,
-        },
-    )
+    details = {"attribute": k + 1, "unit_item": j1 + 1, "full_item": j2 + 1,
+               "g1_bar": g1_bar, "c2_bar": c2_bar}
+    pair = _dina_pair(q, params, p, p_bar, "DinaScenarioA", details,
+                      s_bar=[(j2, 1.0 - c2_bar)], g_bar=[(j1, g1_bar)])
     certify(pair)
     return pair
 
@@ -313,9 +310,7 @@ def _resolve_block(ma, mb, cov, w_bar):
     return vals
 
 
-def dina_q24_two_solutions(
-    params: DinaParams, p: np.ndarray, count: int = 2, tol: float = 1e-10
-) -> list[WitnessPair]:
+def dina_q24_two_solutions(params: DinaParams, p: np.ndarray, count: int = 2) -> list[WitnessPair]:
     """Alternative parameter sets for the paired 4 x 2 design
     (items 1,3 on attribute 1; items 2,4 on attribute 2).
 
@@ -323,7 +318,7 @@ def dina_q24_two_solutions(
     p(01)p(10) == p(00)p(11): then the attributes are independent, the joint
     distribution factorizes into two 2-item two-class mixtures, and each
     mixture's weight is a free parameter.  Raises :class:`ConstraintHolds`
-    when the constraint gap exceeds ``tol`` (no witness should exist).
+    when the constraint gap exceeds 1e-10 (no witness should exist).
     The weights tried move each block's weight by 0.15, 0.1, 0.2 and 0.05,
     up and down, in that order.
     """
@@ -332,7 +327,7 @@ def dina_q24_two_solutions(
     if params.n_items != 4 or len(p) != 4:
         raise WrongShape("construction fixed to the 4 x 2 paired design")
     gap = q24_constraint_gap(p)
-    if gap > tol:
+    if gap > _Q24_TOL:
         raise ConstraintHolds(
             f"proportions satisfy the identifiability constraint (gap {gap:.3e})"
         )
@@ -343,7 +338,6 @@ def dina_q24_two_solutions(
         1: ((0, 2), w1),  # items 1, 3 gate on attribute 1
         2: ((1, 3), w2),  # items 2, 4 gate on attribute 2
     }
-    truth = RlcmModel(q, theta_table("dina", q, params), p)
 
     def alternative(attr, ja, jb, w, w_bar):
         if not 0.02 < w_bar < 0.98 or abs(w_bar - w) < 10 * DISTINCT_FLOOR:
@@ -357,20 +351,12 @@ def dina_q24_two_solutions(
         if resolved is None:
             return None
         c_a, g_a, c_b, g_b = resolved
-        s_bar = params.s.copy()
-        g_vec = params.g.copy()
-        s_bar[ja], g_vec[ja] = 1.0 - c_a, g_a
-        s_bar[jb], g_vec[jb] = 1.0 - c_b, g_b
-        alt_params = DinaParams(s_bar, g_vec)
         # independent attributes mastered at rates m1, m2 (masks 00, 10, 01, 11)
         m1, m2 = (w_bar, w2) if attr == 1 else (w1, w_bar)
         p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
-        return WitnessPair(
-            truth=truth,
-            alternative=RlcmModel(q, theta_table("dina", q, alt_params), p_bar),
-            construction="DinaQ24TwoSolutions",
-            details={"attribute": attr, "weight": w_bar},
-        )
+        return _dina_pair(q, params, p, p_bar, "DinaQ24TwoSolutions",
+                          {"attribute": attr, "weight": w_bar},
+                          s_bar=[(ja, 1.0 - c_a), (jb, 1.0 - c_b)], g_bar=[(ja, g_a), (jb, g_b)])
 
     candidates = (
         alternative(attr, ja, jb, w, w + off)
@@ -380,22 +366,15 @@ def dina_q24_two_solutions(
     return _first_certified(candidates, count, "alternatives")
 
 
-def gdina_one_item_attr(
-    q: QMatrix,
-    theta: np.ndarray,
-    p: np.ndarray,
-    free_values: np.ndarray | None = None,
-    seed=0,
-) -> WitnessPair:
+def gdina_one_item_attr(q: QMatrix, theta: np.ndarray, p: np.ndarray, seed=0) -> WitnessPair:
     """General-model witness when some attribute is required by one item.
 
     The alternative design replaces that item's row by all-ones; the item's
     response probabilities on the attribute-absent side are free, and the
     proportions re-solve per residual pattern from two linear moment
-    equations.  ``free_values`` optionally fixes the (2, n/2) array of the
-    item's alternative probabilities (row 0: attribute absent, row 1:
-    attribute present); otherwise up to 400 draws within +/- 0.1 of the
-    truth are tried until one gives a valid, certified model.
+    equations.  Up to 400 draws of the item's alternative probabilities
+    within +/- 0.1 of the truth are tried until one gives a valid,
+    certified model.
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
@@ -407,6 +386,7 @@ def gdina_one_item_attr(
     entries = q.entries.copy()
     entries[j, :] = 1
     q_bar = QMatrix(entries)
+    promoted = QMatrix(entries[[j]])
     low, high = _split_by_bit(len(p), k)
     truth = RlcmModel(q, theta, p)
 
@@ -422,7 +402,7 @@ def gdina_one_item_attr(
         theta_bar = theta.copy()
         theta_bar[j, low] = bar0
         theta_bar[j, high] = bar1
-        if not _full_mastery_best(theta_bar, [j]):
+        if not monotonicity_ok(theta_bar[[j]], promoted):
             return None
         p_bar = np.empty_like(p)
         p_bar[low] = p0
@@ -434,12 +414,6 @@ def gdina_one_item_attr(
             details={"item": j + 1, "attribute": k + 1},
         )
 
-    if free_values is not None:
-        pair = alternative(np.asarray(free_values, float))
-        if pair is None:
-            raise InvalidFreeValues("free values give an invalid alternative model")
-        certify(pair)
-        return pair
     rng = np.random.default_rng(seed)
     truths = np.vstack([theta[j, low], theta[j, high]])
     draws = (
@@ -485,6 +459,7 @@ def gdina_two_item_attr(
     entries[j1, :] = 1
     entries[j2, :] = 1
     q_bar = QMatrix(entries)
+    promoted = QMatrix(entries[[j1, j2]])
     low, high = _split_by_bit(len(p), k)
     x0, x1 = theta[j1, low], theta[j1, high]
     y0, y1 = theta[j2, low], theta[j2, high]
@@ -553,7 +528,7 @@ def gdina_two_item_attr(
             theta_bar[j1, low[i]], theta_bar[j1, high[i]] = x0b, x1b
             theta_bar[j2, low[i]], theta_bar[j2, high[i]] = y0b, y1b
             p_bar[low[i]], p_bar[high[i]] = p0b, p1b
-        if not _full_mastery_best(theta_bar, (j1, j2)):
+        if not monotonicity_ok(theta_bar[[j1, j2]], promoted):
             return None
         return WitnessPair(
             truth=truth,
@@ -576,7 +551,8 @@ def incomplete_gamma_merge(
     indistinguishable; the alternative keeps the item parameters and moves
     each pattern's mass to a pattern whose column under ``q_bar`` equals its
     column under ``q``.  Raises :class:`NotSubsumed` when some column has no
-    such carrier.
+    such carrier, and :class:`NotCertified` when ``q_bar`` is a column
+    relabeling of ``q``, which carries the truth over unchanged.
     """
     p = np.asarray(p, float)
     if q.entries.shape != q_bar.entries.shape:
@@ -604,17 +580,7 @@ def incomplete_gamma_merge(
             )
         p_bar[rep] += p[a]
 
-    theta = theta_table("dina", q, params)
-    theta_bar = theta_table("dina", q_bar, params)
-    pair = WitnessPair(
-        truth=RlcmModel(q, theta, p),
-        alternative=RlcmModel(q_bar, theta_bar, p_bar),
-        construction="IncompleteGammaMerge",
-        details={"moved_mass": float(np.sum(np.abs(p_bar - p)) / 2)},
-    )
-    if q_equivalent(q, q_bar) and not pair.is_distinct():
-        # identical designs: the merge is the identity, not a witness
-        pair.certified_max_diff = 0.0
-        return pair
+    pair = _dina_pair(q, params, p, p_bar, "IncompleteGammaMerge",
+                      {"moved_mass": float(np.sum(np.abs(p_bar - p)) / 2)}, q_bar=q_bar)
     certify(pair)
     return pair

@@ -413,6 +413,14 @@ class TestMultistart:
             with pytest.raises(QidentError, match=message):
                 call()
 
+    def test_mse_model_checked_before_any_truth(self):
+        def untouched(*args, **kwargs):
+            raise AssertionError("a truth was drawn before the model was checked")
+
+        with pytest.raises(QidentError, match="model must be 'dina' or 'dino', got 'gdina'"):
+            mse_experiment(Q4X2_PAIRED, untouched, n_truths=1, n_grid=[100],
+                           replications=1, model="gdina")
+
     @pytest.mark.parametrize("bad", [{"tol": float("nan")}, {"max_iter": 0}, {"restarts": 0}])
     def test_bad_settings_raise_before_any_work(self, rng, monkeypatch, bad):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)

@@ -272,6 +272,35 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "witness", "tmatrix"])
+    @pytest.mark.parametrize("text", [
+        '{"model": "dina"}',
+        "{bad",
+        json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2, 0.2, 0.2, 1.5], "p": [0.25] * 4}),
+        json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2] * 4, "p": [0.5] + [0.25] * 3}),
+    ], ids=["missing-field", "bad-json", "g-out-of-range", "p-sum"])
+    def test_malformed_params_exit_1(self, tmp_path, capsys, command, text):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        params.write_text(text)
+        argv = {
+            "simulate": ["--q", str(qfile), "--params", str(params), "--n", "10"],
+            "witness": ["--construction", "q24", "--params", str(params)],
+            "tmatrix": ["--q", str(qfile), "--params", str(params)],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_theta_off_design_exit_2(self, tmp_path, capsys):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        theta = 1 - equal_effects_theta(load_q(qfile))  # capable subjects answer worse
+        save_params_json(params, "gdina", GdinaParams(theta), np.full(4, 0.25))
+        assert main(["simulate", "--q", str(qfile), "--params", str(params), "--n", "10",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: params do not fit the design: theta violates monotonicity\n"
+
     def test_witness_q24(self, tmp_path, capsys):
         _, params = self._write_paired_inputs(tmp_path)
         assert main([
@@ -424,6 +453,7 @@ _PAIRED = [[1, 0], [0, 1], [1, 0], [0, 1]]
 _LONELY = [[0, 1], [0, 1], [0, 1], [1, 0], [0, 1]]  # catalog Q5X2_LONELY_ATTRIBUTE
 _FULL_ROW = [[1, 0], [0, 1], [1, 1], [0, 1]]  # catalog Q4X2_PAIR_WITH_FULL_ROW
 _MERGE = ([[1, 0], [1, 1], [1, 1], [1, 0]], [[1, 0], [0, 1], [0, 1], [1, 0]])
+_STRICT = [[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]]
 
 
 class TestWitnessCli:
@@ -498,6 +528,14 @@ class TestWitnessCli:
         assert main(["witness", "--construction", "one-item", *argv,
                      "--out", str(out), "--dump-table"]) == 2
         assert "J <= 16" in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+
+    @pytest.mark.parametrize("qbar_rows", [_STRICT, [row[::-1] for row in _STRICT]])
+    def test_gamma_merge_onto_relabeled_truth_exit_2(self, tmp_path, capsys, qbar_rows):
+        argv = _witness_inputs(tmp_path, _STRICT, qbar_rows=qbar_rows)
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", "gamma-merge", *argv, "--out", str(out)]) == 2
+        assert "coincides" in capsys.readouterr().err
         assert not (out / "witness.json").exists()
 
     def test_dump_table_needs_out(self, tmp_path, capsys):

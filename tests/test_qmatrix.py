@@ -119,9 +119,6 @@ class TestConditionC:
         assert check_condition_C(QMatrix(np.ones((3, 4), dtype=int)))
         assert not check_condition_C(QMatrix(np.ones((2, 4), dtype=int)))
 
-    def test_min_count_one(self):
-        assert check_condition_C(Q4X2_PAIRED, min_count=1)
-
 
 class TestGenericCompleteness:
     def test_all_ones_3x2(self):

@@ -23,7 +23,6 @@ from qident.rlcm import (
     _order_violations,
     monotonicity_ok,
     response_distribution,
-    stringent_violation,
 )
 
 from tests.conftest import random_q
@@ -60,8 +59,11 @@ class TestParams:
         assert monotonicity_ok(good, q)
         # the strict subset order: a tie is no violation of the weak order
         # but fails the strict one
-        assert stringent_violation(np.array([[0.3, 0.3, 0.3, 0.8]]), q) == 0
-        assert stringent_violation(np.array([[0.2, 0.4, 0.5, 0.8]]), q) < 0
+        def stringent(row):
+            return _order_violations(np.array([[row]]), q.row_masks[None])[1][0]
+
+        assert stringent([0.3, 0.3, 0.3, 0.8]) == 0
+        assert stringent([0.2, 0.4, 0.5, 0.8]) < 0
 
     def test_valid_two_parameter_tables_always_monotone(self, rng):
         for _ in range(30):

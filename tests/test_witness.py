@@ -298,16 +298,6 @@ class TestGdinaOneItemAttr:
         assert not q_equivalent(pair.truth.q, pair.alternative.q)
         assert (pair.alternative.q.entries[0] == 1).all()
 
-    def test_explicit_free_values(self, rng):
-        q = QMatrix.from_rows([[1, 0], [0, 1], [0, 1], [0, 1]])
-        theta = equal_effects_theta(q)
-        p = np.full(4, 0.25)
-        low = np.array([theta[0, 0], theta[0, 2]])
-        # the all-ones pattern must stay the item's maximum under the new design
-        free = np.vstack([low - 0.05, [theta[0, 1] + 0.01, theta[0, 3] + 0.05]])
-        pair = gdina_one_item_attr(q, theta, p, free_values=free)
-        assert pair.certified_max_diff < CERT_TOL
-
 
 class TestGdinaTwoItemAttr:
     def test_count_and_certification(self, rng):
@@ -352,9 +342,36 @@ class TestGammaMerge:
         q = QMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         params = DinaParams(rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3))
         p = rng.dirichlet(np.ones(4))
-        pair = incomplete_gamma_merge(q, q, params, p)
+        with pytest.raises(NotCertified, match="coincides"):
+            incomplete_gamma_merge(q, q, params, p)
+
+    def test_relabeled_truth_not_certified(self, rng):
+        # q is strictly identifiable; q_bar only swaps its two columns, so
+        # the merge carries the truth over to its own relabeling
+        q = QMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
+        q_bar = QMatrix(q.entries[:, ::-1])
+        params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
+        p = rng.dirichlet(np.ones(4))
+        with pytest.raises(NotCertified, match="coincides"):
+            incomplete_gamma_merge(q, q_bar, params, p)
+        swap = [0, 2, 1, 3]  # masks 01 and 10 trade places
+        truth = _dina_model(q, params, p)
+        pair = WitnessPair(truth=truth, construction="relabeled",
+                           alternative=RlcmModel(q_bar, truth.theta[:, swap], truth.p[swap]))
+        with pytest.raises(NotCertified, match="coincides"):
+            certify(pair)
         assert pair.certified_max_diff == 0.0
-        assert np.allclose(pair.alternative.p, p)
+
+    def test_equal_columns_relabel_either_way(self):
+        # under an all-ones design masks 01 and 10 answer alike: trading
+        # their masses relabels the truth, evening them out does not
+        q = QMatrix(np.ones((3, 2), dtype=int))
+        params = DinaParams(np.full(3, 0.2), np.full(3, 0.2))
+        p = np.array([0.1, 0.1, 0.3, 0.5])
+        truth = _dina_model(q, params, p)
+        for p_bar, distinct in (([0.1, 0.3, 0.1, 0.5], False), ([0.1, 0.2, 0.2, 0.5], True)):
+            alt = _dina_model(q, params, p_bar)
+            assert WitnessPair(truth, alt, "moved").is_distinct() == distinct
 
     def test_small_incomplete_merge(self, rng):
         # truth lacks the second unit row; the alternative splits the dense row
