@@ -137,11 +137,6 @@ def cmd_simulate(args) -> int:
         raise QidentError(f"--model {args.model} conflicts with params file model {model}")
     if p is None:
         raise QidentError("params file must carry a 'p' vector to simulate")
-    if model == "gdina":
-        try:
-            params.validate_for(q)
-        except ValueError as exc:
-            raise QidentError(f"params do not fit the design: {exc}") from None
     data = simulate(model, q, params, p.p, args.n, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -158,9 +158,7 @@ def load_params_json(path):
             params = GdinaParams(np.array(obj["theta"], float))
         else:
             raise ParseError(f"unknown or missing model field: {model!r}")
-        p = None
-        if "p" in obj:
-            p = Proportions(np.array(obj["p"], float), allow_zero=bool(obj.get("allowZero", False)))
+        p = Proportions(np.array(obj["p"], float)) if "p" in obj else None
     except KeyError as exc:
         raise ParseError(f"params file lacks the field {exc}") from None
     except (TypeError, ValueError, WrongShape) as exc:

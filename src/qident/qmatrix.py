@@ -273,33 +273,20 @@ def check_condition_A(q: QMatrix):
     return True, tuple(rows)
 
 
-def _residual_after_identity(q: QMatrix):
-    """Rows left after removing one unit row per attribute.
+def check_condition_B(q: QMatrix) -> bool:
+    """Distinctness: the rows left after removing one unit row per attribute
+    have pairwise-distinct columns.
 
     Which copy of a repeated unit row is removed does not matter: the
-    leftover multiset of rows is the same either way, so condition B is
-    well defined without searching over selections.
+    leftover multiset of rows is the same either way, so the condition is
+    well defined without searching over selections.  Raises
+    :class:`WrongShape` when condition A fails.
     """
     ok, rows = check_condition_A(q)
     if not ok:
         raise WrongShape("condition B needs a complete Q-matrix")
-    drop = set(rows)
-    keep = [j for j in range(q.n_items) if j not in drop]
-    return q.entries[keep]
-
-
-def check_condition_B(q: QMatrix) -> bool:
-    """Distinctness: the residual block has pairwise-distinct columns.
-
-    Raises :class:`WrongShape` when condition A fails.  For K = 1 the check
-    is vacuous and returns True.
-    """
-    residual = _residual_after_identity(q)
-    k = q.n_attributes
-    if k == 1:
-        return True
-    cols = [residual[:, i].tobytes() for i in range(k)]
-    return len(set(cols)) == k
+    residual = np.delete(q.entries, rows, axis=0)
+    return len({residual[:, k].tobytes() for k in range(q.n_attributes)}) == q.n_attributes
 
 
 def check_condition_C(q: QMatrix) -> bool:

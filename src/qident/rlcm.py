@@ -40,14 +40,10 @@ _MAX_FULL_J = 24
 
 @dataclass(frozen=True)
 class Proportions:
-    """Population proportions over the 2^K attribute patterns.
-
-    Entries must be positive in the strict setting; witness constructions
-    produce zeros, which are admitted with ``allow_zero=True``.
-    """
+    """Population proportions over the 2^K attribute patterns; every entry
+    must be positive."""
 
     p: np.ndarray
-    allow_zero: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
@@ -55,8 +51,8 @@ class Proportions:
             raise WrongShape("proportions must have length 2^K")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"proportions sum to {float(arr.sum())!r}, not 1")
-        if (arr < 0).any() or (not self.allow_zero and (arr <= 0).any()):
-            raise ValueError("proportions must be positive (zeros only in witness models)")
+        if (arr <= 0).any():
+            raise ValueError("proportions must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -136,10 +132,18 @@ def theta_table(model: str, q: QMatrix, params) -> np.ndarray:
     """Uniform entry point: the J x 2^K response-probability table.
 
     The two-parameter models answer 1 - s where ``gamma_matrix`` marks the
-    subject capable and g elsewhere.
+    subject capable and g elsewhere.  :class:`GdinaParams` must pass
+    ``validate_for(q)`` (:class:`QidentError` otherwise); a raw GDINA table
+    is only checked for its shape.
     """
     if model == "gdina":
-        theta = params.theta if isinstance(params, GdinaParams) else np.asarray(params, float)
+        if isinstance(params, GdinaParams):
+            try:
+                params.validate_for(q)
+            except ValueError as exc:
+                raise QidentError(f"params do not fit the design: {exc}") from None
+            return params.theta
+        theta = np.asarray(params, float)
         if theta.shape != (q.n_items, 1 << q.n_attributes):
             raise WrongShape("theta shape does not match the Q-matrix")
         return theta

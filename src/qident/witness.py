@@ -32,10 +32,11 @@ Available constructions:
                               merge the proportions of patterns whose
                               ideal-response columns coincide.
 
-The constructions find their target attribute with the classifier's own
-searches (``qmatrix._required_by`` and, for scenario (a),
-``qmatrix._two_item_forms``), so a design the classifier files under a
-scenario gets that scenario's witness.  A construction with a single free
+Scenario (a) finds its target attribute with the classifier's own search
+(``qmatrix._two_item_forms``), so a design the classifier files under that
+scenario gets its witness.  The other constructions take the first
+attribute required by one or two items (``qmatrix._required_by``), a
+search the classifier does not share.  A construction with a single free
 value (given, or the target item's default ``c_bar`` / ``g1_bar``)
 certifies once and raises :class:`NotCertified` on failure; one that tries
 several values (the q24 weights, drawn GDINA values) certifies them in
@@ -366,53 +367,59 @@ def dina_q24_two_solutions(params: DinaParams, p: np.ndarray, count: int = 2) ->
     return _first_certified(candidates, count, "alternatives")
 
 
+def _promoted(q: QMatrix, theta: np.ndarray, p: np.ndarray, count: int, construction: str):
+    """The saturated-model move shared by the GDINA constructions: the first
+    attribute k required by exactly ``count`` items, those items' rows
+    promoted to all-ones in the alternative design.
+
+    Returns ``(k, items, low, high, pair)``: the patterns without and with
+    attribute k, aligned pairwise, and ``pair(theta_bar, p_bar, details)``,
+    the :class:`WitnessPair` of the truth and the alternative on the
+    promoted design, or None when the promoted rows break the order.
+    """
+    hits = _required_by(q, count)
+    if not hits:
+        raise WrongShape(f"need an attribute required by exactly {count} item{'s' * (count > 1)}")
+    k, items = hits[0]
+    entries = q.entries.copy()
+    entries[items, :] = 1
+    q_bar, promoted = QMatrix(entries), QMatrix(entries[items])
+    truth = RlcmModel(q, theta, p)
+
+    def pair(theta_bar, p_bar, details):
+        if not monotonicity_ok(theta_bar[items], promoted):
+            return None
+        return WitnessPair(truth, RlcmModel(q_bar, theta_bar, p_bar), construction, details=details)
+
+    return (k, items, *_split_by_bit(len(p), k), pair)
+
+
 def gdina_one_item_attr(q: QMatrix, theta: np.ndarray, p: np.ndarray, seed=0) -> WitnessPair:
     """General-model witness when some attribute is required by one item.
 
-    The alternative design replaces that item's row by all-ones; the item's
-    response probabilities on the attribute-absent side are free, and the
-    proportions re-solve per residual pattern from two linear moment
-    equations.  Up to 400 draws of the item's alternative probabilities
+    The alternative design replaces that item's row by all-ones.  Per
+    residual pattern, the item's response probabilities without and with
+    the attribute are both drawn, and the two proportions re-solve from the
+    pattern pair's mass and the item's first moment.  Up to 400 draws
     within +/- 0.1 of the truth are tried until one gives a valid,
     certified model.
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
-    hits = _required_by(q, 1)
-    if not hits:
-        raise WrongShape("need an attribute required by exactly one item")
-    k, (j,) = hits[0]
-
-    entries = q.entries.copy()
-    entries[j, :] = 1
-    q_bar = QMatrix(entries)
-    promoted = QMatrix(entries[[j]])
-    low, high = _split_by_bit(len(p), k)
-    truth = RlcmModel(q, theta, p)
+    k, (j,), low, high, pair = _promoted(q, theta, p, 1, "GdinaOneItemAttr")
 
     def alternative(free):
-        bar0, bar1 = free[0], free[1]
+        bar0, bar1 = free
         denom = bar1 - bar0
         if (np.abs(denom) < 1e-9).any():
             return None
-        p1 = ((theta[j, low] - bar0) * p[low] + (theta[j, high] - bar0) * p[high]) / denom
-        p0 = p[low] + p[high] - p1
-        if (p1 < 0).any() or (p0 < 0).any() or (p1 > 1).any() or (p0 > 1).any():
+        theta_bar, p_bar = theta.copy(), np.empty_like(p)
+        theta_bar[j, low], theta_bar[j, high] = bar0, bar1
+        p_bar[high] = ((theta[j, low] - bar0) * p[low] + (theta[j, high] - bar0) * p[high]) / denom
+        p_bar[low] = p[low] + p[high] - p_bar[high]
+        if (p_bar < 0).any() or (p_bar > 1).any():
             return None
-        theta_bar = theta.copy()
-        theta_bar[j, low] = bar0
-        theta_bar[j, high] = bar1
-        if not monotonicity_ok(theta_bar[[j]], promoted):
-            return None
-        p_bar = np.empty_like(p)
-        p_bar[low] = p0
-        p_bar[high] = p1
-        return WitnessPair(
-            truth=truth,
-            alternative=RlcmModel(q_bar, theta_bar, p_bar),
-            construction="GdinaOneItemAttr",
-            details={"item": j + 1, "attribute": k + 1},
-        )
+        return pair(theta_bar, p_bar, {"item": j + 1, "attribute": k + 1})
 
     rng = np.random.default_rng(seed)
     truths = np.vstack([theta[j, low], theta[j, high]])
@@ -450,92 +457,55 @@ def gdina_two_item_attr(
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
-    twice = _required_by(q, 2)
-    if not twice:
-        raise WrongShape("need an attribute required by exactly two items")
-    k, (j1, j2) = twice[0]
-
-    entries = q.entries.copy()
-    entries[j1, :] = 1
-    entries[j2, :] = 1
-    q_bar = QMatrix(entries)
-    promoted = QMatrix(entries[[j1, j2]])
-    low, high = _split_by_bit(len(p), k)
+    k, (j1, j2), low, high, pair = _promoted(q, theta, p, 2, "GdinaTwoItemAttr")
     x0, x1 = theta[j1, low], theta[j1, high]
     y0, y1 = theta[j2, low], theta[j2, high]
     p0, p1 = p[low], p[high]
-    top = int(np.flatnonzero(high == len(p) - 1)[0])  # cell whose high side is full mastery
-
-    truth = RlcmModel(q, theta, p)
     rng = np.random.default_rng(seed)
 
-    def solve_cell(i, x0b, y0b):
-        """Closed-form re-solve of one residual-pattern cell; None when the
-        draw leaves the probability simplex or degenerates."""
-        dx = (x0[i] - x0b) * p0[i] + (x1[i] - x0b) * p1[i]
-        dy = (y0[i] - y0b) * p0[i] + (y1[i] - y0b) * p1[i]
-        if abs(dx) < 1e-12 or abs(dy) < 1e-12:
-            return None
-        x1b = x0[i] + (x1[i] - x0[i]) * (y1[i] - y0b) * p1[i] / dy
-        y1b = y0[i] + (y1[i] - y0[i]) * (x1[i] - x0b) * p1[i] / dx
-        if abs(y1b - y0b) < 1e-12:
-            return None
-        p1b = dy / (y1b - y0b)
-        p0b = p0[i] + p1[i] - p1b
-        if not (0.0 < x1b < 1.0 and 0.0 < y1b < 1.0):
-            return None
-        if p1b < 0.0 or p0b < 0.0:
-            return None
-        return x0b, y0b, x1b, y1b, p1b, p0b
-
-    def draw_cell(i, upper_x=None, upper_y=None, lower_x=None, lower_y=None):
-        """Sample a cell; the full-mastery cell must dominate, the rest must
-        stay strictly below it.  Per-cell rejection keeps the accept rate
-        high even with many residual patterns."""
+    def draw_cell(i, lower=(-np.inf, -np.inf), upper=(np.inf, np.inf)):
+        """Sample one residual-pattern cell and re-solve it; None when 400
+        draws all leave the probability simplex, degenerate, or miss the
+        bounds: x1_bar and y1_bar above ``lower``, both items' values below
+        ``upper``.  Per-cell rejection keeps the accept rate high even with
+        many residual patterns."""
         for _ in range(400):
             x0b = float(np.clip(x0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
             y0b = float(np.clip(y0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
-            sol = solve_cell(i, x0b, y0b)
-            if sol is None:
+            dx = (x0[i] - x0b) * p0[i] + (x1[i] - x0b) * p1[i]
+            dy = (y0[i] - y0b) * p0[i] + (y1[i] - y0b) * p1[i]
+            if abs(dx) < 1e-12 or abs(dy) < 1e-12:
                 continue
-            _, _, x1b, y1b, _, _ = sol
-            if lower_x is not None and not (x1b > lower_x and y1b > lower_y):
+            x1b = x0[i] + (x1[i] - x0[i]) * (y1[i] - y0b) * p1[i] / dy
+            y1b = y0[i] + (y1[i] - y0[i]) * (x1[i] - x0b) * p1[i] / dx
+            if abs(y1b - y0b) < 1e-12:
                 continue
-            if upper_x is not None and not (
-                max(x0b, x1b) < upper_x and max(y0b, y1b) < upper_y
-            ):
-                continue
-            return sol
+            p1b = dy / (y1b - y0b)
+            p0b = p0[i] + p1[i] - p1b
+            if (0.0 < x1b < 1.0 and 0.0 < y1b < 1.0 and p1b >= 0.0 and p0b >= 0.0
+                    and x1b > lower[0] and y1b > lower[1]
+                    and max(x0b, x1b) < upper[0] and max(y0b, y1b) < upper[1]):
+                return x0b, y0b, x1b, y1b, p0b, p1b
         return None
 
     def alternative():
-        # anchor the full-mastery cell at or above the truth's maxima so the
-        # strict order survives in the promoted all-ones rows
-        anchor = draw_cell(top, lower_x=float(x1.max()), lower_y=float(y1.max()))
+        # the last cell's high side is full mastery (high = low | bit ascends);
+        # anchor it at or above the truth's maxima and keep every other cell
+        # strictly below it, so the strict order survives in the promoted rows
+        anchor = draw_cell(len(low) - 1, lower=(float(x1.max()), float(y1.max())))
         if anchor is None:
             return None
-        cells = [None] * len(low)
-        cells[top] = anchor
-        for i in range(len(low)):
-            if i == top:
-                continue
-            cells[i] = draw_cell(i, upper_x=anchor[2] - 1e-6, upper_y=anchor[3] - 1e-6)
-            if cells[i] is None:
+        cells = []
+        for i in range(len(low) - 1):
+            cells.append(draw_cell(i, upper=(anchor[2] - 1e-6, anchor[3] - 1e-6)))
+            if cells[-1] is None:
                 return None
-        theta_bar = theta.copy()
-        p_bar = np.empty_like(p)
-        for i, (x0b, y0b, x1b, y1b, p1b, p0b) in enumerate(cells):
-            theta_bar[j1, low[i]], theta_bar[j1, high[i]] = x0b, x1b
-            theta_bar[j2, low[i]], theta_bar[j2, high[i]] = y0b, y1b
-            p_bar[low[i]], p_bar[high[i]] = p0b, p1b
-        if not monotonicity_ok(theta_bar[[j1, j2]], promoted):
-            return None
-        return WitnessPair(
-            truth=truth,
-            alternative=RlcmModel(q_bar, theta_bar, p_bar),
-            construction="GdinaTwoItemAttr",
-            details={"attribute": k + 1, "items": (j1 + 1, j2 + 1)},
-        )
+        x0b, y0b, x1b, y1b, p0b, p1b = np.array(cells + [anchor]).T
+        theta_bar, p_bar = theta.copy(), np.empty_like(p)
+        theta_bar[j1, low], theta_bar[j1, high] = x0b, x1b
+        theta_bar[j2, low], theta_bar[j2, high] = y0b, y1b
+        p_bar[low], p_bar[high] = p0b, p1b
+        return pair(theta_bar, p_bar, {"attribute": k + 1, "items": (j1 + 1, j2 + 1)})
 
     draws = (alternative() for _ in range(51 * count + 100))
     return _first_certified(draws, count, "witnesses")

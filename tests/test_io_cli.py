@@ -301,6 +301,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: params do not fit the design: theta violates monotonicity\n"
 
+    @pytest.mark.parametrize("command", [["tmatrix"], ["witness", "--construction", "gdina-one"]],
+                             ids=["tmatrix", "witness"])
+    def test_theta_off_design_exit_2(self, tmp_path, capsys, command):
+        # every command that reads a GDINA table rejects it as simulate does
+        qfile, params = tmp_path / "q.txt", tmp_path / "params.json"
+        q = QMatrix.from_rows([[1, 0], [0, 1], [0, 1], [0, 1]])
+        save_q(q, qfile)
+        save_params_json(params, "gdina", GdinaParams(1 - equal_effects_theta(q)), np.full(4, 0.25))
+        assert main([*command, "--q", str(qfile), "--params", str(params),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: params do not fit the design: theta violates monotonicity\n"
+        assert not (tmp_path / "o").exists()
+
     def test_witness_q24(self, tmp_path, capsys):
         _, params = self._write_paired_inputs(tmp_path)
         assert main([

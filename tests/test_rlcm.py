@@ -37,11 +37,9 @@ class TestParams:
         with pytest.raises(ValueError):
             Proportions(np.array([0.5, 0.4]))
 
-    def test_proportions_zero_only_when_allowed(self):
+    def test_proportions_must_be_positive(self):
         with pytest.raises(ValueError):
             Proportions(np.array([0.0, 1.0]))
-        prop = Proportions(np.array([0.0, 1.0]), allow_zero=True)
-        assert prop.p[0] == 0.0
 
     def test_gdina_equality_invariant(self):
         q = QMatrix.from_rows([[1, 0]])

@@ -8,6 +8,7 @@ import pytest
 from qident import DinaParams, QMatrix, RlcmModel, Scenario, classify_dina, q_equivalent
 from qident.catalog import (
     Q4X2_PAIR_WITH_FULL_ROW,
+    Q5X2_DOUBLE_IDENTITY,
     Q5X2_LONELY_ATTRIBUTE,
     equal_effects_theta,
     two_item_20x3_pair,
@@ -21,7 +22,7 @@ from qident.errors import (
     WrongShape,
 )
 from qident.qmatrix import enumerate_canonical
-from qident.rlcm import response_distribution, theta_table
+from qident.rlcm import monotonicity_ok, response_distribution, theta_table
 from qident.witness import (
     CERT_TOL,
     WitnessPair,
@@ -317,6 +318,29 @@ class TestGdinaTwoItemAttr:
         p = rng.dirichlet(np.ones(4))
         pairs = gdina_two_item_attr(q, theta, p, count=2, seed=5)
         assert all(pair.certified_max_diff < CERT_TOL for pair in pairs)
+
+
+class TestGdinaPromotion:
+    @pytest.mark.parametrize("build", [gdina_one_item_attr, gdina_two_item_attr])
+    def test_every_attribute_on_three_items_rejected(self, build):
+        q = Q5X2_DOUBLE_IDENTITY
+        with pytest.raises(WrongShape):
+            build(q, equal_effects_theta(q), np.full(4, 0.25))
+
+    def test_promoted_rows_keep_order_and_mass(self, rng):
+        q6 = QMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 0, 1]])
+        q20, _ = two_item_20x3_pair()
+        q5 = QMatrix.from_rows([[1, 1], [1, 0], [0, 1], [0, 1], [0, 1]])
+        pairs = [gdina_one_item_attr(q, equal_effects_theta(q),
+                                     rng.dirichlet(np.ones(1 << q.n_attributes)), seed=seed)
+                 for q in (Q5X2_LONELY_ATTRIBUTE, q6) for seed in range(3)]
+        pairs += gdina_two_item_attr(q20, equal_effects_theta(q20), np.full(8, 1 / 8), count=3)
+        pairs += gdina_two_item_attr(q5, equal_effects_theta(q5), rng.dirichlet(np.ones(4)),
+                                     count=2, seed=5)
+        for pair in pairs:
+            # q5's promoted row 11 was all-ones already: check every row
+            assert monotonicity_ok(pair.alternative.theta, pair.alternative.q)
+            assert abs(pair.alternative.p.sum() - 1.0) < 1e-9
 
 
 class TestGammaMerge:
