@@ -18,11 +18,13 @@ recovered from response data:
 * double generic completeness plus leftover coverage (conditions D and E).
 
 ``classify_batch`` decides every design of an (N, J) array of row masks at
-once: A, B and C from unit-row and column-bit counts, generic completeness, D
-and E by Hall's condition over attribute subsets, then the model's decision
-rules in order.  ``classify_dina`` and ``classify_gdina`` run it on a batch of
-one and return a structured verdict for the conjunctive two-parameter model
-and the saturated general model, respectively.  The ``check_*`` functions
+once, computing only the flags its model reads: C from column sums, A from
+unit rows and B from column-bit differences for DINA, generic completeness,
+D and E by Hall's condition over attribute subsets for GDINA; then the
+model's decision rules run in order.  ``classify_dina`` and
+``classify_gdina`` run it on a batch of one, with all six flags, and return
+a structured verdict for the conjunctive two-parameter model and the
+saturated general model, respectively.  The ``check_*`` functions
 decide one design and return the certificate behind each flag.  Both paths
 share two kernels over row masks: ``_cover_sets``, the one search for the
 minimal covers behind E, and ``_match_attributes``, the one bipartite
@@ -66,13 +68,20 @@ __all__ = [
 _MAX_K_SEARCH = 8
 _MAX_COVER_SETS = 200_000
 _MAX_ENUM_BITS = 24
+_MAX_MASK_K = 63  # row masks are int64: bit 63 is the sign bit
+
+
+def _check_width(K: int) -> None:
+    if K > _MAX_MASK_K:
+        raise TooLarge(f"row masks hold at most {_MAX_MASK_K} attributes, got K = {K}")
 
 
 class QMatrix:
     """Immutable J x K binary design matrix.
 
-    Rows are items, columns are attributes.  Entries must be 0 or 1 and both
-    dimensions must be at least 1.
+    Rows are items, columns are attributes.  Entries must be 0 or 1, both
+    dimensions must be at least 1, and there are at most 63 attributes, so
+    that every row fits one int64 bit mask.
     """
 
     __slots__ = ("_entries", "_masks")
@@ -83,6 +92,7 @@ class QMatrix:
             raise WrongShape(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise WrongShape(f"need at least one row and one column, got {arr.shape}")
+        _check_width(arr.shape[1])
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("Q-matrix entries must be 0 or 1")
         arr = arr.astype(np.int8, copy=True)
@@ -409,7 +419,9 @@ def _required_by(q: QMatrix, count: int) -> list[tuple[int, list[int]]]:
 
 def _check_masks(masks, K: int) -> np.ndarray:
     """``masks`` as an (N, J) int64 array of row masks; raises
-    :class:`WrongShape` unless it is 2-d and every mask lies in [0, 2^K)."""
+    :class:`TooLarge` past K = 63 and :class:`WrongShape` unless it is 2-d
+    and every mask lies in [0, 2^K)."""
+    _check_width(K)
     masks = np.asarray(masks, dtype=np.int64)
     if masks.ndim != 2 or K < 1 or not ((masks >= 0) & (masks < 1 << K)).all():
         raise WrongShape(f"expected an (N, J) array of row masks in [0, 2^K) with K >= 1, "
@@ -425,29 +437,39 @@ def _design_rows(masks: np.ndarray, n_attributes: int) -> list[str]:
     return [";".join(rows) for rows in text[masks].tolist()]
 
 
+def _bits(masks: np.ndarray, K: int) -> np.ndarray:
+    """(N, K, J) requirement bits: 1 where item j requires attribute k.
+    Per-item arrays put the items last, so that every sum, any and argmax
+    over the items of a design runs over contiguous memory."""
+    return (masks[:, None, :] >> np.arange(K)[:, None]) & 1
+
+
+def _is_unit(masks: np.ndarray, K: int) -> np.ndarray:
+    """(N, K, J) unit rows: True where item j requires attribute k alone."""
+    return masks[:, None, :] == 1 << np.arange(K)[:, None]
+
+
 def _column_sums(masks: np.ndarray, K: int) -> np.ndarray:
-    return ((masks[:, :, None] >> np.arange(K)) & 1).sum(axis=1)
+    return _bits(masks, K).sum(axis=-1)
 
 
-def _unit_counts(masks: np.ndarray, K: int) -> np.ndarray:
-    return (masks[:, :, None] == 1 << np.arange(K)).sum(axis=1)
-
-
-def _abc(masks: np.ndarray, K: int):
-    """Conditions A, B and C of each design.
+def _ab(masks: np.ndarray, K: int):
+    """Conditions A and B of each design.
 
     A zero row counts as absent: it is no unit row and requires nothing, so
     a residual design is scored by zeroing the rows it drops.  B needs A:
     once one unit row per attribute is dropped, columns m and m' must still
     differ on some row.  The dropped unit rows of m and m' differ on that
     pair and the other dropped rows on neither, so B asks for at least
-    three rows on which bits m and m' differ.
+    three rows on which bits m and m' differ; it is counted only where A
+    holds.
     """
-    bits = (masks[:, :, None] >> np.arange(K)) & 1
-    a = (_unit_counts(masks, K) > 0).all(axis=1)
-    differ = (bits[:, :, :, None] != bits[:, :, None, :]).sum(axis=1)
-    b = a & ((differ >= 3) | np.eye(K, dtype=bool)).all(axis=(1, 2))
-    return a, b, (bits.sum(axis=1) >= 3).all(axis=1)
+    a = _is_unit(masks, K).any(axis=-1).all(axis=1)
+    b = a.copy()
+    bits = _bits(masks[a], K)
+    m, m2 = np.nonzero(np.arange(K)[:, None] < np.arange(K))  # every pair m < m2
+    b[a] = ((bits[:, m] != bits[:, m2]).sum(axis=-1) >= 3).all(axis=1)
+    return a, b
 
 
 @dataclass
@@ -472,17 +494,16 @@ class _TwoItemForms:
 
 
 def _two_item_forms(masks: np.ndarray, K: int) -> _TwoItemForms:
-    bit = 1 << np.arange(K)
-    requires = (masks[:, :, None] & bit) != 0
-    is_unit = masks[:, :, None] == bit
-    unit = is_unit.argmax(axis=1)
-    others = np.arange(masks.shape[1])[None, :, None] != unit[:, None, :]
-    partner = (requires & others).argmax(axis=1)
+    requires = _bits(masks, K)
+    is_unit = _is_unit(masks, K)
+    unit = is_unit.argmax(axis=-1)
+    others = np.arange(masks.shape[1]) != unit[:, :, None]
+    partner = (requires & others).argmax(axis=-1)
     return _TwoItemForms(
-        found=(requires.sum(axis=1) == 2) & is_unit.any(axis=1),
+        found=(requires.sum(axis=-1) == 2) & is_unit.any(axis=-1),
         unit=unit,
         partner=partner,
-        partner_mask=np.take_along_axis(masks, partner, axis=1) & ~bit,
+        partner_mask=np.take_along_axis(masks, partner, axis=1) & ~(1 << np.arange(K)),
     )
 
 
@@ -533,7 +554,7 @@ def _hall(masks: np.ndarray, K: int):
     N, J = masks.shape
     subsets = np.arange(1, 1 << K)
     size = np.array([bin(s).count("1") for s in subsets])
-    reach = ((masks[:, :, None] & subsets) != 0).sum(axis=1)
+    reach = ((masks[:, None, :] & subsets[:, None]) != 0).sum(axis=-1)
     slack = reach - 2 * size
     gc = (reach >= size).all(axis=1)
     d = (slack >= 0).all(axis=1)
@@ -553,20 +574,25 @@ def _hall(masks: np.ndarray, K: int):
     members = np.array([[v in c for v in values.tolist()] for c in covers], dtype=np.int64)
     inside = members @ ((values[:, None] & subsets) != 0)  # |N(S) & C| per cover
     rows = np.flatnonzero(d)
-    present = (masks[rows, :, None] == values).any(axis=1).astype(np.int64)
+    present = (masks[rows, None, :] == values[:, None]).any(axis=-1).astype(np.int64)
     has_cover = present @ members.T == members.sum(axis=1)
     holds = (slack[rows, None, :] >= inside).all(axis=2)
     e[rows] = (has_cover & holds).any(axis=1)
     return gc, d, e
 
 
-def _flags(masks: np.ndarray, K: int, hall: bool = True) -> dict:
-    """Condition flags of each design, keyed as in ``condition_flags``; A,
-    B and C only when ``hall`` is False.  Beyond K = ``_MAX_K_SEARCH``, D
-    and E are None and generic completeness comes from the matcher."""
-    a, b, c = _abc(masks, K)
-    flags = {"A": a, "B": b, "C": c}
-    if not hall:
+def _flags(masks: np.ndarray, K: int, sums: np.ndarray, model: str | None = None) -> dict:
+    """Condition flags of each design, keyed as in ``condition_flags``, from
+    its row masks and its column sums ``sums``: the flags the rules of
+    ``model`` read (A, B and C for ``"dina"``; C, generic completeness, D
+    and E for ``"gdina"``), or all six when ``model`` is None.  Beyond
+    K = ``_MAX_K_SEARCH``, D and E are None and generic completeness comes
+    from the matcher."""
+    flags = {}
+    if model != "gdina":
+        flags["A"], flags["B"] = _ab(masks, K)
+    flags["C"] = (sums >= 3).all(axis=1)
+    if model == "dina":
         return flags
     if K > _MAX_K_SEARCH:
         gc = np.array([_match_attributes(m, K, 1) is not None for m in masks.tolist()])
@@ -610,25 +636,26 @@ def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
     res[idx, forms.partner[n, k]] = 0
     low = (1 << k[:, None]) - 1
     res = res & low | res >> 1 & ~low  # drop attribute k
-    abc = np.logical_and.reduce(_abc(res, K - 1))
+    a, b = _ab(res, K - 1)
+    abc = a & b & (_column_sums(res, K - 1) >= 3).all(axis=1)
     lone = forms.partner_mask[n, k] == 0
-    b2 = lone & (_unit_counts(res, K - 1) >= 2).all(axis=1)
+    b2 = lone & (_is_unit(res, K - 1).sum(axis=-1) >= 2).all(axis=1)
     found["b2"][n, k] = b2
     found["b1"][n, k] = lone & ~b2 & abc
     found["c"][n, k] = ~lone & abc
     return found
 
 
-def _dina_rules(masks: np.ndarray, K: int, flags: dict):
+def _dina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
     """The DINA decision rules in the order they are tried, each as
     ``(scenario, condition, attribute, render)``: which designs the rule
     decides, the attribute it names (-1 for none), and render(attribute,
     column sums) giving the constraints and the notes.  The last rule holds
-    for every design.  The two-item scenarios are searched only in designs
-    that the rules before them leave open."""
+    for every design.  ``sums`` are the designs' column sums.  The two-item
+    scenarios are searched only in designs that the rules before them leave
+    open."""
     N = len(masks)
     a, b, c = flags["A"], flags["B"], flags["C"]
-    sums = _column_sums(masks, K)
     found = {s: np.zeros((N, K), dtype=bool) for s in ("a", "b2", "b1", "c")}
     todo = np.flatnonzero(~(a & b & c) & (sums > 1).all(axis=1)) if K > 1 else ()
     if len(todo):
@@ -660,7 +687,7 @@ def _dina_rules(masks: np.ndarray, K: int, flags: dict):
     ]
 
 
-def _gdina_rules(masks: np.ndarray, K: int, flags: dict):
+def _gdina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
     """The GDINA decision rules in the order they are tried, as in
     ``_dina_rules``; none names an attribute."""
     N = len(masks)
@@ -690,7 +717,7 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     (N, J) array of row masks with no zero row, under ``"dina"`` or
     ``"gdina"``: the verdicts of ``classify_dina`` / ``classify_gdina``,
     decided for the whole batch at once.  Only the flags the model reads
-    are computed (A, B and C for DINA)."""
+    are computed, and both models share one column sum per chunk."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     masks = _check_masks(masks, n_attributes)
@@ -700,7 +727,8 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     out = [np.array([], dtype=object)]
     for start in range(0, len(masks), _CHUNK):
         chunk = masks[start:start + _CHUNK]
-        rules = decide(chunk, n_attributes, _flags(chunk, n_attributes, model == "gdina"))
+        sums = _column_sums(chunk, n_attributes)
+        rules = decide(chunk, n_attributes, sums, _flags(chunk, n_attributes, sums, model))
         names = np.array([scenario.value for scenario, *_ in rules], dtype=object)
         out.append(names[np.argmax([cond for _, cond, _, _ in rules], axis=0)])
     return np.concatenate(out)
@@ -711,9 +739,10 @@ def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
         raise HasZeroRows("strip zero rows before classifying")
     name, decide = _MODELS[model]
     K, masks = q.n_attributes, q.row_masks[None, :]
-    flags = _flags(masks, K)
-    scenario, _, attr, render = next(rule for rule in decide(masks, K, flags) if rule[1][0])
-    constraints, notes = render(int(attr[0]), q.column_sums())
+    sums = _column_sums(masks, K)
+    flags = _flags(masks, K, sums)
+    scenario, _, attr, render = next(rule for rule in decide(masks, K, sums, flags) if rule[1][0])
+    constraints, notes = render(int(attr[0]), sums[0])
     flags = {key: None if v is None else bool(v[0]) for key, v in flags.items()}
     return IdentifiabilityVerdict(name, flags, scenario, constraints, notes)
 

@@ -41,7 +41,7 @@ _MAX_FULL_J = 24
 @dataclass(frozen=True)
 class Proportions:
     """Population proportions over the 2^K attribute patterns; every entry
-    must be positive."""
+    must be finite and positive."""
 
     p: np.ndarray
 
@@ -49,6 +49,8 @@ class Proportions:
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 1 or len(arr) & (len(arr) - 1):
             raise WrongShape("proportions must have length 2^K")
+        if not np.isfinite(arr).all():
+            raise ValueError("proportions must be finite")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"proportions sum to {float(arr.sum())!r}, not 1")
         if (arr <= 0).any():

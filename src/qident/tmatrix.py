@@ -98,15 +98,16 @@ def _split_product(hi: np.ndarray, lo: np.ndarray, weight=None) -> np.ndarray:
 def _max_abs_difference(theta_a, p_a, theta_b, p_b) -> float:
     """max |P_a - P_b| over the 2^J patterns: both models' classes pool with
     weights (p_a, -p_b), interleaved so that equal models cancel exactly, and
-    H @ L runs in blocks of rows into one buffer of ``_BLOCK`` entries."""
+    H @ L runs in blocks of rows into one buffer of ``_BLOCK`` entries.  A
+    block's max |x| is max(max x, -min x), and NaN propagates to the result."""
     hi = np.stack([theta_a, theta_b], axis=-1).reshape(len(theta_a), -1)
     high, low = _half_tables(hi, 1.0 - hi, np.stack([p_a, -p_b], axis=-1).reshape(-1))
     rows = max(1, _BLOCK // low.shape[1])
     buf, worst = np.empty((rows, low.shape[1])), 0.0
     for start in range(0, len(high), rows):
         block = np.matmul(high[start : start + rows], low, out=buf[: len(high) - start])
-        worst = max(worst, float(np.abs(block, out=block).max()))
-    return worst
+        worst = np.maximum(worst, np.maximum(block.max(), -block.min()))
+    return float(worst)
 
 
 def build_t(theta: np.ndarray) -> np.ndarray:

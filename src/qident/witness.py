@@ -112,8 +112,8 @@ def certify(pair: WitnessPair) -> float:
 
     Stores and returns the maximum absolute probability difference.  Raises
     :class:`WrongShape` unless the two models share J and K, and
-    :class:`NotCertified` when the difference exceeds ``CERT_TOL`` or the
-    two models do not genuinely differ.
+    :class:`NotCertified` when the difference reaches ``CERT_TOL`` or is
+    NaN, or when the two models do not genuinely differ.
     """
     truth, alt = pair.truth, pair.alternative
     if truth.theta.shape != alt.theta.shape:
@@ -122,7 +122,7 @@ def certify(pair: WitnessPair) -> float:
         raise TooLarge(f"exact certification guarded to J <= {_MAX_CERT_J}")
     diff = _max_abs_difference(truth.theta, truth.p, alt.theta, alt.p)
     pair.certified_max_diff = diff
-    if diff >= CERT_TOL:
+    if not diff < CERT_TOL:
         raise NotCertified(
             f"{pair.construction}: distributions differ by {diff:.3e} (>= {CERT_TOL:.0e})"
         )

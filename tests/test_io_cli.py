@@ -142,6 +142,16 @@ class TestCli:
         assert main(["check", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_check_rejects_70_attributes(self, tmp_path, capsys):
+        # wider than an int64 row mask: no row may read as zero
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("\n".join(",".join(map(str, row))
+                                   for row in np.tile(np.eye(70, dtype=int), (3, 1))) + "\n")
+        assert main(["check", str(qfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: row masks hold at most 63 attributes, got K = 70\n"
+        assert captured.out == ""
+
     def test_enumerate_counts(self, tmp_path):
         out = tmp_path / "enum"
         assert main(["enumerate", "5", "2", "--classify", "--out", str(out)]) == 0
@@ -278,7 +288,9 @@ class TestCli:
         "{bad",
         json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2, 0.2, 0.2, 1.5], "p": [0.25] * 4}),
         json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2] * 4, "p": [0.5] + [0.25] * 3}),
-    ], ids=["missing-field", "bad-json", "g-out-of-range", "p-sum"])
+        json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2] * 4,
+                    "p": [float("nan"), 0.5, 0.25, 0.25]}),
+    ], ids=["missing-field", "bad-json", "g-out-of-range", "p-sum", "p-nan"])
     def test_malformed_params_exit_1(self, tmp_path, capsys, command, text):
         qfile, params = self._write_paired_inputs(tmp_path)
         params.write_text(text)
@@ -289,7 +301,7 @@ class TestCli:
         }[command]
         assert main([command, *argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_simulate_theta_off_design_exit_2(self, tmp_path, capsys):

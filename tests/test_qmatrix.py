@@ -73,6 +73,21 @@ class TestQMatrixEntries:
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             QMatrix(entries)
 
+    def test_63_attributes_classified(self):
+        # bit 62 is the highest a row mask can hold; three identities are strict
+        q = QMatrix(np.tile(np.eye(63, dtype=int), (3, 1)))
+        assert q.row_masks.min() == 1 and q.row_masks.max() == 1 << 62
+        assert not q.has_zero_rows
+        assert classify_dina(q).scenario is Scenario.STRICT
+        assert classify_batch(q.row_masks[None], 63, "dina").tolist() == [Scenario.STRICT.value]
+
+    def test_64_attributes_rejected(self):
+        # attribute 64 would be the sign bit of an int64 mask
+        with pytest.raises(TooLarge, match="at most 63 attributes"):
+            QMatrix(np.tile(np.eye(64, dtype=int), (3, 1)))
+        with pytest.raises(TooLarge, match="at most 63 attributes"):
+            classify_batch(np.array([[1, 2, 4]]), 64, "dina")
+
 
 class TestConditionA:
     def test_paired_design_complete(self):
@@ -393,7 +408,7 @@ class TestBatchedClassifier:
         else:
             codes = qmatrix._canonical_codes(J, K)
             designs = enumerate_canonical(J, K)
-        flags = qmatrix._flags(codes, K)
+        flags = qmatrix._flags(codes, K, qmatrix._column_sums(codes, K))
         for n, q in enumerate(designs):
             ok_a, _ = check_condition_A(q)
             assert flags["A"][n] == ok_a
@@ -481,7 +496,8 @@ class TestBatchedClassifier:
             codes = qmatrix._canonical_codes(J, K)
             codes = codes[rng.choice(len(codes), size=min(len(codes), 500), replace=False)]
             for _, decide in qmatrix._MODELS.values():
-                rules = decide(codes, K, qmatrix._flags(codes, K))
+                sums = qmatrix._column_sums(codes, K)
+                rules = decide(codes, K, sums, qmatrix._flags(codes, K, sums))
                 named |= {scenario for scenario, *_ in rules}
                 assert rules[-1][1].all()  # the last rule decides what the others leave
         assert named == set(Scenario) == set(_SCENARIO_SUMMARY)
@@ -522,6 +538,27 @@ class TestEnumeration:
         gdina = Counter(classify_gdina(m).scenario for m in mats)
         assert gdina[Scenario.GENERIC_DE] == 71
         assert gdina[Scenario.NOT_GENERIC_C_GDINA] == 50
+
+    def test_census_6x3_pinned(self, rng):
+        # the smallest shape past the J * K <= 15 certificate oracle: its
+        # verdict counts are pinned, and a sample of designs classified one
+        # at a time reads the same as in the whole batch
+        from collections import Counter
+
+        codes = qmatrix._canonical_codes(6, 3)
+        assert len(codes) == 19_608
+        pinned = {
+            "dina": {Scenario.STRICT: 480, Scenario.GENERIC_B2: 15,
+                     Scenario.NOT_GENERIC_ONE_ITEM: 2_850, Scenario.NOT_LOCALLY_GENERIC_A: 14_563,
+                     Scenario.UNDETERMINED: 1_700},
+            "gdina": {Scenario.NOT_GENERIC_C_GDINA: 10_755, Scenario.UNDETERMINED: 8_853},
+        }
+        sample = rng.choice(len(codes), size=200, replace=False)
+        for model, counts in pinned.items():
+            verdicts = classify_batch(codes, 3, model)
+            assert Counter(verdicts.tolist()) == {s.value: n for s, n in counts.items()}
+            for i in sample:
+                assert classify_batch(codes[i:i + 1], 3, model)[0] == verdicts[i]
 
     def test_singleton(self):
         mats = enumerate_canonical(1, 1)

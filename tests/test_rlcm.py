@@ -41,6 +41,11 @@ class TestParams:
         with pytest.raises(ValueError):
             Proportions(np.array([0.0, 1.0]))
 
+    def test_proportions_must_be_finite(self):
+        # NaN passes both the sum and the sign check
+        with pytest.raises(ValueError, match="finite"):
+            Proportions(np.array([np.nan, 0.5, 0.25, 0.25]))
+
     def test_gdina_equality_invariant(self):
         q = QMatrix.from_rows([[1, 0]])
         theta = np.array([[0.2, 0.8, 0.3, 0.8]])  # varies with attribute 2

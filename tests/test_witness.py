@@ -86,6 +86,19 @@ class TestCertify:
             certify(pair)
         assert pair.certified_max_diff > 1e-12
 
+    def test_nan_proportion_not_certified(self, rng):
+        # NaN compares false both ways, so neither max() nor ">= CERT_TOL"
+        # may drop it
+        params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
+        truth = _dina_model(Q5X2_LONELY_ATTRIBUTE, params, [np.nan, 0.5, 0.25, 0.25])
+        theta = truth.theta.copy()
+        theta[0] += 0.01
+        pair = WitnessPair(truth=truth, alternative=RlcmModel(truth.q, theta, np.full(4, 0.25)),
+                           construction="nan")
+        with pytest.raises(NotCertified, match="differ by nan"):
+            certify(pair)
+        assert np.isnan(pair.certified_max_diff)
+
     def test_no_2j_array_at_j20(self):
         # the full distributions would be two 8 MB arrays
         q, _ = two_item_20x3_pair()

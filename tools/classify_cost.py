@@ -1,0 +1,72 @@
+"""Time of ``qmatrix.classify_batch`` on whole canonical censuses, per model.
+
+    python3 tools/classify_cost.py                          # the checkout's src/
+    python3 tools/classify_cost.py --src OTHER/src --reps 7  # the checkout against OTHER
+
+Each shape's designs are its canonical census from the checkout's
+``qmatrix._canonical_codes`` (2,801 at 5 x 3, 3,280 at 8 x 2, 19,608 at
+6 x 3 and 137,257 at 7 x 3), classified in one ``classify_batch`` call.
+Each cell is the median over ``--reps`` calls, after one warm-up call.
+
+With ``--src`` both trees load into this one process through
+``em_sweep_cost``'s loader, and their calls interleave rep by rep (the tree
+that goes first alternates), so that the machine's drift over a run falls
+on both columns alike.  The ratio column is OTHER over the checkout, and
+the last column says whether the two trees' verdicts are equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from em_sweep_cost import _load
+
+SHAPES = ((5, 3), (8, 2), (6, 3), (7, 3))
+MODELS = ("dina", "gdina")
+
+
+def _timed(qmatrix, codes, K: int, model: str):
+    t0 = time.perf_counter()
+    verdicts = qmatrix.classify_batch(codes, K, model)
+    return time.perf_counter() - t0, verdicts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=None,
+                        help="a second tree's src/ to measure against the checkout's")
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args(argv)
+    checkout = Path(__file__).resolve().parents[1] / "src"
+    trees = [_load(checkout, "qident_checkout", ("qmatrix",))[0]]
+    if args.src is not None:
+        trees.append(_load(args.src, "qident_other", ("qmatrix",))[0])
+
+    for label, qmatrix in zip(("checkout", "other"), trees):
+        print(f"{label}: qident from {Path(qmatrix.__file__).parent}")
+    head = " ".join(f"{label + '_s':>11}" for label in ("checkout", "other")[: len(trees)])
+    print(f"{'shape':>5} {'designs':>8} {'model':>6} {head}"
+          + (f" {'ratio':>6} {'equal':>5}" if len(trees) == 2 else ""))
+    for J, K in SHAPES:
+        codes = trees[0]._canonical_codes(J, K)
+        for model in MODELS:
+            verdicts = [_timed(qmatrix, codes, K, model)[1] for qmatrix in trees]  # warm-up
+            times = [[] for _ in trees]
+            for rep in range(args.reps):
+                order = range(len(trees)) if rep % 2 == 0 else reversed(range(len(trees)))
+                for i in order:
+                    times[i].append(_timed(trees[i], codes, K, model)[0])
+            secs = [statistics.median(t) for t in times]
+            line = f"{J}x{K:<3} {len(codes):>8} {model:>6} " + " ".join(f"{s:>11.4f}" for s in secs)
+            if len(trees) == 2:
+                line += f" {secs[1] / secs[0]:>6.3f} {str(verdicts[0].tolist() == verdicts[1].tolist()):>5}"
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,15 +40,15 @@ SHORT, LONG = 20, 120
 MODELS = ("dina", "gdina")
 
 
-def _load(src: Path, name: str):
-    """The modules of the qident package under ``src``, imported as package
-    ``name`` so that two trees can live in one process."""
+def _load(src: Path, name: str, modules):
+    """The named ``modules`` of the qident package under ``src``, imported as
+    package ``name`` so that two trees can live in one process."""
     init = src.resolve() / "qident" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
-    return [importlib.import_module(f"{name}.{mod}") for mod in ("estimate", "qmatrix", "rlcm", "catalog")]
+    return [importlib.import_module(f"{name}.{mod}") for mod in modules]
 
 
 class Tree:
@@ -57,7 +57,8 @@ class Tree:
     def __init__(self, src: Path, name: str):
         import numpy as np
 
-        self.estimate, qmatrix, rlcm, catalog = _load(src, name)
+        self.estimate, qmatrix, rlcm, catalog = _load(
+            src, name, ("estimate", "qmatrix", "rlcm", "catalog"))
         self.where = Path(self.estimate.__file__).parent
         rng = np.random.default_rng(0)
         params = rlcm.DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
