@@ -313,15 +313,14 @@ def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
 def _multistart(model, masks, K, datasets, seeds, restarts, tol, max_iter, paths=False):
     """Best-of-``restarts`` EM fits of the design with row masks ``masks[d]``
     on ``datasets[d]``, yielded in order, all restarts in one ``_fit_all``.
-    Design d's restarts start from the children of ``seeds[d]`` (a
-    ``SeedSequence`` or its entropy); its best fit, the first of highest
-    loglik, carries every restart's loglik and sweep count in seed order."""
+    Design d's restarts start from the children of the ``SeedSequence`` with
+    entropy ``seeds[d]``; its best fit, the first of highest loglik, carries
+    every restart's loglik and sweep count in seed order."""
     _check_run(tol, max_iter, restarts)
     starts = []
     for mask, data, seed in zip(masks, datasets, seeds):
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         starts += [_start(model, mask, K, data, np.random.default_rng(child))
-                   for child in seq.spawn(restarts)]
+                   for child in np.random.SeedSequence(seed).spawn(restarts)]
     fits = _fit_all(model, np.repeat(masks, restarts, axis=0), K,
                     [d for d in datasets for _ in range(restarts)], starts, tol, max_iter, paths)
     for group in zip(*[fits] * restarts):  # each design's restarts, in seed order

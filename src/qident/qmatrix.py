@@ -472,39 +472,24 @@ def _ab(masks: np.ndarray, K: int):
     return a, b
 
 
-@dataclass
-class _TwoItemForms:
+def _two_item_forms(masks: np.ndarray, K: int):
     """Attributes required by exactly two items, one of them a unit row.
 
-    For design n and attribute k, ``found[n, k]`` says whether k takes the
-    form; ``unit`` is the first unit row of k, ``partner`` the other item
-    and ``partner_mask`` the partner row without attribute k.
+    Returns five (N, K) arrays ``(found, unit, partner, partner_mask,
+    scenario_a)``: for design n and attribute k, ``found[n, k]`` says whether
+    k takes the form; ``unit`` is the first unit row of k, ``partner`` the
+    other item, ``partner_mask`` the partner row without attribute k, and
+    ``scenario_a`` marks scenario (a), a partner requiring every attribute.
     """
-
-    found: np.ndarray
-    unit: np.ndarray
-    partner: np.ndarray
-    partner_mask: np.ndarray
-
-    def scenario_a(self) -> np.ndarray:
-        """Scenario (a): the partner row requires every attribute."""
-        K = self.found.shape[1]
-        others = ((1 << K) - 1) & ~(1 << np.arange(K))
-        return self.found & (self.partner_mask == others)
-
-
-def _two_item_forms(masks: np.ndarray, K: int) -> _TwoItemForms:
     requires = _bits(masks, K)
     is_unit = _is_unit(masks, K)
     unit = is_unit.argmax(axis=-1)
     others = np.arange(masks.shape[1]) != unit[:, :, None]
     partner = (requires & others).argmax(axis=-1)
-    return _TwoItemForms(
-        found=(requires.sum(axis=-1) == 2) & is_unit.any(axis=-1),
-        unit=unit,
-        partner=partner,
-        partner_mask=np.take_along_axis(masks, partner, axis=1) & ~(1 << np.arange(K)),
-    )
+    found = (requires.sum(axis=-1) == 2) & is_unit.any(axis=-1)
+    rest = ((1 << K) - 1) & ~(1 << np.arange(K))
+    partner_mask = np.take_along_axis(masks, partner, axis=1) & rest
+    return found, unit, partner, partner_mask, found & (partner_mask == rest)
 
 
 def _cover_sets(values: list, K: int, width: int) -> list:
@@ -627,18 +612,18 @@ def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
     C of the residual; any other partner is scenario (c) when the residual
     satisfies A, B and C.
     """
-    forms = _two_item_forms(masks, K)
-    found = {"a": forms.scenario_a()}
-    found.update((s, np.zeros_like(found["a"])) for s in ("b2", "b1", "c"))
-    n, k = np.nonzero(forms.found & ~found["a"])
+    on_two, unit, partner, partner_mask, scenario_a = _two_item_forms(masks, K)
+    found = {"a": scenario_a}
+    found.update((s, np.zeros_like(scenario_a)) for s in ("b2", "b1", "c"))
+    n, k = np.nonzero(on_two & ~scenario_a)
     res, idx = masks[n], np.arange(len(n))
-    res[idx, forms.unit[n, k]] = 0
-    res[idx, forms.partner[n, k]] = 0
+    res[idx, unit[n, k]] = 0
+    res[idx, partner[n, k]] = 0
     low = (1 << k[:, None]) - 1
     res = res & low | res >> 1 & ~low  # drop attribute k
     a, b = _ab(res, K - 1)
     abc = a & b & (_column_sums(res, K - 1) >= 3).all(axis=1)
-    lone = forms.partner_mask[n, k] == 0
+    lone = partner_mask[n, k] == 0
     b2 = lone & (_is_unit(res, K - 1).sum(axis=-1) >= 2).all(axis=1)
     found["b2"][n, k] = b2
     found["b1"][n, k] = lone & ~b2 & abc

@@ -38,6 +38,14 @@ __all__ = [
 _MAX_FULL_J = 24
 
 
+def _freeze(obj, **arrays) -> None:
+    """Make each array read-only and set it on ``obj`` under its keyword,
+    past a frozen dataclass's guard."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class Proportions:
     """Population proportions over the 2^K attribute patterns; every entry
@@ -53,10 +61,9 @@ class Proportions:
             raise ValueError("proportions must be finite")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"proportions sum to {float(arr.sum())!r}, not 1")
-        if (arr <= 0).any():
+        if not (arr > 0).all():
             raise ValueError("proportions must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        _freeze(self, p=arr)
 
 
 @dataclass(frozen=True)
@@ -74,14 +81,11 @@ class DinaParams:
         g = np.asarray(self.g, dtype=float)
         if s.shape != g.shape or s.ndim != 1:
             raise WrongShape("s and g must be 1-d vectors of equal length")
-        if (s <= 0).any() or (s >= 1).any() or (g <= 0).any() or (g >= 1).any():
+        if not ((0 < s) & (s < 1) & (0 < g) & (g < 1)).all():
             raise ValueError("slipping and guessing must lie in (0, 1)")
         if ((1.0 - s) <= g).any():
             raise ValueError("monotonicity violated: need 1 - s > g for every item")
-        s.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "g", g)
+        _freeze(self, s=s, g=g)
 
     @property
     def c(self) -> np.ndarray:
@@ -107,11 +111,9 @@ class GdinaParams:
         arr = np.asarray(theta, dtype=float)
         if arr.ndim != 2 or arr.shape[1] & (arr.shape[1] - 1):
             raise WrongShape("theta must be J x 2^K")
-        if (arr <= 0).any() or (arr >= 1).any():
+        if not ((0 < arr) & (arr < 1)).all():
             raise ValueError("theta entries must lie strictly inside (0, 1)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.theta = arr
+        _freeze(self, theta=arr.copy())
 
     @property
     def n_items(self) -> int:
@@ -227,10 +229,7 @@ class Dataset:
             raise ValueError("pattern mask out of range for the item count")
         if len(np.unique(patterns)) != len(patterns):
             raise ValueError("pattern masks must be distinct")
-        patterns.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "counts", counts)
+        _freeze(self, patterns=patterns, counts=counts)
 
     @classmethod
     def from_pattern_list(cls, n_items: int, raw_patterns) -> "Dataset":
@@ -297,10 +296,9 @@ class RlcmModel:
             raise WrongShape("theta shape does not match the design")
         if len(p) != theta.shape[1]:
             raise WrongShape("proportion length does not match the design")
-        theta.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "p", p)
+        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
+            raise ValueError("theta and p must be finite")
+        _freeze(self, theta=theta, p=p)
 
     def distribution(self) -> np.ndarray:
         return response_distribution(self.theta, self.p)

@@ -1,4 +1,4 @@
-"""Marginal positive-response matrices and rank diagnostics.
+"""Marginal positive-response matrices.
 
 The T-matrix of a model has shape 2^J x 2^K with entry
 
@@ -30,12 +30,10 @@ __all__ = [
     "build_t",
     "tp_vector",
     "shift_matrix",
-    "rank",
 ]
 
 _MAX_T_J = 20
 _MAX_D_J = 12
-_RANK_TOL = 1e-10
 _BLOCK = 1 << 17  # entries (1 MB of float64) of the blocked difference's buffer
 
 
@@ -138,11 +136,3 @@ def shift_matrix(theta_star: np.ndarray) -> np.ndarray:
         # item j's factor [[1, 0], [-t, 1]] enters as bit j, the new high bit
         d = np.block([[d, np.zeros_like(d)], [-t * d, d]])
     return d
-
-
-def rank(matrix: np.ndarray, tol: float = _RANK_TOL) -> int:
-    """Numerical rank: the number of singular values above ``tol`` times
-    the largest one, so the tolerance is relative."""
-    sv = np.linalg.svd(np.asarray(matrix, float), compute_uv=False)
-    return int((sv > tol * sv[0]).sum()) if sv.size else 0
-

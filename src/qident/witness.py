@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import Q4X2_PAIRED
 from .errors import (
     ConstraintHolds,
     InvalidFreeValues,
@@ -261,14 +262,14 @@ def dina_scenario_a(
     """
     p = np.asarray(p, float)
     K = q.n_attributes
-    forms = _two_item_forms(q.row_masks[None, :], K)
-    hits = np.flatnonzero(forms.scenario_a()[0])
+    _, unit, partner, _, scenario_a = _two_item_forms(q.row_masks[None, :], K)
+    hits = np.flatnonzero(scenario_a[0])
     if not hits.size:
         raise WrongShape(
             "need an attribute on exactly two items: a unit row and an all-ones row"
         )
     k = int(hits[0])
-    j1, j2 = int(forms.unit[0, k]), int(forms.partner[0, k])
+    j1, j2 = int(unit[0, k]), int(partner[0, k])
     c1, g1 = float(params.c[j1]), float(params.g[j1])
     c2, g2 = float(params.c[j2]), float(params.g[j2])
     if g1_bar is None:
@@ -323,7 +324,6 @@ def dina_q24_two_solutions(params: DinaParams, p: np.ndarray, count: int = 2) ->
     The weights tried move each block's weight by 0.15, 0.1, 0.2 and 0.05,
     up and down, in that order.
     """
-    q = QMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
     p = np.asarray(p, float)
     if params.n_items != 4 or len(p) != 4:
         raise WrongShape("construction fixed to the 4 x 2 paired design")
@@ -355,7 +355,7 @@ def dina_q24_two_solutions(params: DinaParams, p: np.ndarray, count: int = 2) ->
         # independent attributes mastered at rates m1, m2 (masks 00, 10, 01, 11)
         m1, m2 = (w_bar, w2) if attr == 1 else (w1, w_bar)
         p_bar = np.array([(1 - m1) * (1 - m2), m1 * (1 - m2), (1 - m1) * m2, m1 * m2])
-        return _dina_pair(q, params, p, p_bar, "DinaQ24TwoSolutions",
+        return _dina_pair(Q4X2_PAIRED, params, p, p_bar, "DinaQ24TwoSolutions",
                           {"attribute": attr, "weight": w_bar},
                           s_bar=[(ja, 1.0 - c_a), (jb, 1.0 - c_b)], g_bar=[(ja, g_a), (jb, g_b)])
 

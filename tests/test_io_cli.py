@@ -142,6 +142,11 @@ class TestCli:
         assert main(["check", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_check_missing_file_exit_1(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "missing.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_check_rejects_70_attributes(self, tmp_path, capsys):
         # wider than an int64 row mask: no row may read as zero
         qfile = tmp_path / "q.txt"
@@ -290,7 +295,13 @@ class TestCli:
         json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2] * 4, "p": [0.5] + [0.25] * 3}),
         json.dumps({"model": "dina", "s": [0.2] * 4, "g": [0.2] * 4,
                     "p": [float("nan"), 0.5, 0.25, 0.25]}),
-    ], ids=["missing-field", "bad-json", "g-out-of-range", "p-sum", "p-nan"])
+        json.dumps({"model": "dina", "s": [float("nan"), 0.1, 0.1, 0.1], "g": [0.2] * 4,
+                    "p": [0.25] * 4}),
+        json.dumps({"model": "gdina", "p": [0.25] * 4, "theta": [
+            [float("nan"), 0.8, 0.2, 0.8], [0.2, 0.2, 0.8, 0.8],
+            [0.2, 0.8, 0.2, 0.8], [0.2, 0.2, 0.8, 0.8]]}),
+    ], ids=["missing-field", "bad-json", "g-out-of-range", "p-sum", "p-nan", "s-nan",
+            "theta-nan"])
     def test_malformed_params_exit_1(self, tmp_path, capsys, command, text):
         qfile, params = self._write_paired_inputs(tmp_path)
         params.write_text(text)
@@ -302,6 +313,16 @@ class TestCli:
         assert main([command, *argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tmatrix"])
+    def test_model_conflicting_with_params_exit_2(self, tmp_path, capsys, command):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        extra = ["--n", "10"] if command == "simulate" else []
+        assert main([command, "--q", str(qfile), "--params", str(params), "--model", "gdina",
+                     *extra, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --model gdina conflicts with params file model dina\n")
         assert not (tmp_path / "o").exists()
 
     def test_simulate_theta_off_design_exit_2(self, tmp_path, capsys):
@@ -563,6 +584,17 @@ class TestWitnessCli:
         assert main(["witness", "--construction", "gamma-merge", *argv, "--out", str(out)]) == 2
         assert "coincides" in capsys.readouterr().err
         assert not (out / "witness.json").exists()
+
+    def test_dump_table(self, tmp_path, capsys):
+        argv = _witness_inputs(tmp_path, _PAIRED)
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", "q24", *argv, "--out", str(out),
+                     "--dump-table"]) == 0
+        lines = (out / "distributions.csv").read_text().splitlines()
+        assert len(lines) == 17 and lines[0] == "pattern_bits,p_truth,p_alternative"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert (table[:, 0] == np.arange(16)).all()
+        assert np.abs(table[:, 1] - table[:, 2]).max() < 1e-12
 
     def test_dump_table_needs_out(self, tmp_path, capsys):
         argv = _witness_inputs(tmp_path, _PAIRED)

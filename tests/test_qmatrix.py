@@ -258,6 +258,20 @@ class TestClassifyDina:
         assert classify_dina(Q4X2_PAIRED).scenario is Scenario.GENERIC_B2
         assert classify_dina(Q5X2_PAIRED_PLUS_ONE).scenario is Scenario.GENERIC_B2
 
+    def test_b2_constraint_beyond_two_attributes(self):
+        verdict = classify_dina(QMatrix.from_rows(
+            [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]))
+        assert verdict.scenario is Scenario.GENERIC_B2
+        assert verdict.measure_zero_constraints == [
+            "for every attribute k: exists patterns a1, a2 with attribute k absent "
+            "such that p[a1] * p[a2 + ek] != p[a2] * p[a1 + ek]"]
+
+    def test_undetermined_is_neither_identifiable_nor_not(self):
+        verdict = classify_dina(QMatrix.from_rows(
+            [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]))
+        assert verdict.scenario is Scenario.UNDETERMINED
+        assert verdict.identifiable is None
+
     def test_lonely_attribute(self):
         verdict = classify_dina(Q5X2_LONELY_ATTRIBUTE)
         assert verdict.scenario is Scenario.NOT_GENERIC_ONE_ITEM

@@ -12,6 +12,7 @@ from qident import (
     GdinaParams,
     Proportions,
     QMatrix,
+    RlcmModel,
     full_distribution,
     pmf,
     simulate,
@@ -45,6 +46,23 @@ class TestParams:
         # NaN passes both the sum and the sign check
         with pytest.raises(ValueError, match="finite"):
             Proportions(np.array([np.nan, 0.5, 0.25, 0.25]))
+
+    # NaN compares false both ways, so a range check written as "any entry
+    # outside" lets it through
+    def test_dina_params_must_be_finite(self):
+        with pytest.raises(ValueError, match="slipping and guessing"):
+            DinaParams([np.nan, 0.1], [0.1, np.nan])
+
+    def test_gdina_params_must_be_finite(self):
+        with pytest.raises(ValueError, match="theta entries"):
+            GdinaParams([[np.nan, 0.5], [0.2, 0.3]])
+
+    def test_model_must_be_finite(self):
+        q = QMatrix.from_rows([[1], [1]])
+        with pytest.raises(ValueError, match="finite"):
+            RlcmModel(q, [[0.2, np.inf], [0.1, 0.9]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            RlcmModel(q, [[0.2, 0.8], [0.1, 0.9]], [np.nan, 0.5])
 
     def test_gdina_equality_invariant(self):
         q = QMatrix.from_rows([[1, 0]])

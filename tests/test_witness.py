@@ -23,6 +23,7 @@ from qident.errors import (
 )
 from qident.qmatrix import enumerate_canonical
 from qident.rlcm import monotonicity_ok, response_distribution, theta_table
+from qident.tmatrix import _max_abs_difference
 from qident.witness import (
     CERT_TOL,
     WitnessPair,
@@ -87,17 +88,16 @@ class TestCertify:
         assert pair.certified_max_diff > 1e-12
 
     def test_nan_proportion_not_certified(self, rng):
-        # NaN compares false both ways, so neither max() nor ">= CERT_TOL"
-        # may drop it
+        # the model refuses a NaN p; behind it, the difference kernel still
+        # carries the NaN out, which certify's "not diff < CERT_TOL" refuses
         params = DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
-        truth = _dina_model(Q5X2_LONELY_ATTRIBUTE, params, [np.nan, 0.5, 0.25, 0.25])
-        theta = truth.theta.copy()
-        theta[0] += 0.01
-        pair = WitnessPair(truth=truth, alternative=RlcmModel(truth.q, theta, np.full(4, 0.25)),
-                           construction="nan")
-        with pytest.raises(NotCertified, match="differ by nan"):
-            certify(pair)
-        assert np.isnan(pair.certified_max_diff)
+        theta = theta_table("dina", Q5X2_LONELY_ATTRIBUTE, params)
+        nan_p = np.array([np.nan, 0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match="finite"):
+            RlcmModel(Q5X2_LONELY_ATTRIBUTE, theta, nan_p)
+        moved = theta.copy()
+        moved[0] += 0.01
+        assert np.isnan(_max_abs_difference(theta, nan_p, moved, np.full(4, 0.25)))
 
     def test_no_2j_array_at_j20(self):
         # the full distributions would be two 8 MB arrays
