@@ -122,16 +122,16 @@ def two_item_20x5_pair() -> tuple[QMatrix, QMatrix]:
     )
 
 
-def equal_effects_theta(q: QMatrix, lo: float = 0.2, hi: float = 0.8) -> np.ndarray:
+def equal_effects_theta(q: QMatrix) -> np.ndarray:
     """Saturated response table with equal main and interaction effects.
 
-    Every item responds at ``lo`` with none of its required attributes and
-    at ``hi`` with all of them; each of the 2^m - 1 effect coefficients of
-    an m-attribute item is equal, so
+    Every item responds at 0.2 with none of its required attributes and at
+    0.8 with all of them; each of the 2^m - 1 effect coefficients of an
+    m-attribute item is equal, so
 
-        theta[j, a] = lo + (hi - lo) * (2^overlap - 1) / (2^m - 1).
+        theta[j, a] = 0.2 + (0.8 - 0.2) * (2^overlap - 1) / (2^m - 1).
     """
     K = q.n_attributes
     overlap = (_cells(q.row_masks, K)[:, :, None] >> np.arange(K) & 1).sum(axis=2)
     m = overlap[:, -1:]  # the all-ones pattern holds every required attribute
-    return lo + (hi - lo) * (np.exp2(overlap) - 1.0) / np.maximum(np.exp2(m) - 1.0, 1.0)
+    return 0.2 + (0.8 - 0.2) * (np.exp2(overlap) - 1.0) / np.maximum(np.exp2(m) - 1.0, 1.0)

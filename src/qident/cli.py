@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: check, enumerate, simulate, fit, search, witness, tmatrix.
-Exit codes: 0 on success, 2 on domain errors, 1 on I/O or parse errors.
+Exit codes: 0 on success, 2 on domain errors and on arguments the parser
+rejects, 1 on I/O or parse errors.
 Runs that write to an output directory also write a ``manifest.json``
 recording the configuration, package version and seed, and the machine:
 Python and numpy versions, platform and CPU count.  Pattern bit order

@@ -32,7 +32,6 @@ from .rlcm import Dataset, _order_violations, simulate
 
 __all__ = [
     "FitResult",
-    "SearchEntry",
     "SearchReport",
     "MseRecord",
     "MseReport",
@@ -57,10 +56,16 @@ class FitResult:
     parameters; ``s``/``g`` are populated for the two-parameter models only.
     ``loglik_path`` holds the loglik before each sweep and at the returned
     parameters; it is None for the fits inside a sweep or an error-decay
-    experiment, which keep only their outcome.  Monotonicity is audited on
-    the output, never enforced during iteration.  ``restart_logliks`` and
+    experiment, which keep only their outcome.  ``restart_logliks`` and
     ``restart_iterations`` hold the loglik and sweep count of every restart
     of a ``multistart_fit``, in seed order; they are None for other fits.
+
+    The order is audited on the output, never enforced during iteration.
+    ``monotonicity_ok`` is the covering/non-covering order with ties allowed
+    (``rlcm.monotonicity_ok`` is strict).  ``stringent_ok`` is the subset
+    order with ties allowed: a two-parameter fit gives all non-covering
+    cells of an item the same value, so those cells always tie, and
+    ``search --stringent`` filters on this weak order.
     """
 
     model: str
@@ -71,24 +76,11 @@ class FitResult:
     p: np.ndarray
     iterations: int
     converged: bool
-    monotonicity_violation: float
-    stringent_violation: float
+    monotonicity_ok: bool
+    stringent_ok: bool
     loglik_path: np.ndarray | None
     restart_logliks: list[float] | None = None
     restart_iterations: list[int] | None = None
-
-    @property
-    def monotonicity_ok(self) -> bool:
-        """Covering/non-covering order with ties allowed (``rlcm.monotonicity_ok``
-        is strict)."""
-        return self.monotonicity_violation <= 0
-
-    @property
-    def stringent_ok(self) -> bool:
-        """Subset order with ties allowed: a two-parameter fit gives all
-        non-covering cells of an item the same value, so those cells always
-        tie, and ``search --stringent`` filters on this weak order."""
-        return self.stringent_violation <= 0
 
 
 def _random_init(model: str, mask: np.ndarray, K: int, rng: np.random.Generator):
@@ -247,27 +239,28 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
     theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
     if model != "gdina":
         _flip_unit_attributes(theta, p, masks)
-        gate = labels
-        c = np.where(gate.any(axis=2), np.where(gate, theta, -np.inf).max(axis=2), theta[:, :, 0])
-        g = np.where((~gate).any(axis=2), np.where(gate, np.inf, theta).min(axis=2), theta[:, :, 0])
-    mono, stringent = _order_violations(theta, masks)
+    mono_ok, stringent_ok = (v <= 0 for v in _order_violations(theta, masks))
     final, _ = _observed_loglik(out_theta, p, XX, W, work)
     if paths:
         order = np.argsort(np.concatenate([a for a, _ in trail]), kind="stable")
         sweeps = np.split(np.concatenate([v for _, v in trail])[order], np.cumsum(iterations)[:-1])
 
+    # theta is gathered from pooled bins, so it is constant on an item's capable
+    # and on its non-capable cells, also after the flip.  Under DINA and DINO
+    # the all-ones pattern is capable on every nonzero row and the empty
+    # pattern on none, and a zero row has one bin: s and g read those cells
     for b in range(B):
         yield FitResult(
             model=model,
             loglik=float(final[b]),
-            s=None if model == "gdina" else 1.0 - c[b],
-            g=None if model == "gdina" else g[b].copy(),
+            s=None if model == "gdina" else 1.0 - theta[b, :, -1],
+            g=None if model == "gdina" else theta[b, :, 0].copy(),
             theta=theta[b].copy(),
             p=p[b].copy(),
             iterations=int(iterations[b]),
             converged=bool(converged[b]),
-            monotonicity_violation=float(mono[b]) if mono[b] > -np.inf else 0.0,
-            stringent_violation=max(0.0, float(stringent[b])),
+            monotonicity_ok=bool(mono_ok[b]),
+            stringent_ok=bool(stringent_ok[b]),
             loglik_path=np.append(sweeps[b], final[b]) if paths else None,
         )
 
@@ -349,8 +342,7 @@ def em_fit(
     drops below ``tol`` or after ``max_iter`` sweeps; a ``max_iter`` below 1
     or a ``tol`` that is negative or not finite raises :class:`QidentError`.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    start = _start(model, q.row_masks, q.n_attributes, data, rng, init)
+    start = _start(model, q.row_masks, q.n_attributes, data, np.random.default_rng(seed), init)
     return next(_fit_all(model, q.row_masks[None], q.n_attributes, [data], [start], tol,
                          max_iter, paths=True))
 
@@ -372,31 +364,21 @@ def multistart_fit(
 
 
 @dataclass
-class SearchEntry:
-    """The best fit of one candidate design, given by its row masks."""
-
-    index: int
-    masks: np.ndarray
-    loglik: float
-    stringent_ok: bool
-    converged: bool
-    iterations: int = 0
-
-
-@dataclass
 class SearchReport:
-    """Per-candidate results of an exhaustive design sweep."""
+    """Per-candidate results of an exhaustive design sweep: ``entries[i]`` is
+    the best fit of the design with row masks ``candidates[i]``."""
 
     model: str
     n_attributes: int
-    entries: list[SearchEntry]
+    candidates: np.ndarray
+    entries: list[FitResult]
     argmax_index: int
     gap_to_runner_up: float
     require_stringent: bool
 
     @property
     def argmax_q(self) -> QMatrix:
-        masks = self.entries[self.argmax_index].masks
+        masks = self.candidates[self.argmax_index]
         return QMatrix((masks[:, None] >> np.arange(self.n_attributes)) & 1)
 
     @property
@@ -405,7 +387,7 @@ class SearchReport:
         return sum(not e.converged for e in self.entries)
 
     def to_json_dict(self) -> dict:
-        rows = _design_rows(np.array([e.masks for e in self.entries]), self.n_attributes)
+        rows = _design_rows(self.candidates, self.n_attributes)
         return {
             "model": self.model,
             "requireStringent": self.require_stringent,
@@ -414,7 +396,7 @@ class SearchReport:
             "unconverged": self.unconverged,
             "candidates": [
                 {
-                    "index": e.index,
+                    "index": idx,
                     "rows": text,
                     "loglik": e.loglik,
                     "stringentOk": e.stringent_ok,
@@ -422,7 +404,7 @@ class SearchReport:
                     "iterations": e.iterations,
                     "error": None,  # kept for report readers: no candidate fails on its own
                 }
-                for e, text in zip(self.entries, rows)
+                for idx, (e, text) in enumerate(zip(self.entries, rows))
             ],
         }
 
@@ -457,19 +439,18 @@ def exhaustive_search(
     masks, K = _check_masks(candidates, n_attributes), n_attributes
     if not len(masks):
         raise QidentError("no candidates given")
-    best = _multistart(model, masks, K, [data] * len(masks),
-                       [[seed, idx] for idx in range(len(masks))], restarts, tol, max_iter)
-    entries = [SearchEntry(idx, mask, fit.loglik, fit.stringent_ok, fit.converged, fit.iterations)
-               for idx, (mask, fit) in enumerate(zip(masks, best))]
-    eligible = [e for e in entries if not require_stringent or e.stringent_ok]
+    entries = list(_multistart(model, masks, K, [data] * len(masks),
+                               [[seed, idx] for idx in range(len(masks))], restarts, tol, max_iter))
+    eligible = [i for i, e in enumerate(entries) if not require_stringent or e.stringent_ok]
     if not eligible:
         raise QidentError("no fitted candidate satisfies the subset order")
 
     bits = ((masks[:, :, None] >> np.arange(K)) & 1).astype(np.int8)
-    ranked = sorted(eligible, key=lambda e: (
-        -e.loglik, int(bits[e.index].sum()), bits[e.index].tobytes()))
-    gap = float(ranked[0].loglik - ranked[1].loglik) if len(ranked) > 1 else float("inf")
-    return SearchReport(model, K, entries, ranked[0].index, gap, require_stringent)
+    ranked = sorted(eligible, key=lambda i: (
+        -entries[i].loglik, int(bits[i].sum()), bits[i].tobytes()))
+    logliks = [entries[i].loglik for i in ranked[:2]]
+    gap = float(logliks[0] - logliks[1]) if len(ranked) > 1 else float("inf")
+    return SearchReport(model, K, masks, entries, ranked[0], gap, require_stringent)
 
 
 def align_to_truth(estimate: FitResult, truth: dict, n_attributes: int):

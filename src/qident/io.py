@@ -120,11 +120,8 @@ def load_pattern_counts_csv(path, n_items: int) -> Dataset:
         if pattern in counts:
             raise ParseError(f"pattern {pattern} listed twice", line=lineno)
         counts[pattern] = count
-    return Dataset(
-        n_items,
-        np.array(list(counts), dtype=np.int64),
-        np.array(list(counts.values()), dtype=np.int64),
-    )
+    # Python ints, so that Dataset checks the item count before they become int64
+    return Dataset(n_items, list(counts), list(counts.values()))
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
@@ -181,8 +178,8 @@ def save_params_json(path, model: str, params, p=None) -> None:
 def save_search_csv(report, path) -> None:
     """Plot-ready sweep results: candidate index against log-likelihood."""
     lines = ["index,loglik,stringent_ok,converged"]
-    for e in report.entries:
-        lines.append(f"{e.index},{e.loglik!r},{int(e.stringent_ok)},{int(e.converged)}")
+    for idx, e in enumerate(report.entries):
+        lines.append(f"{idx},{e.loglik!r},{int(e.stringent_ok)},{int(e.converged)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -402,17 +402,6 @@ def _b2_constraints(K: int) -> list[str]:
     ]
 
 
-def _required_by(q: QMatrix, count: int) -> list[tuple[int, list[int]]]:
-    """``(attribute, items)`` for each attribute required by exactly
-    ``count`` items, in attribute order."""
-    sums = q.column_sums()
-    return [
-        (k, [int(j) for j in np.flatnonzero(q.entries[:, k])])
-        for k in range(q.n_attributes)
-        if sums[k] == count
-    ]
-
-
 # The batched kernels below take an (N, J) int64 array of row masks, one
 # design per row, all with K attributes, and return one value per design.
 

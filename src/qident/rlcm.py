@@ -39,11 +39,11 @@ _MAX_FULL_J = 24
 
 
 def _freeze(obj, **arrays) -> None:
-    """Make each array read-only and set it on ``obj`` under its keyword,
-    past a frozen dataclass's guard."""
+    """Set a read-only copy of each array on ``obj`` under its keyword, past
+    a frozen dataclass's guard; the caller's array stays writable."""
     for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        object.__setattr__(obj, name, arr.copy())
+        getattr(obj, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class GdinaParams:
             raise WrongShape("theta must be J x 2^K")
         if not ((0 < arr) & (arr < 1)).all():
             raise ValueError("theta entries must lie strictly inside (0, 1)")
-        _freeze(self, theta=arr.copy())
+        _freeze(self, theta=arr)
 
     @property
     def n_items(self) -> int:
@@ -212,13 +212,16 @@ def pmf(model: str, q: QMatrix, params, p: np.ndarray, r: int) -> float:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed response patterns, each listed once, with multiplicities."""
+    """Observed response patterns, each listed once, with multiplicities.
+    Patterns are int64 masks, so a dataset has at most 63 items."""
 
     n_items: int
     patterns: np.ndarray  # unique pattern masks, int64
     counts: np.ndarray  # multiplicities, int64
 
     def __post_init__(self):
+        if self.n_items > 63:
+            raise TooLarge(f"at most 63 items fit an int64 response pattern, got {self.n_items}")
         patterns = np.asarray(self.patterns, dtype=np.int64)
         counts = np.asarray(self.counts, dtype=np.int64)
         if patterns.shape != counts.shape or patterns.ndim != 1:
@@ -270,7 +273,7 @@ def simulate(model: str, q: QMatrix, params, p, n: int, seed=None) -> Dataset:
         raise WrongShape(f"p has {pvec.size} entries but the design has {theta.shape[1]} patterns")
     if n < 0:
         raise QidentError(f"the number of subjects must be nonnegative, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if n == 0:
         return Dataset(q.n_items, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     alphas = rng.choice(len(pvec), size=n, p=pvec)

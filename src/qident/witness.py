@@ -35,7 +35,7 @@ Available constructions:
 Scenario (a) finds its target attribute with the classifier's own search
 (``qmatrix._two_item_forms``), so a design the classifier files under that
 scenario gets its witness.  The other constructions take the first
-attribute required by one or two items (``qmatrix._required_by``), a
+attribute required by one or two items (``QMatrix.column_sums``), a
 search the classifier does not share.  A construction with a single free
 value (given, or the target item's default ``c_bar`` / ``g1_bar``)
 certifies once and raises :class:`NotCertified` on failure; one that tries
@@ -58,8 +58,7 @@ from .errors import (
     TooLarge,
     WrongShape,
 )
-from .qmatrix import (QMatrix, _bit_permutation_table, _column_maps, _required_by,
-                      _two_item_forms, gamma_matrix)
+from .qmatrix import QMatrix, _bit_permutation_table, _column_maps, _two_item_forms, gamma_matrix
 from .rlcm import DinaParams, RlcmModel, monotonicity_ok, theta_table
 from .tmatrix import _max_abs_difference
 
@@ -226,15 +225,12 @@ def dina_one_item_attr(
     ``c_bar`` defaults to max(c - 0.05, (c + g) / 2) of that item.
     """
     p = np.asarray(p, float)
-    masks = q.row_masks
-    target = next(
-        ((items[0], k) for k, items in _required_by(q, 1) if masks[items[0]] == 1 << k), None
-    )
-    if target is None:
-        raise WrongShape(
-            "need an attribute required by exactly one item, that item a unit row"
-        )
-    j, k = target
+    # unit[k, j]: item j is attribute k's unit row and no other item requires k
+    bits = 1 << np.arange(q.n_attributes)[:, None]
+    unit = (q.row_masks == bits) & (q.column_sums() == 1)[:, None]
+    if not unit.any():
+        raise WrongShape("need an attribute required by exactly one item, that item a unit row")
+    k, j = np.argwhere(unit)[0].tolist()
     c_j, g_j = float(params.c[j]), float(params.g[j])
     if c_bar is None:
         c_bar = max(c_j - 0.05, (c_j + g_j) / 2)
@@ -377,10 +373,10 @@ def _promoted(q: QMatrix, theta: np.ndarray, p: np.ndarray, count: int, construc
     the :class:`WitnessPair` of the truth and the alternative on the
     promoted design, or None when the promoted rows break the order.
     """
-    hits = _required_by(q, count)
-    if not hits:
+    hits = np.flatnonzero(q.column_sums() == count)
+    if not len(hits):
         raise WrongShape(f"need an attribute required by exactly {count} item{'s' * (count > 1)}")
-    k, items = hits[0]
+    k, items = int(hits[0]), np.flatnonzero(q.entries[:, hits[0]]).tolist()
     entries = q.entries.copy()
     entries[items, :] = 1
     q_bar, promoted = QMatrix(entries), QMatrix(entries[items])

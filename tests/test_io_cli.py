@@ -1,5 +1,6 @@
 """File formats, report determinism, and the command-line interface."""
 
+import functools
 import json
 import os
 import platform
@@ -13,6 +14,7 @@ from qident.cli import main
 from qident.errors import ParseError
 from qident.io import (
     dump_report,
+    load_params_json,
     load_pattern_counts_csv,
     load_q,
     load_responses_csv,
@@ -105,12 +107,32 @@ class TestDatasetFormats:
             load_responses_csv(path)
 
 
+_COUNTS = functools.partial(load_pattern_counts_csv, n_items=2)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_q, "\n \n", "no rows found"),
+    (load_responses_csv, "", "empty dataset file"),
+    (_COUNTS, "\n", "empty dataset file"),
+    (load_responses_csv, "item1,item2\n", "dataset file has a header but no data rows"),
+    (_COUNTS, "pattern_bits,count\n1,2,3\n", "expected two columns: pattern_bits,count"),
+    (_COUNTS, "pattern_bits,count\n1,x\n", "non-integer entry in"),
+    (load_params_json, '{"model": "foo"}', "unknown or missing model field: 'foo'"),
+], ids=["design-no-rows", "responses-empty", "counts-empty", "header-only", "three-columns",
+        "non-integer", "unknown-model"])
+def test_parse_errors(tmp_path, load, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load(path)
+
+
 def test_dump_report_deterministic():
-    payload = {"b": [1.0 / 3.0, 2], "a": {"x": np.float64(0.1)}}
+    payload = {"b": [1.0 / 3.0, 2], "a": {"x": np.float64(0.1), "n": np.int64(3)}}
     assert dump_report(payload) == dump_report(json.loads(dump_report(payload)))
     # floats survive a round trip exactly
     decoded = json.loads(dump_report(payload))
-    assert decoded["b"][0] == 1.0 / 3.0
+    assert decoded["b"][0] == 1.0 / 3.0 and decoded["a"]["n"] == 3
 
 
 class TestCli:
@@ -260,6 +282,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert "argument --seed: must be a non-negative integer, got '-1'" in captured.err
         assert captured.out == ""
+
+    def test_non_integer_seed_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--q", "q.txt", "--params", "p.json", "--n", "1", "--seed", "abc"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got 'abc'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "witness"])
+    def test_params_without_p_exit_2(self, tmp_path, capsys, command):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        save_params_json(params, "dina", DinaParams(np.full(4, 0.2), np.full(4, 0.2)))
+        argv = {
+            "simulate": ["--q", str(qfile), "--params", str(params), "--n", "10"],
+            "witness": ["--construction", "q24", "--params", str(params)],
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: params file must carry a 'p' vector") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("items, data", [
+        (65, "1," * 63 + "0,1"),  # item 64 never answered
+        (64, "0," * 63 + "1"),  # bit 63 set
+        (65, f"pattern_bits,count\n{1 << 64},3"),
+    ], ids=["item-64-unanswered", "bit-63", "counts-2^64"])
+    def test_more_than_63_items_exit_2(self, tmp_path, capsys, items, data):
+        save_q(QMatrix(np.ones((items, 1), dtype=int)), tmp_path / "q.txt")
+        (tmp_path / "data.csv").write_text(data + "\n")
+        counts = ["--counts"] if data.startswith("pattern") else []
+        assert main(["fit", "--model", "dina", "--q", str(tmp_path / "q.txt"),
+                     "--data", str(tmp_path / "data.csv"), *counts]) == 2
+        assert capsys.readouterr().err == (
+            f"error: at most 63 items fit an int64 response pattern, got {items}\n")
+
+    def test_tmatrix_past_12_items_exit_2(self, tmp_path, capsys):
+        save_q(QMatrix.from_rows([[1, 0], [0, 1]] * 6 + [[1, 1]]), tmp_path / "q.txt")
+        save_params_json(tmp_path / "params.json", "dina",
+                         DinaParams(np.full(13, 0.2), np.full(13, 0.2)))
+        assert main(["tmatrix", "--q", str(tmp_path / "q.txt"),
+                     "--params", str(tmp_path / "params.json")]) == 2
+        assert capsys.readouterr().err == "error: dense T-matrix export limited to J <= 12\n"
 
     def test_simulate_empty(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path)
@@ -452,6 +515,16 @@ class TestCli:
         extra = ["--truth", str(qfile)] if truth else []
         assert main(["search", "--model", "dina", "--data", str(data),
                      "--attributes", "0", *extra]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--counts"], "--counts needs --truth to fix the item count"),
+        ([], "--attributes (or --truth) is required to enumerate candidates"),
+    ])
+    def test_search_without_truth_exit_2(self, tmp_path, capsys, extra, message):
+        data = tmp_path / "responses.csv"
+        data.write_text("1,0\n0,1\n")
+        assert main(["search", "--model", "dina", "--data", str(data), *extra]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_search_stringent_without_eligible_candidate(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Model parameterization, pmf evaluation, and simulation."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,21 @@ class TestSimulate:
         back = data.to_matrix()
         assert sorted(map(tuple, back.tolist())) == sorted(map(tuple, matrix.tolist()))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Dataset(2, [0, 1], [3, -1]), ValueError, "counts must be nonnegative"),
+        (lambda: Dataset(2, [0, 4], [1, 1]), ValueError, "pattern mask out of range"),
+        (lambda: Dataset(2, [1, 1], [1, 1]), ValueError, "pattern masks must be distinct"),
+        (lambda: Dataset.from_matrix([1, 0]), WrongShape, "response matrix must be 2-d"),
+    ], ids=["negative-count", "pattern-out-of-range", "duplicate-pattern", "not-2-d"])
+    def test_dataset_rejects(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_dataset_bounds_items_at_63(self):
+        assert Dataset(63, [1 << 62], [1]).n_items == 63
+        with pytest.raises(TooLarge, match="at most 63 items fit an int64 response pattern, got 65"):
+            Dataset.from_matrix(np.zeros((2, 65), dtype=int))
+
     @pytest.mark.parametrize("matrix", [[[2, 0], [1, 1]], [[0.5, 1]], [[-1, 0]]])
     def test_dataset_rejects_non_binary_responses(self, matrix):
         # a 2 would otherwise read as a response to the next item
@@ -274,11 +291,25 @@ class TestSimulate:
             Dataset.from_matrix(matrix)
 
 
+@pytest.mark.parametrize("build, arrays", [
+    (Proportions, {"p": np.full(4, 0.25)}),
+    (DinaParams, {"s": np.full(4, 0.2), "g": np.full(4, 0.1)}),
+    (GdinaParams, {"theta": np.full((4, 4), 0.5)}),
+    (functools.partial(Dataset, 2), {"patterns": np.array([0, 3]), "counts": np.array([1, 2])}),
+    (functools.partial(RlcmModel, Q4X2_PAIRED),
+     {"theta": np.full((4, 4), 0.5), "p": np.full(4, 0.25)}),
+], ids=["Proportions", "DinaParams", "GdinaParams", "Dataset", "RlcmModel"])
+def test_constructors_copy_their_inputs(build, arrays):
+    obj = build(**arrays)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable and not getattr(obj, name).flags.writeable
+
+
 def test_equal_effects_levels():
     from qident.catalog import equal_effects_theta
 
     q = QMatrix.from_rows([[1, 1, 0], [0, 1, 0]])
-    theta = equal_effects_theta(q, lo=0.2, hi=0.8)
+    theta = equal_effects_theta(q)
     # two-attribute item: levels 0.2 / 0.4 / 0.8 by mastered-subset size
     assert theta[0, 0b000] == pytest.approx(0.2)
     assert theta[0, 0b001] == pytest.approx(0.4)

@@ -66,6 +66,10 @@ class TestBuild:
     def test_guard(self):
         with pytest.raises(TooLarge):
             build_t(np.full((21, 2), 0.5))
+        with pytest.raises(TooLarge, match="J <= 20"):
+            tp_vector(np.full((21, 2), 0.5), np.full(2, 0.5))
+        with pytest.raises(TooLarge, match="J <= 12"):
+            shift_matrix(np.full(13, 0.1))
 
 
 def _t_by_definition(theta):
