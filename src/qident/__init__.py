@@ -32,7 +32,6 @@ from .rlcm import (
     Dataset,
     DinaParams,
     GdinaParams,
-    Proportions,
     RlcmModel,
     full_distribution,
     pmf,
@@ -62,7 +61,6 @@ __all__ = [
     "Dataset",
     "DinaParams",
     "GdinaParams",
-    "Proportions",
     "RlcmModel",
     "theta_table",
     "full_distribution",

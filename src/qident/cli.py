@@ -29,12 +29,12 @@ from .errors import ParseError, QidentError
 from .estimate import exhaustive_search, multistart_fit
 from .io import (
     SCHEMA,
+    dataset_csv,
     dump_report,
     load_params_json,
     load_pattern_counts_csv,
     load_q,
     load_responses_csv,
-    save_dataset_csv,
     save_search_csv,
 )
 from .qmatrix import (
@@ -135,18 +135,11 @@ def cmd_enumerate(args) -> int:
 def cmd_simulate(args) -> int:
     q = load_q(args.q)
     model, params, p = load_params_json(args.params)
-    if args.model and args.model != model:
-        raise QidentError(f"--model {args.model} conflicts with params file model {model}")
     if p is None:
         raise QidentError("params file must carry a 'p' vector to simulate")
-    data = simulate(model, q, params, p.p, args.n, seed=args.seed)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "dataset.csv"
-    save_dataset_csv(data, path)
-    if args.out:
-        _write_manifest(out_dir, args)
-    print(f"wrote {path} ({data.n_subjects} subjects, {q.n_items} items)")
+    data = simulate(model, q, params, p, args.n, seed=args.seed)
+    _emit(args, dataset_csv(data), "dataset.csv",
+          f" ({data.n_subjects} subjects, {q.n_items} items)")
     return 0
 
 
@@ -247,7 +240,7 @@ def cmd_witness(args) -> int:
                           f"of the DINA model; the params file is for model {model!r}")
     if args.dump_table and params.n_items > 16:
         raise QidentError("--dump-table limited to J <= 16")
-    pairs = build(args, model, params, p.p, *(load_q(getattr(args, name)) for name in files))
+    pairs = build(args, model, params, p, *(load_q(getattr(args, name)) for name in files))
 
     payload = {
         "construction": args.construction,
@@ -281,8 +274,6 @@ def cmd_witness(args) -> int:
 def cmd_tmatrix(args) -> int:
     q = load_q(args.q)
     model, params, _ = load_params_json(args.params)
-    if args.model and args.model != model:
-        raise QidentError(f"--model {args.model} conflicts with params file model {model}")
     if q.n_items > 12:
         raise QidentError("dense T-matrix export limited to J <= 12")
     t = build_t(theta_table(model, q, params))
@@ -341,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("simulate", help="draw a dataset from a model")
-    sub.add_argument("--model", choices=["dina", "dino", "gdina"], default=None)
     sub.add_argument("--q", required=True)
     sub.add_argument("--params", required=True, help="JSON with model parameters and p")
     sub.add_argument("--n", type=int, required=True)
@@ -387,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("tmatrix", help="export the marginal-probability matrix")
     sub.add_argument("--q", required=True)
     sub.add_argument("--params", required=True)
-    sub.add_argument("--model", choices=["dina", "dino", "gdina"], default=None)
     _add_common(sub, seed=False)
     sub.set_defaults(func=cmd_tmatrix)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParseError, WrongShape
 from .qmatrix import QMatrix
-from .rlcm import Dataset, DinaParams, GdinaParams, Proportions
+from .rlcm import Dataset, DinaParams, GdinaParams
 
 __all__ = [
     "parse_q_text",
@@ -25,7 +25,7 @@ __all__ = [
     "save_q",
     "load_responses_csv",
     "load_pattern_counts_csv",
-    "save_dataset_csv",
+    "dataset_csv",
     "save_pattern_counts_csv",
     "load_params_json",
     "save_params_json",
@@ -124,11 +124,12 @@ def load_pattern_counts_csv(path, n_items: int) -> Dataset:
     return Dataset(n_items, list(counts), list(counts.values()))
 
 
-def save_dataset_csv(data: Dataset, path) -> None:
+def dataset_csv(data: Dataset) -> str:
+    """One CSV row of 0/1 responses per subject, under an ``item1,...`` header."""
     lines = [",".join(f"item{j + 1}" for j in range(data.n_items))]
     for row in data.to_matrix():
         lines.append(",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def save_pattern_counts_csv(data: Dataset, path) -> None:
@@ -143,8 +144,9 @@ def load_params_json(path):
 
     Accepted shapes: ``{"model": "dina", "s": [...], "g": [...]}`` or
     ``{"model": "gdina", "theta": [[...]]}``, each optionally with ``"p"``.
-    Malformed JSON, a missing field and values the parameter classes reject
-    raise :class:`ParseError`.
+    Malformed JSON, a missing field, values the parameter classes reject and
+    a p that is not 2^K finite, positive entries summing to 1 raise
+    :class:`ParseError`.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -155,7 +157,16 @@ def load_params_json(path):
             params = GdinaParams(np.array(obj["theta"], float))
         else:
             raise ParseError(f"unknown or missing model field: {model!r}")
-        p = Proportions(np.array(obj["p"], float)) if "p" in obj else None
+        p = np.array(obj["p"], float) if "p" in obj else None
+        if p is not None:
+            if p.ndim != 1 or len(p) & (len(p) - 1):
+                raise WrongShape("proportions must have length 2^K")
+            if not np.isfinite(p).all():
+                raise ValueError("proportions must be finite")
+            if abs(p.sum() - 1.0) > 1e-12:
+                raise ValueError(f"proportions sum to {float(p.sum())!r}, not 1")
+            if not (p > 0).all():
+                raise ValueError("proportions must be positive")
     except KeyError as exc:
         raise ParseError(f"params file lacks the field {exc}") from None
     except (TypeError, ValueError, WrongShape) as exc:

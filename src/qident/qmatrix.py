@@ -522,32 +522,35 @@ def _hall(masks: np.ndarray, K: int):
     (take S = every attribute); which copy of a row it takes does not
     matter, so the candidates are sets of row masks.
 
-    Returns ``(gc, d, e)``; ``e`` is None when the cover search exceeds
-    its budget.
+    Three copies (|N(S)| >= 3|S|) imply E: the third lies outside the other
+    two and covers every attribute.  Only the D designs this screen leaves
+    open pool their masks into one cover search.  Returns ``(gc, d, e)``;
+    past the search budget ``e`` is an object array, None where left open.
     """
-    N, J = masks.shape
+    J = masks.shape[1]
     subsets = np.arange(1, 1 << K)
     size = np.array([bin(s).count("1") for s in subsets])
     reach = ((masks[:, None, :] & subsets[:, None]) != 0).sum(axis=-1)
     slack = reach - 2 * size
     gc = (reach >= size).all(axis=1)
     d = (slack >= 0).all(axis=1)
-    e = np.zeros(N, dtype=bool)
+    e = d & (slack >= size).all(axis=1)
+    todo = d & ~e
     width = min(K, J - 2 * K)
-    if width < 1 or not d.any():
+    if width < 1 or not todo.any():
         return gc, d, e
     present = np.zeros(1 << K, dtype=bool)
-    present[masks[d]] = True
+    present[masks[todo]] = True
     values = np.flatnonzero(present)
     try:
         covers = _cover_sets(values.tolist(), K, width)
     except TooLarge:
-        return gc, d, None
+        return gc, d, np.where(todo, None, e)
     if not covers:
         return gc, d, e
     members = np.array([[v in c for v in values.tolist()] for c in covers], dtype=np.int64)
     inside = members @ ((values[:, None] & subsets) != 0)  # |N(S) & C| per cover
-    rows = np.flatnonzero(d)
+    rows = np.flatnonzero(todo)
     present = (masks[rows, None, :] == values[:, None]).any(axis=-1).astype(np.int64)
     has_cover = present @ members.T == members.sum(axis=1)
     holds = (slack[rows, None, :] >= inside).all(axis=2)
@@ -668,7 +671,7 @@ def _gdina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
     d, e = flags["D"], flags["E"]
     no = np.full(N, -1)
     return [
-        (Scenario.GENERIC_DE, np.zeros(N, dtype=bool) if d is None or e is None else d & e, no,
+        (Scenario.GENERIC_DE, np.zeros(N, dtype=bool) if d is None else d & e.astype(bool), no,
          lambda attr, sums: ([
              "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
              "T(Q*) . diag(p) has pairwise-distinct columns",
@@ -717,7 +720,7 @@ def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
     flags = _flags(masks, K, sums)
     scenario, _, attr, render = next(rule for rule in decide(masks, K, sums, flags) if rule[1][0])
     constraints, notes = render(int(attr[0]), sums[0])
-    flags = {key: None if v is None else bool(v[0]) for key, v in flags.items()}
+    flags = {key: None if v is None or v[0] is None else bool(v[0]) for key, v in flags.items()}
     return IdentifiabilityVerdict(name, flags, scenario, constraints, notes)
 
 

@@ -22,7 +22,6 @@ from .qmatrix import QMatrix, _cells, gamma_matrix
 from .tmatrix import _split_product
 
 __all__ = [
-    "Proportions",
     "DinaParams",
     "GdinaParams",
     "Dataset",
@@ -44,26 +43,6 @@ def _freeze(obj, **arrays) -> None:
     for name, arr in arrays.items():
         object.__setattr__(obj, name, arr.copy())
         getattr(obj, name).setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Proportions:
-    """Population proportions over the 2^K attribute patterns; every entry
-    must be finite and positive."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 1 or len(arr) & (len(arr) - 1):
-            raise WrongShape("proportions must have length 2^K")
-        if not np.isfinite(arr).all():
-            raise ValueError("proportions must be finite")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError(f"proportions sum to {float(arr.sum())!r}, not 1")
-        if not (arr > 0).all():
-            raise ValueError("proportions must be positive")
-        _freeze(self, p=arr)
 
 
 @dataclass(frozen=True)
@@ -235,11 +214,6 @@ class Dataset:
         _freeze(self, patterns=patterns, counts=counts)
 
     @classmethod
-    def from_pattern_list(cls, n_items: int, raw_patterns) -> "Dataset":
-        patterns, counts = np.unique(np.asarray(raw_patterns, dtype=np.int64), return_counts=True)
-        return cls(n_items, patterns, counts)
-
-    @classmethod
     def from_matrix(cls, responses) -> "Dataset":
         """Build from an N x J binary response matrix."""
         arr = np.asarray(responses)
@@ -248,7 +222,7 @@ class Dataset:
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("responses must be 0 or 1")
         masks = (arr.astype(np.int64) << np.arange(arr.shape[1], dtype=np.int64)).sum(axis=1)
-        return cls.from_pattern_list(arr.shape[1], masks)
+        return cls(arr.shape[1], *np.unique(masks, return_counts=True))
 
     @property
     def n_subjects(self) -> int:
@@ -281,7 +255,7 @@ def simulate(model: str, q: QMatrix, params, p, n: int, seed=None) -> Dataset:
     for j in range(q.n_items):
         hits = rng.random(n) < theta[j, alphas]
         masks |= hits.astype(np.int64) << j
-    return Dataset.from_pattern_list(q.n_items, masks)
+    return Dataset(q.n_items, *np.unique(masks, return_counts=True))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from qident.catalog import equal_effects_theta
 from qident.cli import main
 from qident.errors import ParseError
 from qident.io import (
+    dataset_csv,
     dump_report,
     load_params_json,
     load_pattern_counts_csv,
     load_q,
     load_responses_csv,
     parse_q_text,
-    save_dataset_csv,
     save_params_json,
     save_pattern_counts_csv,
     save_q,
@@ -57,7 +57,7 @@ class TestDatasetFormats:
     def test_responses_round_trip(self, tmp_path):
         data = Dataset.from_matrix(np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]]))
         path = tmp_path / "d.csv"
-        save_dataset_csv(data, path)
+        path.write_text(dataset_csv(data))
         back = load_responses_csv(path)
         assert back.n_items == 3 and back.n_subjects == 3
         assert (back.patterns == data.patterns).all()
@@ -335,6 +335,15 @@ class TestCli:
         assert len(text) == 1  # header only
         capsys.readouterr()
 
+    def test_simulate_prints_without_out(self, tmp_path, capsys, monkeypatch):
+        # like every other report, the dataset goes to stdout without --out
+        qfile, params = self._write_paired_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--q", str(qfile), "--params", str(params), "--n", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "item1,item2,item3,item4" and len(lines) == 6
+        assert not (tmp_path / "dataset.csv").exists()
+
     @pytest.mark.parametrize("p, n, message", [
         ([0.5, 0.5], "10", "p has 2 entries but the design has 4 patterns"),
         ([0.125] * 8, "10", "p has 8 entries but the design has 4 patterns"),
@@ -378,16 +387,6 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "tmatrix"])
-    def test_model_conflicting_with_params_exit_2(self, tmp_path, capsys, command):
-        qfile, params = self._write_paired_inputs(tmp_path)
-        extra = ["--n", "10"] if command == "simulate" else []
-        assert main([command, "--q", str(qfile), "--params", str(params), "--model", "gdina",
-                     *extra, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            "error: --model gdina conflicts with params file model dina\n")
-        assert not (tmp_path / "o").exists()
-
     def test_simulate_theta_off_design_exit_2(self, tmp_path, capsys):
         qfile, params = self._write_paired_inputs(tmp_path)
         theta = 1 - equal_effects_theta(load_q(qfile))  # capable subjects answer worse
@@ -410,6 +409,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: params do not fit the design: theta violates monotonicity\n"
         assert not (tmp_path / "o").exists()
+
+    def test_check_json_prints_one_document(self, tmp_path, capsys):
+        qfile, _ = self._write_paired_inputs(tmp_path)
+        assert main(["check", str(qfile), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)  # nothing but the document
+        assert set(payload["verdicts"]) == {"dina", "gdina"}
+
+    @pytest.mark.parametrize("command, filename", [
+        ("simulate", "dataset.csv"), ("fit", "fit.json"), ("search", "search.json"),
+        ("witness", "witness.json"), ("tmatrix", "tmatrix.csv"),
+    ])
+    def test_json_prints_the_file_it_writes(self, tmp_path, capsys, command, filename):
+        qfile, params = self._write_paired_inputs(tmp_path)
+        data = tmp_path / "sim" / "dataset.csv"
+        assert main(["simulate", "--q", str(qfile), "--params", str(params), "--n", "200",
+                     "--seed", "7", "--out", str(data.parent)]) == 0
+        capsys.readouterr()
+        argv = {
+            "simulate": ["--q", str(qfile), "--params", str(params), "--n", "20"],
+            "fit": ["--model", "dina", "--q", str(qfile), "--data", str(data), "--restarts", "1"],
+            "search": ["--model", "dina", "--truth", str(qfile), "--data", str(data),
+                       "--restarts", "1"],
+            "witness": ["--construction", "q24", "--params", str(params)],
+            "tmatrix": ["--q", str(qfile), "--params", str(params)],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, *argv, "--out", str(out), "--json"]) == 0
+        assert capsys.readouterr().out == (out / filename).read_text()
 
     def test_witness_q24(self, tmp_path, capsys):
         _, params = self._write_paired_inputs(tmp_path)
@@ -668,6 +695,12 @@ class TestWitnessCli:
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert (table[:, 0] == np.arange(16)).all()
         assert np.abs(table[:, 1] - table[:, 2]).max() < 1e-12
+
+    def test_design_file_required(self, tmp_path, capsys):
+        argv = _witness_inputs(tmp_path, _LONELY)
+        assert main(["witness", "--construction", "one-item", *argv[2:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: --q is required for construction 'one-item'\n")
 
     def test_dump_table_needs_out(self, tmp_path, capsys):
         argv = _witness_inputs(tmp_path, _PAIRED)

@@ -89,6 +89,17 @@ class TestQMatrixEntries:
             classify_batch(np.array([[1, 2, 4]]), 64, "dina")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: QMatrix(np.array([1, 0])), "expected a 2-d array, got ndim=1"),
+    (lambda: QMatrix(np.zeros((0, 2), dtype=int)), r"need at least one row and one column"),
+    # certify compares the theta shapes first, so only a direct call reaches it
+    (lambda: qmatrix._column_maps(Q4X2_PAIRED, Q3X2_ALL_ONES), r"shapes differ"),
+], ids=["1-d", "no-rows", "column-maps"])
+def test_shape_guards(call, message):
+    with pytest.raises(WrongShape, match=message):
+        call()
+
+
 class TestConditionA:
     def test_paired_design_complete(self):
         ok, witness = check_condition_A(Q4X2_PAIRED)
@@ -515,6 +526,18 @@ class TestBatchedClassifier:
                 named |= {scenario for scenario, *_ in rules}
                 assert rules[-1][1].all()  # the last rule decides what the others leave
         assert named == set(Scenario) == set(_SCENARIO_SUMMARY)
+
+    def test_gdina_batch_30x8_matches_one_at_a_time(self):
+        # 300 designs whose pooled cover search overflows its budget: the
+        # three-copy screen decides E for most of them, and the overflow
+        # leaves only the designs it left open Undetermined
+        pool = np.array([m for m in range(1, 256) if bin(m).count("1") <= 2])
+        codes = pool[np.random.default_rng(20261019).integers(0, 36, size=(300, 30))]
+        verdicts = classify_batch(codes, 8, "gdina")
+        undetermined = Scenario.UNDETERMINED.value
+        for i, verdict in enumerate(verdicts):
+            assert verdict in (undetermined, classify_batch(codes[i:i + 1], 8, "gdina")[0])
+        assert (verdicts == Scenario.GENERIC_DE.value).sum() >= 246
 
 
 class TestEnumeration:

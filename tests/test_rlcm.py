@@ -1,6 +1,7 @@
 """Model parameterization, pmf evaluation, and simulation."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qident import (
     Dataset,
     DinaParams,
     GdinaParams,
-    Proportions,
     QMatrix,
     RlcmModel,
     full_distribution,
@@ -21,7 +21,8 @@ from qident import (
     theta_table,
 )
 from qident.catalog import Q4X2_PAIRED
-from qident.errors import QidentError, TooLarge, WrongShape
+from qident.errors import ParseError, QidentError, TooLarge, WrongShape
+from qident.io import load_params_json
 from qident.rlcm import (
     _order_violations,
     monotonicity_ok,
@@ -31,23 +32,34 @@ from qident.rlcm import (
 from tests.conftest import random_q
 
 
+def _load_p(tmp_path, p):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"model": "dina", "s": [0.2, 0.2], "g": [0.2, 0.2], "p": p}))
+    return load_params_json(path)[2]
+
+
 class TestParams:
     def test_dina_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             DinaParams(np.array([0.5]), np.array([0.6]))
 
-    def test_proportions_must_sum(self):
-        with pytest.raises(ValueError):
-            Proportions(np.array([0.5, 0.4]))
+    # p has no type of its own: the params reader checks it
+    def test_proportions_must_sum(self, tmp_path):
+        with pytest.raises(ParseError, match="proportions sum to 0.9, not 1"):
+            _load_p(tmp_path, [0.5, 0.4])
 
-    def test_proportions_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Proportions(np.array([0.0, 1.0]))
+    def test_proportions_must_be_positive(self, tmp_path):
+        with pytest.raises(ParseError, match="proportions must be positive"):
+            _load_p(tmp_path, [0.0, 1.0])
 
-    def test_proportions_must_be_finite(self):
+    def test_proportions_must_have_length_2_to_the_k(self, tmp_path):
+        with pytest.raises(ParseError, match=r"proportions must have length 2\^K"):
+            _load_p(tmp_path, [0.5, 0.25, 0.25])
+
+    def test_proportions_must_be_finite(self, tmp_path):
         # NaN passes both the sum and the sign check
-        with pytest.raises(ValueError, match="finite"):
-            Proportions(np.array([np.nan, 0.5, 0.25, 0.25]))
+        with pytest.raises(ParseError, match="proportions must be finite"):
+            _load_p(tmp_path, [np.nan, 0.5, 0.25, 0.25])
 
     # NaN compares false both ways, so a range check written as "any entry
     # outside" lets it through
@@ -291,14 +303,37 @@ class TestSimulate:
             Dataset.from_matrix(matrix)
 
 
+_Q12 = QMatrix.from_rows([[1], [1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DinaParams([0.1, 0.2], [0.1]), "s and g must be 1-d vectors of equal length"),
+    (lambda: GdinaParams([0.2, 0.8]), r"theta must be J x 2\^K"),
+    (lambda: GdinaParams(np.full((2, 4), 0.5)).validate_for(_Q12),
+     "theta shape does not match the Q-matrix"),
+    (lambda: theta_table("gdina", _Q12, np.full((2, 4), 0.5)),
+     "theta shape does not match the Q-matrix"),
+    (lambda: theta_table("dina", _Q12, DinaParams([0.1] * 3, [0.1] * 3)),
+     "parameter length does not match item count"),
+    (lambda: Dataset(2, [0, 1], [1]), "patterns and counts must be equal-length vectors"),
+    (lambda: RlcmModel(_Q12, np.full((2, 4), 0.5), np.full(2, 0.5)),
+     "theta shape does not match the design"),
+    (lambda: RlcmModel(_Q12, np.full((2, 2), 0.5), np.full(4, 0.25)),
+     "proportion length does not match the design"),
+], ids=["dina-s-g", "gdina-1-d", "gdina-validate-for", "theta-table-gdina", "theta-table-dina",
+        "dataset", "model-theta", "model-p"])
+def test_shape_guards(call, message):
+    with pytest.raises(WrongShape, match=message):
+        call()
+
+
 @pytest.mark.parametrize("build, arrays", [
-    (Proportions, {"p": np.full(4, 0.25)}),
     (DinaParams, {"s": np.full(4, 0.2), "g": np.full(4, 0.1)}),
     (GdinaParams, {"theta": np.full((4, 4), 0.5)}),
     (functools.partial(Dataset, 2), {"patterns": np.array([0, 3]), "counts": np.array([1, 2])}),
     (functools.partial(RlcmModel, Q4X2_PAIRED),
      {"theta": np.full((4, 4), 0.5), "p": np.full(4, 0.25)}),
-], ids=["Proportions", "DinaParams", "GdinaParams", "Dataset", "RlcmModel"])
+], ids=["DinaParams", "GdinaParams", "Dataset", "RlcmModel"])
 def test_constructors_copy_their_inputs(build, arrays):
     obj = build(**arrays)
     for name, arr in arrays.items():

@@ -8,6 +8,7 @@ import pytest
 from qident import DinaParams, QMatrix, RlcmModel, Scenario, classify_dina, q_equivalent
 from qident.catalog import (
     Q4X2_PAIR_WITH_FULL_ROW,
+    Q4X2_PAIRED,
     Q5X2_DOUBLE_IDENTITY,
     Q5X2_LONELY_ATTRIBUTE,
     equal_effects_theta,
@@ -427,6 +428,37 @@ class TestGammaMerge:
         p = rng.dirichlet(np.ones(4))
         with pytest.raises(NotSubsumed):
             incomplete_gamma_merge(q, q_bar, params, p)
+
+
+_SG = DinaParams(np.full(4, 0.2), np.full(4, 0.2))  # c = 0.8 on every item
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dina_scenario_a(Q4X2_PAIR_WITH_FULL_ROW, _SG, np.full(4, 0.25), 0.9),
+     InvalidFreeValues, r"g1_bar must lie in \(0, c1\)"),
+    # g1_bar = 0.5 moves all the mass of the all-attributes pattern away
+    (lambda: dina_scenario_a(Q4X2_PAIR_WITH_FULL_ROW, _SG, np.full(4, 0.25), 0.5),
+     InvalidFreeValues, "degenerate proportion at the all-attributes pattern"),
+    # g1_bar = 0.4 moves mass by 1.5x: the full-row item's re-solved c is 1.4
+    (lambda: dina_scenario_a(Q4X2_PAIR_WITH_FULL_ROW, _SG, np.full(4, 0.25), 0.4),
+     InvalidFreeValues, r"re-solved capable probability 1.4\d* leaves \(g2, 1\)"),
+    (lambda: dina_one_item_attr(Q5X2_LONELY_ATTRIBUTE, DinaParams(np.full(5, 0.2), np.full(5, 0.2)),
+                                np.full(4, 0.25), 0.21),
+     InvalidFreeValues, r"resulting proportions leave \[0, 1\]"),
+    (lambda: q24_constraint_gap(np.full(8, 0.125)), WrongShape, "length-4 p"),
+    (lambda: dina_q24_two_solutions(DinaParams(np.full(5, 0.2), np.full(5, 0.2)),
+                                    np.full(4, 0.25)),
+     WrongShape, "fixed to the 4 x 2 paired design"),
+    # two blocks times eight weight moves: 16 candidates in all
+    (lambda: dina_q24_two_solutions(_SG, np.full(4, 0.25), count=17),
+     InvalidFreeValues, "certified only 16 of 17 alternatives"),
+    (lambda: incomplete_gamma_merge(Q4X2_PAIRED, Q5X2_DOUBLE_IDENTITY, _SG, np.full(4, 0.25)),
+     WrongShape, "designs must share their shape"),
+], ids=["scenario-a-g1-bar", "scenario-a-degenerate", "scenario-a-c2-bar", "one-item-rebalance", "q24-gap-length",
+        "q24-items", "q24-budget", "gamma-merge-shapes"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestNegativeControl:

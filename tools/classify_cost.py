@@ -6,7 +6,12 @@
 Each shape's designs are its canonical census from the checkout's
 ``qmatrix._canonical_codes`` (2,801 at 5 x 3, 3,280 at 8 x 2, 19,608 at
 6 x 3 and 137,257 at 7 x 3), classified in one ``classify_batch`` call.
-Each cell is the median over ``--reps`` calls, after one warm-up call.
+The last row, GDINA only, is a sample of 300 random 30 x 8 designs: rows
+drawn uniformly from the 36 masks of weight 1 or 2 with
+``np.random.default_rng(20261019)``, the batch whose pooled cover search
+for condition E overflows its budget.  Each time is the median over
+``--reps`` calls, after one warm-up call; the undet columns count the
+Undetermined verdicts.
 
 With ``--src`` both trees load into this one process through
 ``em_sweep_cost``'s loader, and their calls interleave rep by rep (the tree
@@ -23,10 +28,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from em_sweep_cost import _load
 
 SHAPES = ((5, 3), (8, 2), (6, 3), (7, 3))
 MODELS = ("dina", "gdina")
+
+
+def _sample_30x8() -> np.ndarray:
+    pool = np.array([m for m in range(1, 256) if bin(m).count("1") <= 2])
+    return pool[np.random.default_rng(20261019).integers(0, len(pool), size=(300, 30))]
 
 
 def _timed(qmatrix, codes, K: int, model: str):
@@ -48,23 +60,28 @@ def main(argv=None) -> int:
 
     for label, qmatrix in zip(("checkout", "other"), trees):
         print(f"{label}: qident from {Path(qmatrix.__file__).parent}")
-    head = " ".join(f"{label + '_s':>11}" for label in ("checkout", "other")[: len(trees)])
-    print(f"{'shape':>5} {'designs':>8} {'model':>6} {head}"
+    labels = ("checkout", "other")[: len(trees)]
+    head = " ".join(f"{label + '_s':>11} {'undet':>6}" for label in labels)
+    print(f"{'shape':>6} {'designs':>8} {'model':>6} {head}"
           + (f" {'ratio':>6} {'equal':>5}" if len(trees) == 2 else ""))
+    rows = []
     for J, K in SHAPES:
         codes = trees[0]._canonical_codes(J, K)
-        for model in MODELS:
-            verdicts = [_timed(qmatrix, codes, K, model)[1] for qmatrix in trees]  # warm-up
-            times = [[] for _ in trees]
-            for rep in range(args.reps):
-                order = range(len(trees)) if rep % 2 == 0 else reversed(range(len(trees)))
-                for i in order:
-                    times[i].append(_timed(trees[i], codes, K, model)[0])
-            secs = [statistics.median(t) for t in times]
-            line = f"{J}x{K:<3} {len(codes):>8} {model:>6} " + " ".join(f"{s:>11.4f}" for s in secs)
-            if len(trees) == 2:
-                line += f" {secs[1] / secs[0]:>6.3f} {str(verdicts[0].tolist() == verdicts[1].tolist()):>5}"
-            print(line)
+        rows += [(f"{J}x{K}", codes, K, model) for model in MODELS]
+    rows.append(("30x8s", _sample_30x8(), 8, "gdina"))
+    for shape, codes, K, model in rows:
+        verdicts = [_timed(qmatrix, codes, K, model)[1] for qmatrix in trees]  # warm-up
+        times = [[] for _ in trees]
+        for rep in range(args.reps):
+            order = range(len(trees)) if rep % 2 == 0 else reversed(range(len(trees)))
+            for i in order:
+                times[i].append(_timed(trees[i], codes, K, model)[0])
+        secs = [statistics.median(t) for t in times]
+        line = f"{shape:>6} {len(codes):>8} {model:>6} " + " ".join(
+            f"{s:>11.4f} {int((v == 'Undetermined').sum()):>6}" for s, v in zip(secs, verdicts))
+        if len(trees) == 2:
+            line += f" {secs[1] / secs[0]:>6.3f} {str(verdicts[0].tolist() == verdicts[1].tolist()):>5}"
+        print(line)
     return 0
 
 
