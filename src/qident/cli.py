@@ -35,10 +35,8 @@ from .io import (
     load_pattern_counts_csv,
     load_q,
     load_responses_csv,
-    save_search_csv,
 )
 from .qmatrix import (
-    Scenario,
     _canonical_codes,
     _design_rows,
     classify_batch,
@@ -50,21 +48,6 @@ from .qmatrix import (
 from .rlcm import simulate, theta_table
 from .tmatrix import build_t
 from . import witness as witness_mod
-
-_SCENARIO_SUMMARY = {
-    Scenario.STRICT: "strictly identifiable (A, B, C)",
-    Scenario.GENERIC_B1: "generically identifiable (scenario b.1); not strict",
-    Scenario.GENERIC_B2: "generically identifiable (scenario b.2); not strict",
-    Scenario.LOCAL_GENERIC_C: "locally generically identifiable (scenario c); not strict",
-    Scenario.NOT_LOCALLY_GENERIC_A: "not identifiable, not even locally generically",
-    Scenario.NOT_GENERIC_ONE_ITEM: "not generically identifiable: an attribute is required by at most one item",
-    Scenario.NOT_GENERIC_GC: "not generically identifiable: generic completeness fails",
-    Scenario.NOT_GENERIC_C_GDINA: "not generically identifiable: an attribute is required by fewer than three items",
-    Scenario.GENERIC_DE: "generically identifiable (conditions D and E)",
-    Scenario.NOT_GENERIC_K2_DE: "not generically identifiable (K = 2 block conditions fail)",
-    Scenario.UNDETERMINED: "undetermined: outside the classified cases",
-}
-
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     import platform  # imported here so that runs without a manifest never pay for it
@@ -106,7 +89,7 @@ def cmd_check(args) -> int:
         verdict = classify_dina(stripped) if model == "dina" else classify_gdina(stripped)
         verdicts[model] = verdict
         if not args.json:
-            print(f"[{model}] {_SCENARIO_SUMMARY[verdict.scenario]}")
+            print(f"[{model}] {verdict.scenario.summary}")
             for constraint in verdict.measure_zero_constraints:
                 print(f"  constraint: {constraint}")
             for note in verdict.notes:
@@ -198,8 +181,6 @@ def cmd_search(args) -> int:
         payload["truthRows"] = ";".join(first.row_strings())
         payload["truthIsArgmax"] = q_equivalent(report.argmax_q, first)
     _emit(args, payload, "search.json")
-    if args.out:
-        save_search_csv(report, Path(args.out) / "search.csv")
     return 0
 
 

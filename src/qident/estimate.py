@@ -277,8 +277,8 @@ def _check_run(tol, max_iter, restarts=1):
 
 def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
     """EM fits of the design with row masks ``masks[b]`` over K attributes
-    on ``datasets[b]`` from ``starts[b]``, yielded in order, run in batches
-    over the sorted union of the datasets' patterns.
+    on ``datasets[b]`` from ``starts[b]`` (at least one), yielded in order,
+    run in batches over the sorted union of the datasets' patterns.
 
     Each fit weights the patterns it did not observe by zero.  Such rows add
     exact zeros to the E- and M-step sums, but the loglik dot then sums in
@@ -286,8 +286,6 @@ def _fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=False):
     the fit alone in the last bits of its loglik.
     """
     _check_run(tol, max_iter)
-    if not len(masks):
-        return
     patterns = np.unique(np.concatenate([d.patterns for d in datasets]))
     # zero-weight all-zero patterns pad N to a multiple of 8 (see _em_batch)
     W = np.zeros((len(datasets), len(patterns) + -len(patterns) % 8))

@@ -186,14 +186,6 @@ def save_params_json(path, model: str, params, p=None) -> None:
     Path(path).write_text(dump_report(obj))
 
 
-def save_search_csv(report, path) -> None:
-    """Plot-ready sweep results: candidate index against log-likelihood."""
-    lines = ["index,loglik,stringent_ok,converged"]
-    for idx, e in enumerate(report.entries):
-        lines.append(f"{idx},{e.loglik!r},{int(e.stringent_ok)},{int(e.converged)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}

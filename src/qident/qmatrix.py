@@ -149,29 +149,37 @@ class QMatrix:
 
 
 class Scenario(str, Enum):
-    """Outcome labels for the identifiability classification."""
+    """Outcome labels for the identifiability classification.  Each label
+    carries its sign, ``positive`` (True when it asserts some form of
+    identifiability, False when it rules it out, None when undecided), and
+    ``summary``, the one line ``qident check`` prints for it."""
 
-    STRICT = "StrictlyIdentifiable"
-    GENERIC_B1 = "GenericScenarioB1"
-    GENERIC_B2 = "GenericScenarioB2"
-    LOCAL_GENERIC_C = "LocalGenericC"
-    NOT_LOCALLY_GENERIC_A = "NotLocallyGeneric_A"
-    NOT_GENERIC_ONE_ITEM = "NotGeneric_OneItemAttribute"
-    NOT_GENERIC_GC = "NotGeneric_FailsGenericCompleteness"
-    NOT_GENERIC_C_GDINA = "NotGeneric_FailsC_GDINA"
-    GENERIC_DE = "GenericConditionsDE"
-    NOT_GENERIC_K2_DE = "NotGeneric_K2_FailsDE"
-    UNDETERMINED = "Undetermined"
+    def __new__(cls, value: str, positive: bool | None, summary: str):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.positive = positive
+        member.summary = summary
+        return member
 
-
-# Scenarios that assert some form of identifiability.
-_POSITIVE = {
-    Scenario.STRICT,
-    Scenario.GENERIC_B1,
-    Scenario.GENERIC_B2,
-    Scenario.LOCAL_GENERIC_C,
-    Scenario.GENERIC_DE,
-}
+    STRICT = "StrictlyIdentifiable", True, "strictly identifiable (A, B, C)"
+    GENERIC_B1 = ("GenericScenarioB1", True,
+                  "generically identifiable (scenario b.1); not strict")
+    GENERIC_B2 = ("GenericScenarioB2", True,
+                  "generically identifiable (scenario b.2); not strict")
+    LOCAL_GENERIC_C = ("LocalGenericC", True,
+                       "locally generically identifiable (scenario c); not strict")
+    NOT_LOCALLY_GENERIC_A = ("NotLocallyGeneric_A", False,
+                             "not identifiable, not even locally generically")
+    NOT_GENERIC_ONE_ITEM = ("NotGeneric_OneItemAttribute", False, "not generically identifiable: "
+                            "an attribute is required by at most one item")
+    NOT_GENERIC_GC = ("NotGeneric_FailsGenericCompleteness", False,
+                      "not generically identifiable: generic completeness fails")
+    NOT_GENERIC_C_GDINA = ("NotGeneric_FailsC_GDINA", False, "not generically identifiable: "
+                           "an attribute is required by fewer than three items")
+    GENERIC_DE = "GenericConditionsDE", True, "generically identifiable (conditions D and E)"
+    NOT_GENERIC_K2_DE = ("NotGeneric_K2_FailsDE", False,
+                         "not generically identifiable (K = 2 block conditions fail)")
+    UNDETERMINED = "Undetermined", None, "undetermined: outside the classified cases"
 
 
 @dataclass
@@ -194,11 +202,7 @@ class IdentifiabilityVerdict:
     @property
     def identifiable(self) -> bool | None:
         """True/False when the classification is conclusive, else None."""
-        if self.scenario in _POSITIVE:
-            return True
-        if self.scenario is Scenario.UNDETERMINED:
-            return None
-        return False
+        return self.scenario.positive
 
     def to_json_dict(self) -> dict:
         flags = self.condition_flags
@@ -420,10 +424,13 @@ def _check_masks(masks, K: int) -> np.ndarray:
 
 def _design_rows(masks: np.ndarray, n_attributes: int) -> list[str]:
     """Each design of an (N, J) array of row masks as its rows, '0'/'1'
-    strings with attribute 1 first, joined by ';'."""
-    bits = (np.arange(1 << n_attributes)[:, None] >> np.arange(n_attributes)) & 1
-    text = np.array(["".join(map(str, row)) for row in bits.tolist()], dtype=object)
-    return [";".join(rows) for rows in text[masks].tolist()]
+    strings with attribute 1 first, joined by ';', written into one buffer
+    of N * J * (K + 1) bytes: no table over all 2^K row masks is built."""
+    text = np.full(masks.shape + (n_attributes + 1,), ord(";"), dtype=np.uint8)
+    for k in range(n_attributes):
+        text[..., k] = ord("0") + ((masks >> k) & 1)
+    text[:, -1, -1] = ord("\n")  # one line per design
+    return text.tobytes().decode().splitlines()
 
 
 def _bits(masks: np.ndarray, K: int) -> np.ndarray:

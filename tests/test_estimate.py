@@ -639,6 +639,16 @@ class TestMseExperiment:
         )
         assert report.records == []
 
+    def test_empty_grid_draws_truths_but_fits_nothing(self):
+        def sampler(rng):
+            return DinaParams(np.full(4, 0.2), np.full(4, 0.2)), np.full(4, 0.25)
+
+        # no dataset is drawn, so no EM batch is started
+        report = mse_experiment(Q4X2_PAIRED, sampler, n_truths=2, n_grid=[], replications=3)
+        assert report.records == []
+        assert len(report.truths) == 2
+        assert all((truth["p"] == 0.25).all() for truth in report.truths)
+
     def test_errors_shrink_with_n(self):
         def sampler(rng):
             params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))

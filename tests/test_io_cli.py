@@ -437,6 +437,7 @@ class TestCli:
         out = tmp_path / "o"
         assert main([command, *argv, "--out", str(out), "--json"]) == 0
         assert capsys.readouterr().out == (out / filename).read_text()
+        assert sorted(path.name for path in out.iterdir()) == sorted([filename, "manifest.json"])
 
     def test_witness_q24(self, tmp_path, capsys):
         _, params = self._write_paired_inputs(tmp_path)
@@ -694,6 +695,17 @@ class TestWitnessCli:
         assert len(lines) == 17 and lines[0] == "pattern_bits,p_truth,p_alternative"
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert (table[:, 0] == np.arange(16)).all()
+        assert np.abs(table[:, 1] - table[:, 2]).max() < 1e-12
+
+    def test_dump_table_gdina_params(self, tmp_path, capsys):
+        # the J <= 16 guard reads the item count of a GDINA params file
+        argv = _witness_inputs(tmp_path, [[1, 1], [1, 0], [0, 1], [0, 1], [0, 1]], model="gdina")
+        out = tmp_path / "w"
+        assert main(["witness", "--construction", "gdina-two", *argv, "--out", str(out),
+                     "--dump-table"]) == 0
+        lines = (out / "distributions.csv").read_text().splitlines()
+        assert len(lines) == 2**5 + 1 and lines[0] == "pattern_bits,p_truth,p_alternative"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.abs(table[:, 1] - table[:, 2]).max() < 1e-12
 
     def test_design_file_required(self, tmp_path, capsys):

@@ -514,8 +514,6 @@ class TestBatchedClassifier:
             classify_batch(np.array([[1]]), 1, "dino")
 
     def test_rule_lists_cover_every_scenario(self, rng):
-        from qident.cli import _SCENARIO_SUMMARY
-
         named = set()
         for J, K in ((1, 1), (2, 1), (4, 2), (5, 3), (6, 4)):
             codes = qmatrix._canonical_codes(J, K)
@@ -525,7 +523,9 @@ class TestBatchedClassifier:
                 rules = decide(codes, K, sums, qmatrix._flags(codes, K, sums))
                 named |= {scenario for scenario, *_ in rules}
                 assert rules[-1][1].all()  # the last rule decides what the others leave
-        assert named == set(Scenario) == set(_SCENARIO_SUMMARY)
+        assert named == set(Scenario)
+        assert all(scenario.summary for scenario in Scenario)
+        assert [s for s in Scenario if s.positive is None] == [Scenario.UNDETERMINED]
 
     def test_gdina_batch_30x8_matches_one_at_a_time(self):
         # 300 designs whose pooled cover search overflows its budget: the
@@ -541,6 +541,15 @@ class TestBatchedClassifier:
 
 
 class TestEnumeration:
+    def test_design_rows_render_each_design_from_its_own_masks(self):
+        # K = 40: a table over all 2^K row masks would not fit in memory
+        masks = np.array([[(1 << 40) - 1, 5]])
+        q = QMatrix((masks[0][:, None] >> np.arange(40)) & 1)
+        assert qmatrix._design_rows(masks, 40) == [";".join(q.row_strings())]
+        codes = qmatrix._canonical_codes(4, 2)
+        assert qmatrix._design_rows(codes, 2) == [
+            ";".join(m.row_strings()) for m in enumerate_canonical(4, 2)]
+
     def test_census_5x2(self):
         mats = enumerate_canonical(5, 2)
         assert len(mats) == 121

@@ -282,6 +282,10 @@ class TestQ24:
             theta = pair.alternative.theta
             assert (theta.max(axis=1) > theta.min(axis=1)).all()
 
+    def test_count_zero_returns_nothing(self):
+        params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
+        assert dina_q24_two_solutions(params, np.full(4, 0.25), count=0) == []
+
     def test_generic_proportions_raise(self, rng):
         params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
         p = rng.dirichlet(np.full(4, 3.0))

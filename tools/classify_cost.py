@@ -1,11 +1,13 @@
-"""Time of ``qmatrix.classify_batch`` on whole canonical censuses, per model.
+"""Time of ``qmatrix.classify_batch`` on whole canonical censuses, per model,
+and of ``qmatrix._design_rows``, the text each census is printed as.
 
     python3 tools/classify_cost.py                          # the checkout's src/
     python3 tools/classify_cost.py --src OTHER/src --reps 7  # the checkout against OTHER
 
 Each shape's designs are its canonical census from the checkout's
 ``qmatrix._canonical_codes`` (2,801 at 5 x 3, 3,280 at 8 x 2, 19,608 at
-6 x 3 and 137,257 at 7 x 3), classified in one ``classify_batch`` call.
+6 x 3 and 137,257 at 7 x 3), classified in one ``classify_batch`` call
+and rendered in one ``_design_rows`` call (the rows of model "text").
 The last row, GDINA only, is a sample of 300 random 30 x 8 designs: rows
 drawn uniformly from the 36 masks of weight 1 or 2 with
 ``np.random.default_rng(20261019)``, the batch whose pooled cover search
@@ -17,7 +19,7 @@ With ``--src`` both trees load into this one process through
 ``em_sweep_cost``'s loader, and their calls interleave rep by rep (the tree
 that goes first alternates), so that the machine's drift over a run falls
 on both columns alike.  The ratio column is OTHER over the checkout, and
-the last column says whether the two trees' verdicts are equal.
+the last column says whether the two trees' verdicts (or texts) are equal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from em_sweep_cost import _load
 
 SHAPES = ((5, 3), (8, 2), (6, 3), (7, 3))
-MODELS = ("dina", "gdina")
+MODELS = ("dina", "gdina", "text")
 
 
 def _sample_30x8() -> np.ndarray:
@@ -42,9 +44,12 @@ def _sample_30x8() -> np.ndarray:
 
 
 def _timed(qmatrix, codes, K: int, model: str):
+    """Seconds of one call and its output: ``_design_rows`` for "text",
+    else ``classify_batch`` under the model."""
     t0 = time.perf_counter()
-    verdicts = qmatrix.classify_batch(codes, K, model)
-    return time.perf_counter() - t0, verdicts
+    out = (qmatrix._design_rows(codes, K) if model == "text"
+           else qmatrix.classify_batch(codes, K, model))
+    return time.perf_counter() - t0, out
 
 
 def main(argv=None) -> int:
@@ -77,10 +82,11 @@ def main(argv=None) -> int:
             for i in order:
                 times[i].append(_timed(trees[i], codes, K, model)[0])
         secs = [statistics.median(t) for t in times]
+        undet = ["-" if model == "text" else int((v == "Undetermined").sum()) for v in verdicts]
         line = f"{shape:>6} {len(codes):>8} {model:>6} " + " ".join(
-            f"{s:>11.4f} {int((v == 'Undetermined').sum()):>6}" for s, v in zip(secs, verdicts))
+            f"{s:>11.4f} {u:>6}" for s, u in zip(secs, undet))
         if len(trees) == 2:
-            line += f" {secs[1] / secs[0]:>6.3f} {str(verdicts[0].tolist() == verdicts[1].tolist()):>5}"
+            line += f" {secs[1] / secs[0]:>6.3f} {str(list(verdicts[0]) == list(verdicts[1])):>5}"
         print(line)
     return 0
 
