@@ -15,9 +15,6 @@ from .qmatrix import (
     IdentifiabilityVerdict,
     QMatrix,
     Scenario,
-    check_condition_A,
-    check_condition_B,
-    check_condition_C,
     check_conditions_DE,
     check_generic_completeness,
     classify_batch,
@@ -46,9 +43,6 @@ __all__ = [
     "QMatrix",
     "Scenario",
     "IdentifiabilityVerdict",
-    "check_condition_A",
-    "check_condition_B",
-    "check_condition_C",
     "check_generic_completeness",
     "check_conditions_DE",
     "classify_dina",

@@ -118,6 +118,8 @@ def _start(model: str, mask: np.ndarray, K: int, data: Dataset, rng, init=None):
         if theta.shape != (len(mask), 1 << K) or p.shape != (1 << K,):
             raise WrongShape(f"init needs theta of shape {(len(mask), 1 << K)} and p of "
                              f"length {1 << K}, got {theta.shape} and {p.shape}")
+        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
+            raise WrongShape("init theta and p need finite entries")
         if not p.sum() > 0:
             raise WrongShape(f"init p needs a positive sum, got {p.sum()}")
         p /= p.sum()  # so that the floor below bounds every class from below

@@ -24,11 +24,12 @@ D and E by Hall's condition over attribute subsets for GDINA; then the
 model's decision rules run in order.  ``classify_dina`` and
 ``classify_gdina`` run it on a batch of one, with all six flags, and return
 a structured verdict for the conjunctive two-parameter model and the
-saturated general model, respectively.  The ``check_*`` functions
-decide one design and return the certificate behind each flag.  Both paths
-share two kernels over row masks: ``_cover_sets``, the one search for the
-minimal covers behind E, and ``_match_attributes``, the one bipartite
-matcher behind generic completeness, D and E.
+saturated general model, respectively.  ``check_generic_completeness`` and
+``check_conditions_DE`` are the per-design certificate checks: they return
+the matching and the D/E partition behind those flags.  Both paths share
+two kernels over row masks: ``_cover_sets``, the one search for the minimal
+covers behind E, and ``_match_attributes``, the one bipartite matcher
+behind generic completeness, D and E.
 
 Conventions: attribute patterns and item rows are encoded little-endian as
 bit masks (bit k = attribute k+1), and all checks are invariant under row and
@@ -50,9 +51,6 @@ __all__ = [
     "IdentifiabilityVerdict",
     "gamma_matrix",
     "strip_zero_rows",
-    "check_condition_A",
-    "check_condition_B",
-    "check_condition_C",
     "check_generic_completeness",
     "check_conditions_DE",
     "classify_dina",
@@ -199,11 +197,6 @@ class IdentifiabilityVerdict:
     measure_zero_constraints: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    @property
-    def identifiable(self) -> bool | None:
-        """True/False when the classification is conclusive, else None."""
-        return self.scenario.positive
-
     def to_json_dict(self) -> dict:
         flags = self.condition_flags
         return {
@@ -267,45 +260,6 @@ def strip_zero_rows(q: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         return q, ()
     keep = np.flatnonzero(q.row_masks != 0)
     return QMatrix(q.entries[keep]), tuple(int(i) for i in zero)
-
-
-def check_condition_A(q: QMatrix):
-    """Completeness: do some K rows form the K x K identity up to column order?
-
-    Returns ``(flag, witness)`` where, on success, ``witness`` is a tuple of
-    row indices ``rows`` with ``rows[k]`` being the smallest-index row equal
-    to the unit vector of attribute k (so selecting them in order exhibits
-    the identity with the identity column permutation).
-    """
-    masks = q.row_masks
-    rows = []
-    for k in range(q.n_attributes):
-        hits = np.flatnonzero(masks == (1 << k))
-        if len(hits) == 0:
-            return False, None
-        rows.append(int(hits[0]))
-    return True, tuple(rows)
-
-
-def check_condition_B(q: QMatrix) -> bool:
-    """Distinctness: the rows left after removing one unit row per attribute
-    have pairwise-distinct columns.
-
-    Which copy of a repeated unit row is removed does not matter: the
-    leftover multiset of rows is the same either way, so the condition is
-    well defined without searching over selections.  Raises
-    :class:`WrongShape` when condition A fails.
-    """
-    ok, rows = check_condition_A(q)
-    if not ok:
-        raise WrongShape("condition B needs a complete Q-matrix")
-    residual = np.delete(q.entries, rows, axis=0)
-    return len({residual[:, k].tobytes() for k in range(q.n_attributes)}) == q.n_attributes
-
-
-def check_condition_C(q: QMatrix) -> bool:
-    """Repetition: every attribute is required by at least three items."""
-    return bool((q.column_sums() >= 3).all())
 
 
 def _match_attributes(masks: list, K: int, copies: int, banned=frozenset()):

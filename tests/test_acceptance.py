@@ -18,9 +18,6 @@ from qident import (
     GdinaParams,
     QMatrix,
     Scenario,
-    check_condition_A,
-    check_condition_B,
-    check_condition_C,
     check_conditions_DE,
     check_generic_completeness,
     classify_dina,
@@ -374,10 +371,7 @@ def test_criterion_7_property_bundle():
         k = int(rng.integers(2, 5))
         q = random_q(rng, j, k, ensure_nonzero_rows=True)
         q2 = QMatrix(q.entries[rng.permutation(j)][:, rng.permutation(k)])
-        ok = ok and check_condition_A(q)[0] == check_condition_A(q2)[0]
-        ok = ok and check_condition_C(q) == check_condition_C(q2)
-        if check_condition_A(q)[0]:
-            ok = ok and check_condition_B(q) == check_condition_B(q2)
+        ok = ok and classify_dina(q).condition_flags == classify_dina(q2).condition_flags
         ok = ok and check_generic_completeness(q)[0] == check_generic_completeness(q2)[0]
         d1, e1, _ = check_conditions_DE(q)
         d2, e2, _ = check_conditions_DE(q2)

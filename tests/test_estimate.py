@@ -453,6 +453,18 @@ class TestMultistart:
         with pytest.raises(WrongShape, match="init p needs a positive sum"):
             em_fit("dina", Q4X2_PAIRED, data, init=(theta, np.zeros(4)))
 
+    @pytest.mark.parametrize("part, index, value", [
+        (0, (0, 0), np.nan), (0, (1, 3), np.inf), (1, 2, np.inf),
+    ], ids=["nan-theta", "inf-theta", "inf-p"])
+    def test_given_start_must_be_finite(self, rng, part, index, value):
+        # unchecked, a NaN start runs EM to the cap with a NaN loglik, an inf
+        # in theta is clipped silently and an inf in p normalizes to NaN
+        params, _, data = _simulated(rng, Q4X2_PAIRED, n=500, seed=21)
+        init = [theta_table("dina", Q4X2_PAIRED, params), np.full(4, 0.25)]
+        init[part][index] = value
+        with pytest.raises(WrongShape, match="init theta and p need finite entries"):
+            em_fit("dina", Q4X2_PAIRED, data, init=tuple(init), max_iter=50)
+
     def test_zero_tol_runs_to_the_cap(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
         fit = em_fit("dina", Q4X2_PAIRED, data, tol=0.0, max_iter=7, seed=3)

@@ -10,9 +10,6 @@ from qident import (
     QMatrix,
     qmatrix,
     Scenario,
-    check_condition_A,
-    check_condition_B,
-    check_condition_C,
     check_conditions_DE,
     check_generic_completeness,
     classify_batch,
@@ -81,6 +78,12 @@ class TestQMatrixEntries:
         assert classify_dina(q).scenario is Scenario.STRICT
         assert classify_batch(q.row_masks[None], 63, "dina").tolist() == [Scenario.STRICT.value]
 
+    def test_dunders(self):
+        # comparing with another type falls back to Python's default
+        assert not Q4X2_PAIRED == "x"
+        assert Q4X2_PAIRED != 0
+        assert repr(Q4X2_PAIRED) == "QMatrix([[1, 0], [0, 1], [1, 0], [0, 1]])"
+
     def test_64_attributes_rejected(self):
         # attribute 64 would be the sign bit of an int64 mask
         with pytest.raises(TooLarge, match="at most 63 attributes"):
@@ -100,50 +103,62 @@ def test_shape_guards(call, message):
         call()
 
 
+def _abc(q: QMatrix) -> dict:
+    """Conditions A, B and C of one design from their definitions: a unit
+    row for each attribute; once the first unit row of each attribute is
+    dropped, pairwise-distinct columns; every column sum at least 3."""
+    K = q.n_attributes
+    units = [np.flatnonzero(q.row_masks == 1 << k)[:1] for k in range(K)]
+    a = all(len(u) for u in units)
+    residual = np.delete(q.entries, np.concatenate(units), axis=0)
+    b = a and len({residual[:, k].tobytes() for k in range(K)}) == K
+    return {"A": a, "B": b, "C": bool((q.column_sums() >= 3).all())}
+
+
+def _assert_abc(abc, *designs):
+    """The production A, B and C flags of each design equal ``abc`` and the
+    definitions in ``_abc``."""
+    for q in designs:
+        flags = classify_dina(q).condition_flags
+        assert (flags["A"], flags["B"], flags["C"]) == abc
+        assert {key: flags[key] for key in "ABC"} == _abc(q)
+
+
 class TestConditionA:
     def test_paired_design_complete(self):
-        ok, witness = check_condition_A(Q4X2_PAIRED)
-        assert ok
-        # rows 0 and 1 are the two unit rows
-        assert witness == (0, 1)
+        _assert_abc((True, True, False), Q4X2_PAIRED)
 
     def test_wide_design_complete(self):
-        ok, witness = check_condition_A(Q12X8_WIDE_STRICT)
-        assert ok
-        assert witness == tuple(range(8))
+        _assert_abc((True, True, True), Q12X8_WIDE_STRICT)
 
     def test_single_dense_row_incomplete(self):
-        ok, witness = check_condition_A(QMatrix.from_rows([[1, 1]]))
-        assert not ok and witness is None
+        _assert_abc((False, False, False),
+                    QMatrix.from_rows([[1, 1]]), QMatrix.from_rows([[1, 1], [1, 1]]))
 
 
 class TestConditionB:
     def test_paired_design(self):
-        assert check_condition_B(Q4X2_PAIRED)
+        _assert_abc((True, True, False), Q4X2_PAIRED)
 
     def test_bare_identity_fails(self):
-        assert not check_condition_B(QMatrix(np.eye(2, dtype=int)))
-        assert not check_condition_B(QMatrix(np.eye(4, dtype=int)))
+        _assert_abc((True, False, False), QMatrix(np.eye(2, dtype=int)),
+                    QMatrix(np.eye(4, dtype=int)))
 
     def test_identity_plus_equal_columns_fails(self):
         q = QMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 1], [1, 1]])
-        assert not check_condition_B(q)
-
-    def test_requires_completeness(self):
-        with pytest.raises(WrongShape):
-            check_condition_B(QMatrix.from_rows([[1, 1], [1, 1]]))
+        _assert_abc((True, False, True), q)
 
 
 class TestConditionC:
     def test_paired_design_fails(self):
-        assert not check_condition_C(Q4X2_PAIRED)
+        _assert_abc((True, True, False), Q4X2_PAIRED)
 
     def test_wide_design(self):
-        assert check_condition_C(Q12X8_WIDE_STRICT)
+        _assert_abc((True, True, True), Q12X8_WIDE_STRICT)
 
     def test_all_ones(self):
-        assert check_condition_C(QMatrix(np.ones((3, 4), dtype=int)))
-        assert not check_condition_C(QMatrix(np.ones((2, 4), dtype=int)))
+        _assert_abc((False, False, True), QMatrix(np.ones((3, 4), dtype=int)))
+        _assert_abc((False, False, False), QMatrix(np.ones((2, 4), dtype=int)))
 
 
 class TestGenericCompleteness:
@@ -209,15 +224,14 @@ class TestConditionsDE:
             d, e, _ = check_conditions_DE(q)
             if d and e:
                 hits += 1
-                assert check_condition_C(q)
+                assert _abc(q)["C"]
         assert hits > 0
 
     def test_completeness_implies_generic_completeness(self, rng):
         hits = 0
         for _ in range(200):
             q = random_q(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
-            ok_a, _ = check_condition_A(q)
-            if ok_a:
+            if _abc(q)["A"]:
                 hits += 1
                 assert check_generic_completeness(q)[0]
         assert hits > 0
@@ -263,7 +277,7 @@ class TestClassifyDina:
     def test_pair_with_full_row_not_local(self):
         verdict = classify_dina(Q4X2_PAIR_WITH_FULL_ROW)
         assert verdict.scenario is Scenario.NOT_LOCALLY_GENERIC_A
-        assert verdict.identifiable is False
+        assert verdict.scenario.positive is False
 
     def test_paired_designs_generic(self):
         assert classify_dina(Q4X2_PAIRED).scenario is Scenario.GENERIC_B2
@@ -281,7 +295,7 @@ class TestClassifyDina:
         verdict = classify_dina(QMatrix.from_rows(
             [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]))
         assert verdict.scenario is Scenario.UNDETERMINED
-        assert verdict.identifiable is None
+        assert verdict.scenario.positive is None
 
     def test_lonely_attribute(self):
         verdict = classify_dina(Q5X2_LONELY_ATTRIBUTE)
@@ -344,12 +358,12 @@ class TestClassifyGdina:
     def test_single_identity_generic(self):
         verdict = classify_gdina(Q5X2_SINGLE_IDENTITY)
         assert verdict.scenario is Scenario.GENERIC_DE
-        assert verdict.identifiable is True
+        assert verdict.scenario.positive is True
 
     def test_all_ones_3x2_not_generic(self):
         verdict = classify_gdina(Q3X2_ALL_ONES)
         assert verdict.scenario is Scenario.NOT_GENERIC_K2_DE
-        assert verdict.identifiable is False
+        assert verdict.scenario.positive is False
 
     def test_two_item_attribute_20x5_fails_repetition(self):
         from qident.catalog import two_item_20x5_pair
@@ -408,13 +422,11 @@ def _covers(q: QMatrix):
 
 
 def _certificate_flags(q: QMatrix) -> dict:
-    ok_a, _ = check_condition_A(q)
     try:
         d, e, _ = check_conditions_DE(q)
     except TooLarge:
         d = e = None
-    return {"A": ok_a, "B": ok_a and check_condition_B(q), "C": check_condition_C(q),
-            "generic_complete": check_generic_completeness(q)[0], "D": d, "E": e}
+    return {**_abc(q), "generic_complete": check_generic_completeness(q)[0], "D": d, "E": e}
 
 
 # every shape with J * K <= 15 whose enumeration takes under a second; the
@@ -435,10 +447,7 @@ class TestBatchedClassifier:
             designs = enumerate_canonical(J, K)
         flags = qmatrix._flags(codes, K, qmatrix._column_sums(codes, K))
         for n, q in enumerate(designs):
-            ok_a, _ = check_condition_A(q)
-            assert flags["A"][n] == ok_a
-            assert flags["B"][n] == (ok_a and check_condition_B(q))
-            assert flags["C"][n] == check_condition_C(q)
+            assert {key: flags[key][n] for key in "ABC"} == _abc(q)
             gc, assignment = check_generic_completeness(q)
             assert flags["generic_complete"][n] == gc
             if gc:
@@ -718,10 +727,7 @@ class TestPermutationInvariance:
             col_perm = rng.permutation(k)
             q2 = QMatrix(q.entries[row_perm][:, col_perm])
 
-            assert check_condition_A(q)[0] == check_condition_A(q2)[0]
-            assert check_condition_C(q) == check_condition_C(q2)
-            if check_condition_A(q)[0]:
-                assert check_condition_B(q) == check_condition_B(q2)
+            assert classify_dina(q).condition_flags == classify_dina(q2).condition_flags
             assert check_generic_completeness(q)[0] == check_generic_completeness(q2)[0]
             d1, e1, _ = check_conditions_DE(q)
             d2, e2, _ = check_conditions_DE(q2)

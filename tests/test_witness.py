@@ -303,6 +303,23 @@ class TestQ24:
         pairs = dina_q24_two_solutions(params, p, count=2)
         assert len(pairs) == 2
 
+    def test_skips_weights_outside_the_open_interval(self):
+        # attribute 1 mastered at 0.9: the +0.15 and +0.1 moves leave
+        # (0.02, 0.98), so the first two pairs move it down to 0.75 and 0.8
+        params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
+        pairs = dina_q24_two_solutions(params, np.array([0.05, 0.45, 0.05, 0.45]), count=2)
+        assert [pair.details["attribute"] for pair in pairs] == [1, 1]
+        assert [pair.details["weight"] for pair in pairs] == [pytest.approx(0.75),
+                                                              pytest.approx(0.8)]
+
+    def test_skips_a_block_without_covariance(self):
+        # attribute 1 is never mastered: its items are independent, and no
+        # mixture weight re-solves them
+        params = DinaParams(np.full(4, 0.2), np.full(4, 0.2))
+        pairs = dina_q24_two_solutions(params, np.array([0.5, 0, 0.5, 0]), count=2)
+        assert len(pairs) == 2
+        assert all(pair.details["attribute"] == 2 for pair in pairs)
+
 
 class TestGdinaOneItemAttr:
     def test_random_instance_certifies(self, rng):
