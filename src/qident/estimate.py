@@ -120,6 +120,8 @@ def _start(model: str, mask: np.ndarray, K: int, data: Dataset, rng, init=None):
                              f"length {1 << K}, got {theta.shape} and {p.shape}")
         if not (np.isfinite(theta).all() and np.isfinite(p).all()):
             raise WrongShape("init theta and p need finite entries")
+        if not (((theta >= 0) & (theta <= 1)).all() and (p >= 0).all()):
+            raise WrongShape("init theta needs entries in [0, 1] and p entries >= 0")
         if not p.sum() > 0:
             raise WrongShape(f"init p needs a positive sum, got {p.sum()}")
         p /= p.sum()  # so that the floor below bounds every class from below

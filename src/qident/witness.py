@@ -446,10 +446,14 @@ def gdina_two_item_attr(
         y1_bar = y0 + (y1 - y0)(x1 - x0_bar) p1 / Dx
         p1_bar = Dy / (y1_bar - y0_bar),   p0_bar = p0 + p1 - p1_bar
 
-    with Dx = (x0 - x0_bar) p0 + (x1 - x0_bar) p1 and Dy alike.  Invalid
-    draws (probabilities or proportions out of range, or monotonicity
-    failures) and uncertified ones are resampled, up to 51 * count + 100
-    draws in all.
+    with Dx = (x0 - x0_bar) p0 + (x1 - x0_bar) p1 and Dy alike.  An
+    alternative draws 400 tries for every residual pattern at once, and each
+    pattern takes its first valid try: values in range, no denominator
+    below 1e-12, and below the anchor.  The last pattern's high side is full
+    mastery; its x1_bar and y1_bar, the anchor, lie above the truth's maxima,
+    so the promoted rows keep their strict order.  An alternative with a
+    pattern left without a valid try, or failing monotonicity or
+    certification, is redrawn, up to 51 * count + 100 in all.
     """
     theta = np.asarray(theta, float)
     p = np.asarray(p, float)
@@ -458,49 +462,31 @@ def gdina_two_item_attr(
     y0, y1 = theta[j2, low], theta[j2, high]
     p0, p1 = p[low], p[high]
     rng = np.random.default_rng(seed)
-
-    def draw_cell(i, lower=(-np.inf, -np.inf), upper=(np.inf, np.inf)):
-        """Sample one residual-pattern cell and re-solve it; None when 400
-        draws all leave the probability simplex, degenerate, or miss the
-        bounds: x1_bar and y1_bar above ``lower``, both items' values below
-        ``upper``.  Per-cell rejection keeps the accept rate high even with
-        many residual patterns."""
-        for _ in range(400):
-            x0b = float(np.clip(x0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
-            y0b = float(np.clip(y0[i] + rng.uniform(-0.1, 0.1), 1e-4, 1 - 1e-4))
-            dx = (x0[i] - x0b) * p0[i] + (x1[i] - x0b) * p1[i]
-            dy = (y0[i] - y0b) * p0[i] + (y1[i] - y0b) * p1[i]
-            if abs(dx) < 1e-12 or abs(dy) < 1e-12:
-                continue
-            x1b = x0[i] + (x1[i] - x0[i]) * (y1[i] - y0b) * p1[i] / dy
-            y1b = y0[i] + (y1[i] - y0[i]) * (x1[i] - x0b) * p1[i] / dx
-            if abs(y1b - y0b) < 1e-12:
-                continue
-            p1b = dy / (y1b - y0b)
-            p0b = p0[i] + p1[i] - p1b
-            if (0.0 < x1b < 1.0 and 0.0 < y1b < 1.0 and p1b >= 0.0 and p0b >= 0.0
-                    and x1b > lower[0] and y1b > lower[1]
-                    and max(x0b, x1b) < upper[0] and max(y0b, y1b) < upper[1]):
-                return x0b, y0b, x1b, y1b, p0b, p1b
-        return None
+    cell = np.arange(len(low))
 
     def alternative():
-        # the last cell's high side is full mastery (high = low | bit ascends);
-        # anchor it at or above the truth's maxima and keep every other cell
-        # strictly below it, so the strict order survives in the promoted rows
-        anchor = draw_cell(len(low) - 1, lower=(float(x1.max()), float(y1.max())))
-        if anchor is None:
+        x0b = np.clip(x0 + rng.uniform(-0.1, 0.1, (400, len(low))), 1e-4, 1 - 1e-4)
+        y0b = np.clip(y0 + rng.uniform(-0.1, 0.1, (400, len(low))), 1e-4, 1 - 1e-4)
+        dx = (x0 - x0b) * p0 + (x1 - x0b) * p1
+        dy = (y0 - y0b) * p0 + (y1 - y0b) * p1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1b = x0 + (x1 - x0) * (y1 - y0b) * p1 / dy
+            y1b = y0 + (y1 - y0) * (x1 - x0b) * p1 / dx
+            p1b = dy / (y1b - y0b)
+            p0b = p0 + p1 - p1b
+            ok = ((np.abs(dx) >= 1e-12) & (np.abs(dy) >= 1e-12) & (np.abs(y1b - y0b) >= 1e-12)
+                  & (0 < x1b) & (x1b < 1) & (0 < y1b) & (y1b < 1) & (p1b >= 0) & (p0b >= 0))
+        ok[:, -1] &= (x1b[:, -1] > x1.max()) & (y1b[:, -1] > y1.max())
+        anchor = ok[:, -1].argmax()  # with no valid try, try 0: rejected below
+        ok[:, :-1] &= ((np.maximum(x0b, x1b) < x1b[anchor, -1] - 1e-6)
+                       & (np.maximum(y0b, y1b) < y1b[anchor, -1] - 1e-6))[:, :-1]
+        if not ok.any(0).all():
             return None
-        cells = []
-        for i in range(len(low) - 1):
-            cells.append(draw_cell(i, upper=(anchor[2] - 1e-6, anchor[3] - 1e-6)))
-            if cells[-1] is None:
-                return None
-        x0b, y0b, x1b, y1b, p0b, p1b = np.array(cells + [anchor]).T
+        first = ok.argmax(0)
         theta_bar, p_bar = theta.copy(), np.empty_like(p)
-        theta_bar[j1, low], theta_bar[j1, high] = x0b, x1b
-        theta_bar[j2, low], theta_bar[j2, high] = y0b, y1b
-        p_bar[low], p_bar[high] = p0b, p1b
+        theta_bar[j1, low], theta_bar[j1, high] = x0b[first, cell], x1b[first, cell]
+        theta_bar[j2, low], theta_bar[j2, high] = y0b[first, cell], y1b[first, cell]
+        p_bar[low], p_bar[high] = p0b[first, cell], p1b[first, cell]
         return pair(theta_bar, p_bar, {"attribute": k + 1, "items": (j1 + 1, j2 + 1)})
 
     draws = (alternative() for _ in range(51 * count + 100))
@@ -523,28 +509,24 @@ def incomplete_gamma_merge(
     p = np.asarray(p, float)
     if q.entries.shape != q_bar.entries.shape:
         raise WrongShape("designs must share their shape")
-    gam = gamma_matrix(q)
-    gam_bar = gamma_matrix(q_bar)
-    n = gam.shape[1]
-    col = [gam[:, a].tobytes() for a in range(n)]
-    col_bar = [gam_bar[:, a].tobytes() for a in range(n)]
-    carriers: dict[bytes, int] = {}
-    for a in range(n):
-        if col_bar[a] not in carriers:
-            carriers[col_bar[a]] = a
-
-    p_bar = np.zeros_like(p)
-    for a in range(n):
-        if col_bar[a] == col[a]:
-            p_bar[a] += p[a]
-            continue
-        rep = carriers.get(col[a])
-        if rep is None:
-            raise NotSubsumed(
-                "target design has no pattern reproducing the ideal-response "
-                f"column of pattern {a:0{q.n_attributes}b}"
-            )
-        p_bar[rep] += p[a]
+    n = 1 << q.n_attributes
+    if len(p) != n:
+        raise WrongShape("proportion length does not match the design")
+    # one code per distinct ideal-response column, under q then under q_bar
+    _, code = np.unique(np.hstack([gamma_matrix(q), gamma_matrix(q_bar)]), axis=1,
+                        return_inverse=True)
+    col, col_bar = code[:n], code[n:]
+    codes, first = np.unique(col_bar, return_index=True)  # each code's first carrier
+    rep = np.full(2 * n, -1)
+    rep[codes] = first
+    carrier = np.where(col == col_bar, np.arange(n), rep[col])
+    missing = np.flatnonzero(carrier < 0)
+    if missing.size:
+        raise NotSubsumed(
+            "target design has no pattern reproducing the ideal-response "
+            f"column of pattern {missing[0]:0{q.n_attributes}b}"
+        )
+    p_bar = np.bincount(carrier, weights=p, minlength=n)
 
     pair = _dina_pair(q, params, p, p_bar, "IncompleteGammaMerge",
                       {"moved_mass": float(np.sum(np.abs(p_bar - p)) / 2)}, q_bar=q_bar)

@@ -465,6 +465,17 @@ class TestMultistart:
         with pytest.raises(WrongShape, match="init theta and p need finite entries"):
             em_fit("dina", Q4X2_PAIRED, data, init=tuple(init), max_iter=50)
 
+    @pytest.mark.parametrize("part, index, value", [
+        (0, (0, 0), 7.0), (0, (2, 1), -0.5), (1, 1, -0.2),
+    ], ids=["theta-above-1", "theta-below-0", "negative-p"])
+    def test_given_start_must_lie_in_the_parameter_space(self, rng, part, index, value):
+        # unchecked, each of these is clipped to the floor or cap and fitted
+        params, _, data = _simulated(rng, Q4X2_PAIRED, n=500, seed=21)
+        init = [theta_table("dina", Q4X2_PAIRED, params), np.array([0.5, 0.1, 0.4, 0.3])]
+        init[part][index] = value
+        with pytest.raises(WrongShape, match=r"init theta needs entries in \[0, 1\] and p entries >= 0"):
+            em_fit("dina", Q4X2_PAIRED, data, init=tuple(init), max_iter=50)
+
     def test_zero_tol_runs_to_the_cap(self, rng):
         _, _, data = _simulated(rng, Q4X2_PAIRED, n=200, seed=13)
         fit = em_fit("dina", Q4X2_PAIRED, data, tol=0.0, max_iter=7, seed=3)

@@ -22,12 +22,14 @@ from qident.errors import (
     TooLarge,
     WrongShape,
 )
-from qident.qmatrix import enumerate_canonical
+from qident.qmatrix import _canonical_codes, enumerate_canonical, gamma_matrix
 from qident.rlcm import monotonicity_ok, response_distribution, theta_table
 from qident.tmatrix import _max_abs_difference
 from qident.witness import (
     CERT_TOL,
     WitnessPair,
+    _dina_pair,
+    _first_certified,
     certify,
     dina_one_item_attr,
     dina_q24_two_solutions,
@@ -355,6 +357,34 @@ class TestGdinaTwoItemAttr:
         assert all(pair.certified_max_diff < CERT_TOL for pair in pairs)
 
 
+class TestGdinaTwoItemSampler:
+    def test_no_anchor_exhausts_the_budget(self):
+        # without mass on full mastery the last pattern re-solves to
+        # x1_bar = x0 < max(x1): no try can anchor the promoted rows
+        q, _ = two_item_20x3_pair()
+        p = np.full(8, 1 / 7)
+        p[7] = 0.0
+        with pytest.raises(InvalidFreeValues, match="certified only 0 of 1 witnesses"):
+            gdina_two_item_attr(q, equal_effects_theta(q), p)
+
+    def test_seeded(self):
+        q, _ = two_item_20x3_pair()
+        theta, p = equal_effects_theta(q), np.full(8, 1 / 8)
+
+        def draw(seed):
+            return [(pair.alternative.theta.tobytes(), pair.alternative.p.tobytes())
+                    for pair in gdina_two_item_attr(q, theta, p, count=2, seed=seed)]
+
+        assert draw(3) == draw(3)
+        assert draw(3) != draw(4)
+
+    def test_first_certified_skips_a_failing_pair(self, rng):
+        params = DinaParams(np.full(5, 0.2), np.full(5, 0.2))
+        good = dina_one_item_attr(Q5X2_LONELY_ATTRIBUTE, params, rng.dirichlet(np.ones(4)))
+        same = WitnessPair(good.truth, good.truth, "same")  # fails distinctness
+        assert _first_certified(iter([None, same, good]), 1, "witnesses") == [good]
+
+
 class TestGdinaPromotion:
     @pytest.mark.parametrize("build", [gdina_one_item_attr, gdina_two_item_attr])
     def test_every_attribute_on_three_items_rejected(self, build):
@@ -447,8 +477,56 @@ class TestGammaMerge:
         q_bar = QMatrix.from_rows([[1, 0], [1, 1], [1, 1], [1, 0]])
         params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))
         p = rng.dirichlet(np.ones(4))
-        with pytest.raises(NotSubsumed):
+        # pattern 01 keeps its column; 10's column (0,1,1,0) has no carrier
+        with pytest.raises(NotSubsumed, match="column of pattern 10$"):
             incomplete_gamma_merge(q, q_bar, params, p)
+
+    def test_matches_the_per_pattern_merge(self):
+        rng = np.random.default_rng(5)
+        params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))
+        p = rng.dirichlet(np.ones(4))
+        designs = [QMatrix((masks[:, None] >> np.arange(2)) & 1)
+                   for masks in _canonical_codes(4, 2)]
+        kinds = set()
+        for q in designs:
+            for q_bar in designs:
+                outcomes = [_merge_outcome(merge, q, q_bar, params, p)
+                            for merge in (incomplete_gamma_merge, _merge_by_loop)]
+                assert outcomes[0] == outcomes[1]
+                kinds.add(outcomes[0][0])
+        assert kinds == {"p", NotSubsumed, NotCertified}
+
+
+def _merge_by_loop(q, q_bar, params, p):
+    """Reference merge, one pattern at a time: each ideal-response column's
+    first carrier under ``q_bar`` from a dict keyed by the column's bytes."""
+    gam, gam_bar = gamma_matrix(q), gamma_matrix(q_bar)
+    n = gam.shape[1]
+    col = [gam[:, a].tobytes() for a in range(n)]
+    col_bar = [gam_bar[:, a].tobytes() for a in range(n)]
+    carriers = {}
+    for a in range(n):
+        carriers.setdefault(col_bar[a], a)
+    p_bar = np.zeros_like(p)
+    for a in range(n):
+        rep = a if col_bar[a] == col[a] else carriers.get(col[a])
+        if rep is None:
+            raise NotSubsumed("target design has no pattern reproducing the ideal-response "
+                              f"column of pattern {a:0{q.n_attributes}b}")
+        p_bar[rep] += p[a]
+    pair = _dina_pair(q, params, p, p_bar, "IncompleteGammaMerge",
+                      {"moved_mass": float(np.sum(np.abs(p_bar - p)) / 2)}, q_bar=q_bar)
+    certify(pair)
+    return pair
+
+
+def _merge_outcome(merge, *args):
+    """("p", the alternative's proportions as bytes), or the error's class
+    and message."""
+    try:
+        return "p", merge(*args).alternative.p.tobytes()
+    except (NotSubsumed, NotCertified) as err:
+        return type(err), str(err)
 
 
 _SG = DinaParams(np.full(4, 0.2), np.full(4, 0.2))  # c = 0.8 on every item
@@ -475,8 +553,10 @@ _SG = DinaParams(np.full(4, 0.2), np.full(4, 0.2))  # c = 0.8 on every item
      InvalidFreeValues, "certified only 16 of 17 alternatives"),
     (lambda: incomplete_gamma_merge(Q4X2_PAIRED, Q5X2_DOUBLE_IDENTITY, _SG, np.full(4, 0.25)),
      WrongShape, "designs must share their shape"),
+    (lambda: incomplete_gamma_merge(Q4X2_PAIRED, Q4X2_PAIRED, _SG, np.full(2, 0.5)),
+     WrongShape, "proportion length does not match the design"),
 ], ids=["scenario-a-g1-bar", "scenario-a-degenerate", "scenario-a-c2-bar", "one-item-rebalance", "q24-gap-length",
-        "q24-items", "q24-budget", "gamma-merge-shapes"])
+        "q24-items", "q24-budget", "gamma-merge-shapes", "gamma-merge-p-length"])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()
