@@ -37,11 +37,11 @@ from .io import (
     load_responses_csv,
 )
 from .qmatrix import (
-    _canonical_codes,
     _design_rows,
     classify_batch,
     classify_dina,
     classify_gdina,
+    enumerate_canonical,
     q_equivalent,
     strip_zero_rows,
 )
@@ -104,7 +104,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    codes = _canonical_codes(args.items, args.attributes)
+    codes = enumerate_canonical(args.items, args.attributes)
     rows = _design_rows(codes, args.attributes)
     if args.classify:
         scenarios = classify_batch(codes, args.attributes, args.model).tolist()
@@ -170,10 +170,16 @@ def cmd_search(args) -> int:
     k = args.attributes if args.attributes is not None else (first.n_attributes if first else None)
     if k is None:
         raise QidentError("--attributes (or --truth) is required to enumerate candidates")
-    if first is not None and (data.n_items, k) != first.entries.shape:
-        raise QidentError(f"shapes differ: {(data.n_items, k)} vs {first.entries.shape}")
+    if first is not None:
+        if (data.n_items, k) != first.entries.shape:
+            raise QidentError(f"shapes differ: {(data.n_items, k)} vs {first.entries.shape}")
+        for name, bad in (("zero rows", first.row_masks == 0),
+                          ("attributes no item requires", first.column_sums() == 0)):
+            if bad.any():
+                raise QidentError(f"truth has {name} {(np.flatnonzero(bad) + 1).tolist()}: "
+                                  "no candidate design can equal it")
     report = exhaustive_search(
-        args.model, data, _canonical_codes(data.n_items, k), k, restarts=args.restarts,
+        args.model, data, enumerate_canonical(data.n_items, k), k, restarts=args.restarts,
         require_stringent=args.stringent, seed=args.seed, tol=args.tol,
     )
     payload = report.to_json_dict()

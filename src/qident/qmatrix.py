@@ -519,26 +519,21 @@ def _hall(masks: np.ndarray, K: int):
     return gc, d, e
 
 
-def _flags(masks: np.ndarray, K: int, sums: np.ndarray, model: str | None = None) -> dict:
+def _flags(masks: np.ndarray, K: int, sums: np.ndarray, model: str) -> dict:
     """Condition flags of each design, keyed as in ``condition_flags``, from
     its row masks and its column sums ``sums``: the flags the rules of
-    ``model`` read (A, B and C for ``"dina"``; C, generic completeness, D
-    and E for ``"gdina"``), or all six when ``model`` is None.  Beyond
-    K = ``_MAX_K_SEARCH``, D and E are None and generic completeness comes
-    from the matcher."""
-    flags = {}
-    if model != "gdina":
-        flags["A"], flags["B"] = _ab(masks, K)
-    flags["C"] = (sums >= 3).all(axis=1)
+    ``model`` read, A, B and C for ``"dina"`` and C, generic completeness, D
+    and E for ``"gdina"``.  Beyond K = ``_MAX_K_SEARCH``, D and E are None
+    and generic completeness comes from the matcher."""
+    c = (sums >= 3).all(axis=1)
     if model == "dina":
-        return flags
+        a, b = _ab(masks, K)
+        return {"A": a, "B": b, "C": c}
     if K > _MAX_K_SEARCH:
         gc = np.array([_match_attributes(m, K, 1) is not None for m in masks.tolist()])
-        flags.update(generic_complete=gc, D=None, E=None)
-    else:
-        gc, d, e = _hall(masks, K)
-        flags.update(generic_complete=gc, D=d, E=e)
-    return flags
+        return {"C": c, "generic_complete": gc, "D": None, "E": None}
+    gc, d, e = _hall(masks, K)
+    return {"C": c, "generic_complete": gc, "D": d, "E": e}
 
 
 def _note(*texts: str):
@@ -678,7 +673,7 @@ def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
     name, decide = _MODELS[model]
     K, masks = q.n_attributes, q.row_masks[None, :]
     sums = _column_sums(masks, K)
-    flags = _flags(masks, K, sums)
+    flags = {**_flags(masks, K, sums, "dina"), **_flags(masks, K, sums, "gdina")}
     scenario, _, attr, render = next(rule for rule in decide(masks, K, sums, flags) if rule[1][0])
     constraints, notes = render(int(attr[0]), sums[0])
     flags = {key: None if v is None or v[0] is None else bool(v[0]) for key, v in flags.items()}
@@ -710,19 +705,24 @@ def classify_gdina(q: QMatrix) -> IdentifiabilityVerdict:
     return _classify(q, "gdina")
 
 
-def _canonical_codes(n_items: int, n_attributes: int) -> np.ndarray:
-    """The canonical designs of ``enumerate_canonical`` as an (N, J) array
-    of row masks, in the same order.
+def enumerate_canonical(n_items: int, n_attributes: int) -> np.ndarray:
+    """All J x K designs with no zero row and no zero column, one per
+    column-permutation class, as an (N, J) int64 array of row masks.
+
+    A design's row key reads its masks as one base-2^K number, row 1 most
+    significant.  Each class is represented by its member of smallest key,
+    and the designs are listed by increasing key.  A design with a zero row
+    reduces to its nonzero rows, and one with an unused attribute is a
+    degenerate K-1 design; the classical census of 5 x 2 matrices (121
+    types) counts neither.
 
     Read each column as a J-bit number with row 1 most significant.  When
-    attribute k < k' has the smaller column, swapping the two strictly
-    lowers the row key: at the first row where they differ, the 1 moves from
-    bit k' down to bit k, and the rows above are unchanged.  So the
-    lex-smallest member of a column-permutation class is its one arrangement
-    with non-increasing columns (the fact ``q_equivalent`` relies on), and
-    the canonical designs are the non-increasing K-tuples of nonzero columns
-    whose OR reaches every row.  They are listed one column at a time.  No
-    later column exceeds the current one, so the current one must reach the
+    attribute k < k' has the smaller column, swapping the two lowers the
+    key: at the first row where they differ, the 1 moves from bit k' down to
+    bit k.  So the representative is the class's one arrangement with
+    non-increasing columns, and the designs are the non-increasing K-tuples
+    of nonzero columns whose OR reaches every row, listed one column at a
+    time: no later column exceeds the current one, so it must reach the
     highest row still uncovered, and the last must cover every such row.
     """
     J, K = n_items, n_attributes
@@ -753,22 +753,6 @@ def _canonical_codes(n_items: int, n_attributes: int) -> np.ndarray:
         masks |= ((cols[:, k, None] >> shifts) & 1) << k
     radix = 1 << (K * np.arange(J - 1, -1, -1, dtype=np.int64))
     return masks[np.argsort(masks @ radix)]
-
-
-def enumerate_canonical(n_items: int, n_attributes: int) -> list[QMatrix]:
-    """All J x K designs with no zero row and no zero column, one
-    representative per column-permutation class.
-
-    The representative is the lexicographically smallest member under the
-    row-as-bits encoding with row order preserved (row 1 most significant),
-    which is the member whose columns, read as numbers with row 1 most
-    significant, do not increase from attribute 1 to K; the returned list is
-    sorted by that encoding.  Designs leaving an attribute entirely unused
-    are excluded: they are degenerate K-1 designs and the classical census
-    of 5 x 2 matrices (121 types) does not count them.
-    """
-    codes = _canonical_codes(n_items, n_attributes)
-    return [QMatrix(e) for e in (codes[:, :, None] >> np.arange(n_attributes)) & 1]
 
 
 def q_equivalent(a: QMatrix, b: QMatrix) -> bool:

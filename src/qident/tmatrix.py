@@ -10,14 +10,14 @@ P(R >= r).  The parameter-shift transform maps T built from ``theta`` to T
 built from ``theta - theta_star`` through an explicit unitriangular matrix,
 which is the main tool behind the identifiability arguments; here it is
 built as a Kronecker product of one 2 x 2 factor per item and checked
-numerically.  Every 2^J product table goes through one kernel: the items
-split into a low and a high half, doubling builds one half table per
-half for all attribute patterns at once, and one BLAS product joins the
-two.  It fills T, the survival vector and the exact distribution of
-``rlcm.response_distribution``.  A weighted table pools the patterns with
-equal high-half columns, so its inner dimension is their distinct count; the
-difference of two distributions, certifying a witness, is such a product
-taken in blocks of rows, in memory O(2^(J/2) * 2^K) plus one block.
+numerically.  One doubling kernel builds every product table for all
+attribute patterns at once; the dense T is one such table.  A weighted sum
+over the patterns (the survival vector, the exact distribution of
+``rlcm.response_distribution``) splits the items into a low and a high
+half, doubles one table per half and joins them with one BLAS product
+over the patterns pooled by equal high-half columns; the difference of two
+distributions, certifying a witness, is such a product taken in blocks of
+rows, in memory O(2^(J/2) * 2^K) plus one block.
 """
 
 from __future__ import annotations
@@ -68,29 +68,19 @@ def _half_tables(hi: np.ndarray, lo: np.ndarray, weight: np.ndarray):
     return high, pooled
 
 
-def _split_product(hi: np.ndarray, lo: np.ndarray, weight=None) -> np.ndarray:
-    """Product tables over all 2^J response patterns, from two half tables.
-
-    The low half table L covers items 0..h-1 (h = J // 2) and the high half
-    table H items h..J-1, each for all 2^K attribute patterns, so pattern r
-    splits as r = r_high * 2^h + r_low.  With ``weight`` (length 2^K) the
-    length-2^J vector sum over a of weight[a] * prod(...) is one GEMM over
-    the pooled tables of :func:`_half_tables`; without it the 2^J x 2^K
-    table is the row-wise (face-splitting) product of H and L.  The output
-    is allocated first so that freeing the half tables leaves no hole below.
-    """
-    if weight is not None:
-        weight = np.asarray(weight, float)
-        if hi.ndim != 2 or weight.shape != hi.shape[1:]:
-            raise WrongShape(f"{weight.shape} weights for a table of shape {hi.shape}")
-    J, n = hi.shape
-    h = J // 2
-    out = np.empty((1 << (J - h), 1 << h) + ((n,) if weight is None else ()))
-    if weight is not None:
-        return np.matmul(*_half_tables(hi, lo, weight), out=out).reshape(-1)
-    low = _product_table(np.empty((1 << h, n)), hi[:h], lo[:h])
-    high = _product_table(np.empty((1 << (J - h), n)), hi[h:], lo[h:])
-    return np.multiply(high[:, None, :], low[None, :, :], out=out).reshape(1 << J, n)
+def _split_product(hi: np.ndarray, lo: np.ndarray, weight) -> np.ndarray:
+    """Weighted product table over the 2^J response patterns r: sum over a
+    of weight[a] * prod over items j of (hi[j, a] if bit j of r else
+    lo[j, a]), one GEMM over the pooled half tables of :func:`_half_tables`
+    (items 0..h-1 and h..J-1, h = J // 2, so r = r_high * 2^h + r_low).  The
+    output is allocated first so that freeing the half tables leaves no hole
+    below."""
+    weight = np.asarray(weight, float)
+    if hi.ndim != 2 or weight.shape != hi.shape[1:]:
+        raise WrongShape(f"{weight.shape} weights for a table of shape {hi.shape}")
+    h = len(hi) // 2
+    out = np.empty((1 << (len(hi) - h), 1 << h))
+    return np.matmul(*_half_tables(hi, lo, weight), out=out).reshape(-1)
 
 
 def _max_abs_difference(theta_a, p_a, theta_b, p_b) -> float:
@@ -112,7 +102,7 @@ def build_t(theta: np.ndarray) -> np.ndarray:
     """Dense 2^J x 2^K T-matrix from a response-probability table."""
     if theta.shape[0] > _MAX_T_J:
         raise TooLarge(f"dense T-matrix guarded to J <= {_MAX_T_J}")
-    return _split_product(theta, np.ones_like(theta))
+    return _product_table(np.empty((1 << len(theta), theta.shape[1])), theta, np.ones_like(theta))
 
 
 def tp_vector(theta: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -28,6 +28,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def as_qmatrices(masks, n_attributes: int) -> list[QMatrix]:
+    """Each design of an (N, J) array of row masks, such as
+    ``enumerate_canonical`` returns, as a ``QMatrix``."""
+    return [QMatrix((m[:, None] >> np.arange(n_attributes)) & 1) for m in masks]
+
+
 def brute_force_generic_complete(q: QMatrix) -> bool:
     """Oracle: exhaustive row-subset x column-permutation search for an
     all-ones diagonal.  Exponential; keep K <= 5, J <= 8."""

@@ -42,7 +42,6 @@ from qident.catalog import (
 )
 from qident.errors import ConstraintHolds
 from qident.estimate import em_fit, exhaustive_search, mse_experiment
-from qident.qmatrix import _canonical_codes
 from qident.rlcm import response_distribution, theta_table
 from qident.tmatrix import build_t, shift_matrix
 from qident.witness import (
@@ -53,6 +52,7 @@ from qident.witness import (
 )
 
 from tests.conftest import (
+    as_qmatrices,
     brute_force_generic_complete,
     gap_z_score,
     random_q,
@@ -73,7 +73,7 @@ def _find_equivalent(designs, target):
 def test_criterion_1_census_classification():
     """All 121 canonical 5x2 designs classify with zero Undetermined."""
     start = time.perf_counter()
-    designs = enumerate_canonical(5, 2)
+    designs = as_qmatrices(enumerate_canonical(5, 2), 2)
     verdicts = {m: classify_dina(m) for m in designs}
     elapsed = time.perf_counter() - start
 
@@ -198,7 +198,7 @@ def _search_replications(truth, n_reps, seed_base, candidates):
 def test_criterion_5_exhaustive_search():
     """Identifiable truths win the 121-candidate sweep; a deficient one loses."""
     start = time.perf_counter()
-    candidates = _canonical_codes(5, 2)
+    candidates = enumerate_canonical(5, 2)
     wins_single = _search_replications(Q5X2_SINGLE_IDENTITY, 10, 41_000, candidates)
     wins_paired = _search_replications(Q5X2_PAIRED_PLUS_ONE, 10, 42_000, candidates)
     wins_lonely = _search_replications(Q5X2_LONELY_ATTRIBUTE, 10, 43_000, candidates)

@@ -30,7 +30,14 @@ from qident.estimate import (
 )
 from qident.rlcm import Dataset, full_distribution, response_distribution, theta_table
 
-from tests.conftest import dina_information, dina_jacobian, gap_z_score, random_q, spearman
+from tests.conftest import (
+    as_qmatrices,
+    dina_information,
+    dina_jacobian,
+    gap_z_score,
+    random_q,
+    spearman,
+)
 
 
 def _simulated(rng, q, n=5000, seed=0):
@@ -240,7 +247,7 @@ class TestBatchEngine:
     def test_canonical_5x2_census(self, rng, model):
         # all 121 canonical 5 x 2 designs in one batch (B * C = 484 rows per
         # GEMM), some converging early and some capped
-        designs = enumerate_canonical(5, 2)
+        designs = as_qmatrices(enumerate_canonical(5, 2), 2)
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=3000, seed=40)
         seeds = range(len(designs))
         batch = self._batch(model, designs, data, seeds, max_iter=120, tol=1e-3)
@@ -272,7 +279,7 @@ class TestBatchEngine:
     @pytest.mark.parametrize("model", ["dina", "gdina"])
     def test_loglik_matches_2j_kernel(self, rng, model):
         # every fit of a large batch against the exact 2^J distribution
-        designs = enumerate_canonical(5, 2)
+        designs = as_qmatrices(enumerate_canonical(5, 2), 2)
         _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=3000, seed=43)
         counts = data.counts.astype(float)
         for fit in self._batch(model, designs, data, range(len(designs)), max_iter=200):

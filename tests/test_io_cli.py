@@ -529,6 +529,26 @@ class TestCli:
         assert captured.err == f"error: shapes differ: {shapes}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("rows, flaw", [
+        ([[1, 0], [0, 1], [0, 0], [1, 1], [0, 1]], "zero rows [3]"),
+        ([[1, 0]] * 4, "attributes no item requires [2]"),
+    ])
+    def test_search_truth_outside_the_census_before_fit(self, tmp_path, capsys, monkeypatch,
+                                                        rows, flaw):
+        # the candidates have no zero row and use every attribute, so such a
+        # truth can never be the argmax
+        from qident import cli
+
+        qfile, data = tmp_path / "q.txt", tmp_path / "responses.csv"
+        save_q(QMatrix.from_rows(rows), qfile)
+        data.write_text(",".join("1" * len(rows)) + "\n")
+        monkeypatch.setattr(cli, "exhaustive_search", lambda *a, **kw: pytest.fail("fit ran"))
+        assert main(["search", "--model", "dina", "--data", str(data),
+                     "--truth", str(qfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: truth has {flaw}: no candidate design can equal it\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("truth, message", [
         (True, "shapes differ: (4, 0) vs (4, 2)"),
         (False, "need at least one row and one column, got (4, 0)"),
@@ -567,7 +587,7 @@ class TestCli:
         counts, qfile = tmp_path / "counts.csv", tmp_path / "q.txt"
         save_pattern_counts_csv(data, counts)
         save_q(q, qfile)
-        monkeypatch.setattr(cli, "_canonical_codes", lambda J, K: np.full((1, J), 3))
+        monkeypatch.setattr(cli, "enumerate_canonical", lambda J, K: np.full((1, J), 3))
         argv = ["search", "--model", "gdina", "--data", str(counts), "--counts",
                 "--truth", str(qfile), "--restarts", "3", "--seed", "25", "--tol", "1e-6"]
         assert main(argv) == 0

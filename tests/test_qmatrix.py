@@ -34,9 +34,10 @@ from qident.catalog import (
     two_item_20x3_pair,
     two_item_20x5_pair,
 )
+from qident.cli import main
 from qident.errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
 
-from tests.conftest import brute_force_generic_complete, random_q
+from tests.conftest import as_qmatrices, brute_force_generic_complete, random_q
 
 
 class TestQMatrixEntries:
@@ -441,11 +442,11 @@ class TestBatchedClassifier:
     def test_flags_match_certificates(self, J, K):
         if J == 1 and K >= 8:
             codes = np.array([[(1 << K) - 1]])
-            designs = [QMatrix(np.ones((1, K), dtype=int))]
         else:
-            codes = qmatrix._canonical_codes(J, K)
-            designs = enumerate_canonical(J, K)
-        flags = qmatrix._flags(codes, K, qmatrix._column_sums(codes, K))
+            codes = enumerate_canonical(J, K)
+        designs = as_qmatrices(codes, K)
+        sums = qmatrix._column_sums(codes, K)
+        flags = {**qmatrix._flags(codes, K, sums, "dina"), **qmatrix._flags(codes, K, sums, "gdina")}
         for n, q in enumerate(designs):
             assert {key: flags[key][n] for key in "ABC"} == _abc(q)
             gc, assignment = check_generic_completeness(q)
@@ -525,11 +526,11 @@ class TestBatchedClassifier:
     def test_rule_lists_cover_every_scenario(self, rng):
         named = set()
         for J, K in ((1, 1), (2, 1), (4, 2), (5, 3), (6, 4)):
-            codes = qmatrix._canonical_codes(J, K)
+            codes = enumerate_canonical(J, K)
             codes = codes[rng.choice(len(codes), size=min(len(codes), 500), replace=False)]
-            for _, decide in qmatrix._MODELS.values():
+            for model, (_, decide) in qmatrix._MODELS.items():
                 sums = qmatrix._column_sums(codes, K)
-                rules = decide(codes, K, sums, qmatrix._flags(codes, K, sums))
+                rules = decide(codes, K, sums, qmatrix._flags(codes, K, sums, model))
                 named |= {scenario for scenario, *_ in rules}
                 assert rules[-1][1].all()  # the last rule decides what the others leave
         assert named == set(Scenario)
@@ -555,12 +556,12 @@ class TestEnumeration:
         masks = np.array([[(1 << 40) - 1, 5]])
         q = QMatrix((masks[0][:, None] >> np.arange(40)) & 1)
         assert qmatrix._design_rows(masks, 40) == [";".join(q.row_strings())]
-        codes = qmatrix._canonical_codes(4, 2)
+        codes = enumerate_canonical(4, 2)
         assert qmatrix._design_rows(codes, 2) == [
-            ";".join(m.row_strings()) for m in enumerate_canonical(4, 2)]
+            ";".join(m.row_strings()) for m in as_qmatrices(codes, 2)]
 
     def test_census_5x2(self):
-        mats = enumerate_canonical(5, 2)
+        mats = as_qmatrices(enumerate_canonical(5, 2), 2)
         assert len(mats) == 121
         assert all(not m.has_zero_rows for m in mats)
         assert all(m.column_sums().min() >= 1 for m in mats)
@@ -581,7 +582,7 @@ class TestEnumeration:
         # not even locally generic (56 classes).
         from collections import Counter
 
-        mats = enumerate_canonical(5, 2)
+        mats = as_qmatrices(enumerate_canonical(5, 2), 2)
         dina = Counter(classify_dina(m).scenario for m in mats)
         assert dina[Scenario.STRICT] == 45
         assert dina[Scenario.GENERIC_B2] == 10
@@ -600,7 +601,7 @@ class TestEnumeration:
         # at a time reads the same as in the whole batch
         from collections import Counter
 
-        codes = qmatrix._canonical_codes(6, 3)
+        codes = enumerate_canonical(6, 3)
         assert len(codes) == 19_608
         pinned = {
             "dina": {Scenario.STRICT: 480, Scenario.GENERIC_B2: 15,
@@ -616,8 +617,7 @@ class TestEnumeration:
                 assert classify_batch(codes[i:i + 1], 3, model)[0] == verdicts[i]
 
     def test_singleton(self):
-        mats = enumerate_canonical(1, 1)
-        assert len(mats) == 1 and mats[0] == QMatrix.from_rows([[1]])
+        assert enumerate_canonical(1, 1).tolist() == [[1]]
 
     def test_2x2_against_orbit_oracle(self):
         mats = enumerate_canonical(2, 2)
@@ -635,6 +635,19 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_canonical(13, 2)
+
+    @pytest.mark.parametrize("J,K", [(1, 1), (3, 1), (1, 4), (4, 2), (3, 3), (5, 3)])
+    def test_contract(self, J, K, capsys):
+        # int64 row masks of shape (N, J), by increasing row key, no zero
+        # row, every attribute used, and listed as `qident enumerate` does
+        codes = enumerate_canonical(J, K)
+        assert codes.dtype == np.int64 and codes.ndim == 2 and codes.shape[1] == J
+        assert (np.diff(codes @ (1 << (K * np.arange(J - 1, -1, -1)))) > 0).all()
+        assert ((codes >= 1) & (codes < 1 << K)).all()
+        assert (np.bitwise_or.reduce(codes, axis=1) == (1 << K) - 1).all()
+        assert main(["enumerate", str(J), str(K)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["index,rows"] + [
+            f"{n},{';'.join(q.row_strings())}" for n, q in enumerate(as_qmatrices(codes, K))]
 
     @staticmethod
     def _burnside(J, K):
@@ -687,7 +700,7 @@ class TestEnumeration:
         "J,K", [(J, K) for K in range(1, 11) for J in range(1, 10 // K + 1)]
     )
     def test_each_design_is_its_class_minimum(self, J, K):
-        codes = qmatrix._canonical_codes(J, K)
+        codes = enumerate_canonical(J, K)
         keys = codes @ (1 << (K * np.arange(J - 1, -1, -1)))
         assert (keys == self._min_key_over_permutations(codes, K)).all()
         assert (np.diff(keys) > 0).all()

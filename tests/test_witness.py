@@ -22,7 +22,7 @@ from qident.errors import (
     TooLarge,
     WrongShape,
 )
-from qident.qmatrix import _canonical_codes, enumerate_canonical, gamma_matrix
+from qident.qmatrix import enumerate_canonical, gamma_matrix
 from qident.rlcm import monotonicity_ok, response_distribution, theta_table
 from qident.tmatrix import _max_abs_difference
 from qident.witness import (
@@ -39,6 +39,8 @@ from qident.witness import (
     incomplete_gamma_merge,
     q24_constraint_gap,
 )
+
+from tests.conftest import as_qmatrices
 
 
 def _dina_model(q, params, p):
@@ -257,7 +259,7 @@ class TestClassifierAgreement:
                     continue
                 params = DinaParams(np.full(J, 0.2), np.full(J, 0.2))
                 p = np.full(1 << K, 1 / (1 << K))
-                for q in enumerate_canonical(J, K):
+                for q in as_qmatrices(enumerate_canonical(J, K), K):
                     if _scenario_a_attribute(q):
                         scenario_a += 1
                         verdict = classify_dina(q).scenario
@@ -485,8 +487,7 @@ class TestGammaMerge:
         rng = np.random.default_rng(5)
         params = DinaParams(rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4))
         p = rng.dirichlet(np.ones(4))
-        designs = [QMatrix((masks[:, None] >> np.arange(2)) & 1)
-                   for masks in _canonical_codes(4, 2)]
+        designs = as_qmatrices(enumerate_canonical(4, 2), 2)
         kinds = set()
         for q in designs:
             for q_bar in designs:

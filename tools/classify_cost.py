@@ -5,7 +5,7 @@ and of ``qmatrix._design_rows``, the text each census is printed as.
     python3 tools/classify_cost.py --src OTHER/src --reps 7  # the checkout against OTHER
 
 Each shape's designs are its canonical census from the checkout's
-``qmatrix._canonical_codes`` (2,801 at 5 x 3, 3,280 at 8 x 2, 19,608 at
+``qmatrix.enumerate_canonical`` (2,801 at 5 x 3, 3,280 at 8 x 2, 19,608 at
 6 x 3 and 137,257 at 7 x 3), classified in one ``classify_batch`` call
 and rendered in one ``_design_rows`` call (the rows of model "text").
 The last row, GDINA only, is a sample of 300 random 30 x 8 designs: rows
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
           + (f" {'ratio':>6} {'equal':>5}" if len(trees) == 2 else ""))
     rows = []
     for J, K in SHAPES:
-        codes = trees[0]._canonical_codes(J, K)
+        codes = trees[0].enumerate_canonical(J, K)
         rows += [(f"{J}x{K}", codes, K, model) for model in MODELS]
     rows.append(("30x8s", _sample_30x8(), 8, "gdina"))
     for shape, codes, K, model in rows:

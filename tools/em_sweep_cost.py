@@ -6,7 +6,8 @@
 The data are 10,000 subjects simulated from the 5 x 2 design
 ``Q5X2_SINGLE_IDENTITY`` (32 observed patterns).  A batch of B fits runs
 the canonical 5 x 2 designs in order (B = 363 repeats the 121 of them three
-times) from random starts, with ``tol = 0`` so that no fit leaves the batch.
+times) from random starts, with ``tol = 0`` so that no fit leaves the batch;
+both trees take them from the checkout's ``qmatrix.enumerate_canonical``.
 A sweep costs the time difference of ``LONG`` and ``SHORT`` sweeps over
 their difference, which cancels the batch's setup and final E-step.  Each
 cell is the median over ``--reps`` such pairs.  BLAS is held to one thread.
@@ -52,9 +53,10 @@ def _load(src: Path, name: str, modules):
 
 
 class Tree:
-    """One tree's data, designs and starts; ``cost`` times one sweep."""
+    """One tree's data, designs and starts; ``cost`` times one sweep.  The
+    designs default to the tree's own canonical 5 x 2 census, three times."""
 
-    def __init__(self, src: Path, name: str):
+    def __init__(self, src: Path, name: str, designs=None):
         import numpy as np
 
         self.estimate, qmatrix, rlcm, catalog = _load(
@@ -64,7 +66,9 @@ class Tree:
         params = rlcm.DinaParams(rng.uniform(0.1, 0.3, 5), rng.uniform(0.1, 0.3, 5))
         self.data = rlcm.simulate("dina", catalog.Q5X2_SINGLE_IDENTITY, params,
                                   rng.dirichlet(np.full(4, 3.0)), 10_000, seed=rng)
-        designs = np.tile(qmatrix._canonical_codes(5, 2), (3, 1))
+        if designs is None:
+            designs = np.tile(qmatrix.enumerate_canonical(5, 2), (3, 1))
+        self.designs = designs
         self.cells = {}
         for size in SIZES:
             batch = designs[:size]
@@ -105,7 +109,7 @@ def main(argv=None) -> int:
     checkout = Path(__file__).resolve().parents[1] / "src"
     trees = [Tree(checkout, "qident_checkout")]
     if args.src is not None:
-        trees.append(Tree(args.src, "qident_other"))
+        trees.append(Tree(args.src, "qident_other", trees[0].designs))
 
     for label, tree in zip(("checkout", "other"), trees):
         print(f"{label}: qident from {tree.where}")
