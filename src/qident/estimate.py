@@ -2,13 +2,15 @@
 
 One engine runs every expectation-maximization fit on pattern-count data at
 a fixed design matrix, a batch of designs entering as a (B, J) array of row
-masks plus K, the form ``qmatrix.classify_batch`` takes.  It holds a batch of fits class-major (fit, class,
-item), so that a sweep is one matrix product for the E-step and one for the
-closed-form M-step over the whole batch, for every model: a weighted mean
-per (item, cell) of the response table, the cells being capable and not
-capable for DINA and DINO and a & row_mask[j] for GDINA.  Each fit still
-stops on its own.  ``em_fit`` is a batch of one, ``multistart_fit`` batches
-its restarts, ``exhaustive_search`` sweeps candidate designs x restarts, and
+masks plus K, the form ``qmatrix.classify_batch`` takes.  It holds a batch
+class-outer (class, fit, pattern), so that a sweep is one matrix product for
+the E-step and one for the closed-form M-step over the whole batch, for
+every model: a weighted mean per (item, cell) of the response table, the
+cells being capable and not capable for DINA and DINO and a & row_mask[j]
+for GDINA, pooled by one ``bincount`` into bins numbered densely per fit.
+Each fit stops on its own with the bits it gets alone (see ``_em_batch``).
+``em_fit`` is a batch of one, ``multistart_fit`` batches its restarts,
+``exhaustive_search`` sweeps candidate designs x restarts, and
 ``mse_experiment`` fits every replication of an error-decay experiment.
 
 The E-step needs no class-max shift: with item probabilities clamped to
@@ -154,34 +156,47 @@ def _flip_unit_attributes(theta, p, masks):
         theta[items] = theta[items][:, flip]
 
 
-def _observed_loglik(theta, p, XX, W, work):
-    """E-step for a stack of fits held class-major: theta (B, C, J), p (B, C)
-    and pattern weights W (B, N) over XX = [X | 1 - X | 1] (N, 2J + 1).  One
-    GEMM [log theta | log(1 - theta) | log p] (B*C, 2J + 1) @ XX.T writes the
-    log joints (B, C, N) to ``work``, so the class sum runs over contiguous
-    rows.  Returns each fit's observed-data loglik and its posterior times
-    W, a (B*C, N) view of ``work``.  With theta in [1e-4, 1 - 1e-4] and p at
-    least 1e-4 / (1.0001 C), every log joint is at least
-    J ln(1e-4) + ln(1e-4 / (1.0001 C)), -603 at J = 63 (the widest int64
-    pattern mask) and C = 2^20, above exp's normal range limit of -708: the
-    joints are exponentiated with no class-max shift."""
-    B, C, _ = theta.shape
-    joint = work[:B]
-    logs = np.log(np.concatenate([theta, 1.0 - theta, p[:, :, None]], axis=2))
-    np.matmul(logs.reshape(B * C, -1), XX.T, out=joint.reshape(B * C, -1))
-    denom = np.exp(joint, out=joint).sum(axis=1, keepdims=True)
-    # one dot per fit, so a fit's loglik does not depend on the batch
-    # (np.vecdot would do the same but needs numpy >= 2)
-    loglik = (W[:, None, :] @ np.log(denom).transpose(0, 2, 1))[:, 0, 0]
-    return loglik, np.multiply(joint, W[:, None, :] / denom, out=joint).reshape(B * C, -1)
+def _log_table(theta, p):
+    """[log theta | log(1 - theta) | log p] as (C, B, 2J + 1), from theta (B, J, C), p (B, C)."""
+    t = theta.transpose(2, 0, 1)
+    return np.log(np.concatenate([t, 1.0 - t, p.T[:, :, None]], axis=2))
 
 
-def _bins(cells):
-    """The C-contiguous M-step bins of the m fits left in a batch, renumbered
-    0..m-1, from their (item, label) bins ``cells`` (m, C, J): the gather index
-    and the flat (fit, class, copy, item) index whose second copy pools p."""
-    gather = cells + cells[0].size * np.arange(len(cells))[:, None, None]
-    return gather, np.stack([gather, gather + gather.size], axis=2).ravel()
+def _observed_loglik(logs, XX, W, work):
+    """E-step for B fits held class-outer: the log table ``logs``
+    (C, B, 2J + 1) of ``_log_table`` and pattern weights W (B, N) over
+    XX = [X | 1 - X | 1] (N, 2J + 1).  One GEMM writes the log joints
+    (C, B, N) to the front of the flat buffer ``work``, and the class sum
+    adds the outer axis in class order.  Returns each fit's observed-data
+    loglik, one dot per fit so that it does not depend on the batch, and its
+    posterior times W, a (C*B, N) view of ``work``.  With theta in
+    [1e-4, 1 - 1e-4] and p at least 1e-4 / (1.0001 C), every log joint is at
+    least J ln(1e-4) + ln(1e-4 / (1.0001 C)), -603 at J = 63 (the widest
+    int64 pattern mask) and C = 2^20, above exp's normal range limit of
+    -708: the joints are exponentiated with no class-max shift."""
+    C, B, _ = logs.shape
+    joint = work[: C * B * len(XX)].reshape(C, B, -1)
+    np.matmul(logs.reshape(C * B, -1), XX.T, out=joint.reshape(C * B, -1))
+    denom = np.add.reduce(np.exp(joint, out=joint), axis=0)
+    # one dot per fit (np.vecdot would do the same but needs numpy >= 2)
+    loglik = (W[:, None, :] @ np.log(denom)[:, :, None])[:, 0, 0]
+    return loglik, np.multiply(joint, W / denom, out=joint).reshape(C * B, -1)
+
+
+def _bins(local, size, width):
+    """Number the bins of the m fits left in a batch 0..total-1 by per-fit
+    offsets, from each fit's dense bin numbers ``local`` (m, J, C) and bin
+    counts ``size``.  Returns the bins (m, J, C), the log-table index
+    (C, m, 2J + 1) into the buffer [theta | 1 - theta | p (m, C)], the
+    ``bincount`` index of the M-step product (C*m, width), whose pad columns
+    go to p's slots, and ``total``."""
+    (m, J, C), total = local.shape, int(size.sum())
+    bins = local + (np.cumsum(size) - size)[:, None, None]
+    by_class = bins.transpose(2, 0, 1)
+    slots = 2 * total + C * np.arange(m) + np.arange(C)[:, None]  # p[b, c], (C, m)
+    pad = np.broadcast_to(slots[:, :, None], (C, m, max(width - 2 * J, 1)))
+    index = np.concatenate([by_class, by_class + total, pad], axis=2)
+    return bins, index[:, :, : 2 * J + 1].copy(), index[:, :, :width].ravel(), total
 
 
 def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
@@ -189,62 +204,75 @@ def _em_batch(model, masks, K, X, W, starts, tol, max_iter, paths):
     over K attributes, together and yield the fits in order.
 
     Fit b weights the shared patterns X (N, J) by ``W[b]`` and starts from
-    ``starts[b]``.  A sweep is two GEMMs over the whole batch: the E-step of
-    ``_observed_loglik`` and the M-step wpost (B*C, N) @ [X | 1] (N, J + 1),
-    the positive-response mass per (fit, class, item) with the class mass in
-    its last column, which one ``bincount`` pools per (fit, item, cell).  A
-    fit whose loglik gain drops below ``tol`` is written out and leaves the
-    batch, so its iterations, path and estimate are those it gets alone:
-    OpenBLAS rounds a row of a product alike in any batch when the product
-    is a multiple of 8 columns wide (``_fit_all`` pads the patterns, the
-    M-step pads [X | 1]) and sums at most 256 terms.  Without ``paths`` no
-    loglik path is kept.  The attribute-flip canonicalization and the order
-    checks run once over the whole batch.
+    ``starts[b]``.  The batch is held class-outer, the log table as
+    (C, B, 2J + 1) and the joints as (C, B, N).  A sweep is two GEMMs: the
+    E-step of ``_observed_loglik`` and the M-step wpost (C*B, N) @
+    [X | J copies of 1 | pad], the positive-response mass per (class, fit,
+    item) and the class mass once per item.  One ``bincount`` pools that
+    product as laid out into each fit's (item, cell) bins, numbered densely
+    within the fit once per batch; clamped theta, 1 - theta and the new p
+    fill its output, and one ``log`` and one ``take`` make the next log
+    table.  A fit whose loglik gain drops below ``tol`` is written out and
+    leaves the batch, so its iterations, path and estimate are those it gets
+    alone: OpenBLAS rounds a row and a column of a product of two or more
+    rows alike in any batch when the product is a multiple of 8 columns wide
+    (``_fit_all`` pads the patterns, the M-step its operand) and each sum
+    has at most 256 terms (the M-step sums 256 patterns at a time).  p is
+    normalised over a contiguous (m, C) array: numpy adds a strided class
+    sum in another order.  Without ``paths`` no loglik path is kept.  The
+    attribute-flip canonicalization and the order checks run once per batch.
     """
     (B, J), C, N = masks.shape, 1 << K, len(X)
-    theta, p = np.stack([t.T for t, _ in starts]), np.stack([a for _, a in starts])
     labels = _cells(masks, K) if model == "gdina" else _gate(masks, K, model)
-    # the M-step pools theta[j, a] over the classes sharing its (item, label) bin
-    cells = np.ascontiguousarray(labels.transpose(0, 2, 1)) + C * np.arange(J)
-    gather, flat = _bins(cells)
-    take = np.append(np.arange(J), np.full(J, J))
+    # theta[j, a] pools over the classes sharing its (item, label) bin
+    keys = labels + C * (np.arange(J)[:, None] + J * np.arange(B)[:, None, None])
+    uniq, local = np.unique(keys, return_inverse=True)
+    size = np.bincount(uniq // (C * J), minlength=B)
+    local = local.reshape(B, J, C) - (np.cumsum(size) - size)[:, None, None]
     XX = np.hstack([X, 1.0 - X, np.ones((N, 1))])
-    XI = np.hstack([X, np.ones((N, 1)), np.zeros((N, -(J + 1) % 8))])
-    work = np.empty((B, C, N))
-    out_theta, out_p = theta.copy(), p.copy()
-    iterations, converged = np.full(B, max_iter), np.zeros(B, dtype=bool)
-    active, w, n, prev = np.arange(B), W, W.sum(axis=1), np.full(B, -np.inf)
+    XI = np.hstack([X, np.ones((N, J)), np.zeros((N, -2 * J % 8))])
+    bins, index, flat, total = _bins(local, size, XI.shape[1])
+    table = _log_table(np.stack([t for t, _ in starts]), np.stack([a for _, a in starts]))
+    work = np.empty(C * B * N)
+    out_theta, out_p = np.empty((B, J, C)), np.empty((B, C))
+    iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
+    active, w, n, prev = np.arange(B), W, np.add.reduce(W, axis=1), np.full(B, -np.inf)
     trail = [(active[:0], prev[:0])]  # (fits, logliks) of every sweep
     for it in range(1, max_iter + 1):
-        loglik, wpost = _observed_loglik(theta, p, XX, w, work)
+        loglik, wpost = _observed_loglik(table, XX, w, work)
         mass = wpost[:, :256] @ XI[:256]
         for lo in range(256, N, 256):
             mass += wpost[:, lo:lo + 256] @ XI[lo:lo + 256]
-        pos, tot = np.bincount(flat, mass[:, take].ravel(), flat.size).reshape(2, -1)
-        # posteriors are positive (see _observed_loglik): only unread bins have tot = 0
-        val = pos / np.maximum(tot, 1e-300)
-        theta = np.minimum(np.maximum(val, _CLAMP), 1 - _CLAMP)[gather]
-        p = np.maximum(mass[:, J].reshape(p.shape) / n[:, None], _CLAMP / C)
-        p /= p.sum(axis=1, keepdims=True)
+        pooled = np.bincount(flat, mass.ravel(), 2 * total + C * len(active))
+        theta, p = pooled[:total], pooled[2 * total:].reshape(-1, C)
+        # posteriors are at least exp(-603) (see _observed_loglik): every class mass is positive
+        np.divide(theta, pooled[total : 2 * total], out=theta)
+        np.minimum(np.maximum(theta, _CLAMP, out=theta), 1 - _CLAMP, out=theta)
+        np.subtract(1.0, theta, out=pooled[total : 2 * total])
+        np.divide(mass[:, J].reshape(C, -1).T, n[:, None], out=p)
+        np.maximum(p, _CLAMP / C, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        table = np.log(pooled).take(index)
 
         if paths:
             trail.append((active, loglik))
         done = np.abs(loglik - prev) < tol  # prev starts at -inf: never done at sweep 1
         prev = loglik
-        if done.any():
-            out_theta[active[done]], out_p[active[done]] = theta[done], p[done]
-            iterations[active[done]], converged[active[done]] = it, True
-            active, theta, p, prev, w, n = (a[~done] for a in (active, theta, p, prev, w, n))
-            if not len(active):
+        stop = done if it < max_iter else np.ones_like(done)
+        if stop.any():
+            out_theta[active[stop]], out_p[active[stop]] = theta[bins[stop]], p[stop]
+            iterations[active[stop]], converged[active[stop]] = it, done[stop]
+            if stop.all():
                 break
-            gather, flat = _bins(cells[active])
-    out_theta[active], out_p[active] = theta, p
+            keep = ~stop
+            active, table, prev, w, n = active[keep], table[:, keep], prev[keep], w[keep], n[keep]
+            bins, index, flat, total = _bins(local[active], size[active], XI.shape[1])
 
-    theta, p = out_theta.transpose(0, 2, 1), out_p  # theta as (B, J, C) views
+    theta, p = out_theta, out_p
     if model != "gdina":
         _flip_unit_attributes(theta, p, masks)
     mono_ok, stringent_ok = (v <= 0 for v in _order_violations(theta, masks))
-    final, _ = _observed_loglik(out_theta, p, XX, W, work)
+    final, _ = _observed_loglik(_log_table(theta, p), XX, W, work)
     if paths:
         order = np.argsort(np.concatenate([a for a, _ in trail]), kind="stable")
         sweeps = np.split(np.concatenate([v for _, v in trail])[order], np.cumsum(iterations)[:-1])

@@ -253,7 +253,7 @@ def simulate(model: str, q: QMatrix, params, p, n: int, seed=None) -> Dataset:
     alphas = rng.choice(len(pvec), size=n, p=pvec)
     masks = np.zeros(n, dtype=np.int64)
     for j in range(q.n_items):
-        hits = rng.random(n) < theta[j, alphas]
+        hits = rng.random(n) < theta[j].take(alphas)
         masks |= hits.astype(np.int64) << j
     return Dataset(q.n_items, *np.unique(masks, return_counts=True))
 

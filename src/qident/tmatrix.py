@@ -100,6 +100,8 @@ def _max_abs_difference(theta_a, p_a, theta_b, p_b) -> float:
 
 def build_t(theta: np.ndarray) -> np.ndarray:
     """Dense 2^J x 2^K T-matrix from a response-probability table."""
+    if theta.ndim != 2:
+        raise WrongShape(f"theta must be a J x 2^K table, got shape {theta.shape}")
     if theta.shape[0] > _MAX_T_J:
         raise TooLarge(f"dense T-matrix guarded to J <= {_MAX_T_J}")
     return _product_table(np.empty((1 << len(theta), theta.shape[1])), theta, np.ones_like(theta))

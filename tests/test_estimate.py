@@ -20,6 +20,7 @@ from qident.estimate import (
     _BATCH_CELLS,
     _fit_all,
     _flip_unit_attributes,
+    _log_table,
     _observed_loglik,
     _start,
     align_to_truth,
@@ -30,6 +31,7 @@ from qident.estimate import (
 )
 from qident.rlcm import Dataset, full_distribution, response_distribution, theta_table
 
+from tests import em_reference
 from tests.conftest import (
     as_qmatrices,
     dina_information,
@@ -287,6 +289,101 @@ class TestBatchEngine:
             assert fit.loglik == pytest.approx(exact, rel=1e-10)
 
 
+class TestClassMajorOracle:
+    """Every fit of the class-outer sweep is byte-equal to the fit of the
+    class-major sweep it replaced (``tests/em_reference.py``): loglik,
+    iterations, converged, theta, p, s, g, the loglik path and both order
+    flags.  The sweep keeps the bits by three rules, and breaking any one of
+    them fails these tests: a product is a multiple of 8 columns wide and
+    its sums have at most 256 terms, p is normalised over a contiguous
+    (m, C) array, and the loglik is one dot per fit."""
+
+    @staticmethod
+    def _check(monkeypatch, model, masks, K, datasets, starts, tol, max_iter):
+        def run():
+            return list(_fit_all(model, masks, K, datasets, starts, tol, max_iter, paths=True))
+
+        fits = run()
+        monkeypatch.setattr(estimate, "_em_batch", em_reference.em_batch)
+        want = run()
+        assert len(fits) == len(want) == len(masks)
+        assert all(_same_fit(a, b) for a, b in zip(fits, want))
+        return fits
+
+    @staticmethod
+    def _starts(model, masks, K, data, seeds):
+        return [_start(model, mask, K, data, np.random.default_rng(s))
+                for mask, s in zip(masks, seeds)]
+
+    @pytest.mark.parametrize("model", ["dina", "dino", "gdina"])
+    def test_canonical_5x2_census(self, rng, monkeypatch, model):
+        # all 121 canonical 5 x 2 designs, fits leaving the batch at many sweeps
+        masks = enumerate_canonical(5, 2)
+        _, _, data = _simulated(rng, Q5X2_SINGLE_IDENTITY, n=3000, seed=40)
+        starts = self._starts(model, masks, 2, data, range(len(masks)))
+        fits = self._check(monkeypatch, model, masks, 2, [data] * len(masks), starts, 1e-3, 120)
+        assert {f.converged for f in fits} == {True, False}
+        assert len({f.iterations for f in fits}) > 10
+
+    def test_k3_gdina(self, rng, monkeypatch):
+        # eight classes per fit, where p's contiguous class sum adds in pairs
+        masks = _masks([random_q(rng, 6, 3, ensure_nonzero_rows=True) for _ in range(12)])
+        _, _, data = _simulated(rng, QMatrix((masks[0][:, None] >> np.arange(3)) & 1),
+                                n=4000, seed=41)
+        starts = self._starts("gdina", masks, 3, data, range(100, 112))
+        self._check(monkeypatch, "gdina", masks, 3, [data] * 12, starts, 1e-6, 80)
+
+    def test_batch_split_into_chunks(self, rng, monkeypatch):
+        # 300 patterns padded to 304, so the M-step sums run in two pieces,
+        # and more fits than one batch holds
+        q = QMatrix([[1, 0], [0, 1]] * 4 + [[1, 1]])
+        _, _, data = _simulated(rng, q, n=30_000, seed=42)
+        data = Dataset(q.n_items, data.patterns[:300], data.counts[:300])
+        size = _BATCH_CELLS // (304 << 2) + 7
+        masks = np.broadcast_to(q.row_masks, (size, q.n_items))
+        starts = self._starts("dina", masks, 2, data, range(size))
+        self._check(monkeypatch, "dina", masks, 2, [data] * size, starts, 1e-6, 25)
+
+    def test_decay_datasets(self, monkeypatch):
+        # 48 datasets with different pattern sets, drawn as the error-decay
+        # experiment draws them: 4 truths on the paired 4 x 2 design, n in
+        # 1e2..1e4, 4 replications each, fit with its tolerance and cap
+        q, sampler = Q4X2_PAIRED, np.random.default_rng(614)
+        datasets, starts = [], []
+        for idx in range(4):
+            params = DinaParams(sampler.uniform(0.1, 0.3, 4), sampler.uniform(0.1, 0.3, 4))
+            p = sampler.dirichlet(np.full(4, 3.0))
+            for n in (100, 1_000, 10_000):
+                for rep in range(4):
+                    stream = np.random.default_rng((614, idx, n, rep))
+                    datasets.append(simulate("dina", q, params, p, n, seed=stream))
+                    starts.append(_start("dina", q.row_masks, 2, datasets[-1], stream))
+        assert len({d.patterns.tobytes() for d in datasets}) > 1
+        masks = np.broadcast_to(q.row_masks, (48, q.n_items))
+        self._check(monkeypatch, "dina", masks, 2, datasets, starts, 1e-7, 600)
+
+
+def test_gemm_rounds_rows_and_columns_alike():
+    # The rule behind the batch engine's byte-equality, on the BLAS numpy
+    # links: in a product of at least two rows, a multiple of 8 columns wide,
+    # whose sums have at most 256 terms, each row is the same in any slice
+    # of the rows, and the M-step's J columns of ones each equal the one
+    # column of ones of the narrower operand [X | 1 | pad]
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        rows, N, J = int(rng.integers(2, 600)), int(rng.integers(1, 257)), int(rng.integers(1, 64))
+        A = rng.random((rows, N)) * np.exp(rng.normal(0, 5, (rows, N)))
+        X = (rng.random((N, J)) < 0.5).astype(float)
+        many = A @ np.hstack([X, np.ones((N, J)), np.zeros((N, -2 * J % 8))])
+        one = A @ np.hstack([X, np.ones((N, 1)), np.zeros((N, -(J + 1) % 8))])
+        assert (many[:, : J + 1] == one[:, : J + 1]).all()
+        assert (many[:, J : 2 * J] == one[:, J : J + 1]).all()
+        lo = int(rng.integers(0, rows - 1))
+        hi = int(rng.integers(lo + 2, rows + 1))
+        assert (A[lo:hi] @ np.hstack([X, np.ones((N, J)), np.zeros((N, -2 * J % 8))])
+                == many[lo:hi]).all()
+
+
 def test_shift_free_estep_at_the_clamp(rng):
     # J = 62, every theta entry at the clamp, p at its floor: fit 0 holds the
     # floor of K = 2, fit 1 the floor of K = 20 in every class (the least
@@ -301,7 +398,9 @@ def test_shift_free_estep_at_the_clamp(rng):
                    rng.random((6, J)) < 0.5]).astype(float)
     W = rng.integers(1, 1000, size=(2, len(X))).astype(float)
     XX = np.hstack([X, 1.0 - X, np.ones((len(X), 1))])
-    loglik, wpost = _observed_loglik(theta, p, XX, W, np.empty((2, C, len(X))))
+    logs = _log_table(theta.transpose(0, 2, 1), p)
+    assert logs.shape == (C, 2, 2 * J + 1)
+    loglik, wpost = _observed_loglik(logs, XX, W, np.empty(C * 2 * len(X)))
 
     # independent reference: item by item, then a max-shifted log-sum-exp
     log_joint = np.where(X == 1, np.log(theta)[:, :, None], np.log1p(-theta)[:, :, None])
@@ -309,9 +408,9 @@ def test_shift_free_estep_at_the_clamp(rng):
     assert log_joint.min() < -590
     want = (W * np.logaddexp.reduce(log_joint, axis=1)).sum(axis=1)
     np.testing.assert_allclose(loglik, want, rtol=1e-12, atol=0)
-    post = wpost.reshape(2, C, -1) / W[:, None, :]
+    post = wpost.reshape(C, 2, -1) / W
     assert np.isfinite(post).all() and (post > 0).all()
-    np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=1e-12)
 
 
 def _flip_one(theta, p, masks):

@@ -71,6 +71,11 @@ class TestBuild:
         with pytest.raises(TooLarge, match="J <= 12"):
             shift_matrix(np.full(13, 0.1))
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 2)])
+    def test_table_must_be_2d(self, shape):
+        with pytest.raises(WrongShape, match="J x 2\\^K table"):
+            build_t(np.full(shape, 0.5))
+
 
 def _t_by_definition(theta):
     """T[r, a] = prod over items j in r of theta[j, a], one row at a time."""
