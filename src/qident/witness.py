@@ -3,10 +3,14 @@
 Each construction takes a true model on a deficient design and returns an
 alternative model, possibly on a different design, that induces exactly the
 same distribution over all 2^J response patterns.  Every returned pair is
-certified by full enumeration: the maximum absolute probability difference
-must stay below ``CERT_TOL`` and the two models must genuinely differ, also
-after any column relabeling of the alternative's design, or an error is
-raised.  There are no silent near-witnesses.
+certified by enumerating every distinct pattern: the maximum absolute
+probability difference must stay below ``CERT_TOL`` and the two models must
+genuinely differ, also after any column relabeling of the alternative's
+design, or an error is raised.  There are no silent near-witnesses.  Items
+whose response rows are equal in both models are exchangeable, and a
+pattern's probability depends only on how many of them it answers
+positively, so the stacked rows of the 20-item designs leave far fewer
+distinct patterns than 2^20 (1,372 for ``two_item_20x3_pair``).
 
 Available constructions:
 
@@ -60,7 +64,7 @@ from .errors import (
 )
 from .qmatrix import QMatrix, _bit_permutation_table, _column_maps, _two_item_forms, gamma_matrix
 from .rlcm import DinaParams, RlcmModel, monotonicity_ok, theta_table
-from .tmatrix import _max_abs_difference
+from .tmatrix import _max_abs_difference, _unique_columns
 
 __all__ = [
     "CERT_TOL",
@@ -108,7 +112,10 @@ class WitnessPair:
 
 def certify(pair: WitnessPair) -> float:
     """Exact certification over all 2^J response patterns, blockwise over
-    pooled half tables in memory O(2^(J/2) * 2^K) plus one block.
+    pooled half tables in memory O(2^(J/2) * 2^K) plus one block.  Items
+    identical in both models on the classes with mass are exchangeable, so
+    each distinct pattern, a count of positive answers per group of such
+    items, is formed once.
 
     Stores and returns the maximum absolute probability difference.  Raises
     :class:`WrongShape` unless the two models share J and K, and
@@ -513,8 +520,7 @@ def incomplete_gamma_merge(
     if len(p) != n:
         raise WrongShape("proportion length does not match the design")
     # one code per distinct ideal-response column, under q then under q_bar
-    _, code = np.unique(np.hstack([gamma_matrix(q), gamma_matrix(q_bar)]), axis=1,
-                        return_inverse=True)
+    _, code = _unique_columns(np.hstack([gamma_matrix(q), gamma_matrix(q_bar)]))
     col, col_bar = code[:n], code[n:]
     codes, first = np.unique(col_bar, return_index=True)  # each code's first carrier
     rep = np.full(2 * n, -1)

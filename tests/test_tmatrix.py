@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qident import DinaParams, QMatrix, check_conditions_DE
-from qident.catalog import Q5X2_DOUBLE_IDENTITY
+from qident.catalog import Q5X2_DOUBLE_IDENTITY, incomplete_20x3_family, incomplete_20x5_family
 from qident.errors import TooLarge, WrongShape
 from qident.qmatrix import _cells
 from qident.rlcm import pmf, response_distribution, theta_table
 from qident import tmatrix
 from qident.tmatrix import (
     _max_abs_difference,
+    _unique_columns,
     build_t,
     shift_matrix,
     tp_vector,
 )
-from qident.witness import q24_constraint_gap
+from qident.witness import incomplete_gamma_merge, q24_constraint_gap
 
+from tests import tmatrix_reference as reference
 from tests.conftest import random_q
 
 
@@ -153,19 +155,41 @@ def _pooling_draw(rng, model, q):
     return theta_table(model, q, params), params, p
 
 
-@settings(max_examples=40, deadline=None)
+def _with_copies(rng, model, q, params, p, items):
+    """The model on q's rows ``items``: a repeated item's copies share its row
+    and parameters, except that a GDINA copy draws fresh values on the
+    classes without mass, where the difference kernel still groups it."""
+    if model != "gdina":
+        return QMatrix(q.entries[items]), DinaParams(params.s[items], params.g[items])
+    theta = params[items]
+    copy = np.setdiff1d(np.arange(len(items)), np.unique(items, return_index=True)[1])
+    empty = np.flatnonzero(p == 0)
+    theta[np.ix_(copy, empty)] = rng.uniform(0.05, 0.95, (len(copy), len(empty)))
+    return QMatrix(q.entries[items]), theta
+
+
+@settings(max_examples=60, deadline=None)
 @given(J=st.integers(1, 10), K=st.integers(1, 4), model=st.sampled_from(["dina", "dino", "gdina"]),
        same_q=st.booleans(), rows=st.sampled_from([None, 1, 2, 3, 5]),
-       seed=st.integers(0, 2**32 - 1))
-def test_pooled_kernels_match_pmf(J, K, model, same_q, rows, seed):
+       repeats=st.sampled_from(["none", "both", "one"]), seed=st.integers(0, 2**32 - 1))
+def test_pooled_kernels_match_pmf(J, K, model, same_q, rows, repeats, seed):
     # the pooled half tables and the blocked difference against pmf, one
     # response pattern at a time; ``rows`` rows of H per block (None: the
-    # default buffer) makes several blocks and a short last one at small J
+    # default buffer) makes several blocks and a short last one at small J.
+    # ``repeats`` copies random items in both models, where the difference
+    # kernel makes each group of copies one row, or in model a only
     rng = np.random.default_rng(seed)
     q_a = random_q(rng, J, K, ensure_nonzero_rows=True)
     q_b = q_a if same_q else random_q(rng, J, K, ensure_nonzero_rows=True)
     (theta_a, params_a, p_a), (theta_b, params_b, p_b) = (
         _pooling_draw(rng, model, q_a), _pooling_draw(rng, model, q_b))
+    if repeats != "none":
+        items = rng.integers(0, J, J)
+        q_a, params_a = _with_copies(rng, model, q_a, params_a, p_a, items)
+        theta_a = theta_table(model, q_a, params_a)
+    if repeats == "both":
+        q_b, params_b = _with_copies(rng, model, q_b, params_b, p_b, items)
+        theta_b = theta_table(model, q_b, params_b)
     P_a = np.array([pmf(model, q_a, params_a, p_a, r) for r in range(1 << J)])
     P_b = np.array([pmf(model, q_b, params_b, p_b, r) for r in range(1 << J)])
     scale = 1e-15 * max(P_a.max(), P_b.max())
@@ -176,6 +200,56 @@ def test_pooled_kernels_match_pmf(J, K, model, same_q, rows, seed):
     assert np.max(np.abs(response_distribution(theta_a, p_a) - P_a)) <= scale
     survival = build_t(theta_a) @ p_a
     assert np.max(np.abs(tp_vector(theta_a, p_a) - survival)) <= 1e-15 * survival.max()
+
+
+class TestPerItemOracle:
+    """Designs with no repeated item, and the kernels that keep one row per
+    item, give the per-item kernel's results bit for bit."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(31)
+        for J, K in [(1, 1), (2, 3), (5, 2), (8, 3), (11, 1), (13, 4)]:
+            q = random_q(rng, J, K, ensure_nonzero_rows=True)
+            for model in ("dina", "gdina"):
+                (theta_a, _, p_a), (theta_b, _, p_b) = (
+                    _pooling_draw(rng, model, q), _pooling_draw(rng, model, q))
+                yield theta_a, p_a, theta_b, p_b
+        for family in (incomplete_20x3_family, incomplete_20x5_family):
+            q, _, q_bar = family()
+            params = DinaParams(rng.uniform(0.1, 0.3, 20), rng.uniform(0.1, 0.3, 20))
+            p = rng.dirichlet(np.full(1 << q.n_attributes, 3.0))
+            pair = incomplete_gamma_merge(q, q_bar, params, p)
+            yield pair.truth.theta, pair.truth.p, pair.alternative.theta, pair.alternative.p
+
+    def test_difference_and_tables_bit_for_bit(self):
+        for theta_a, p_a, theta_b, p_b in self._pairs():
+            J = len(theta_a)
+            assert _max_abs_difference(theta_a, p_a, theta_b, p_b) == (
+                reference.max_abs_difference(theta_a, p_a, theta_b, p_b))
+            ones = np.ones_like(theta_a)
+            assert tp_vector(theta_a, p_a).tobytes() == (
+                reference.split_product(theta_a, ones, p_a).tobytes())
+            assert response_distribution(theta_a, p_a).tobytes() == (
+                reference.split_product(theta_a, 1.0 - theta_a, p_a).tobytes())
+            if J <= 13:
+                expected = reference.product_table(np.empty((1 << J, theta_a.shape[1])), theta_a, ones)
+                assert build_t(theta_a).tobytes() == expected.tobytes()
+
+
+def test_unique_columns_is_np_unique(rng):
+    # sorted distinct columns and the inverse of np.unique(axis=1), dtype
+    # and NaN (sorted last, equal to nothing) included, on 0 rows or columns
+    for trial in range(400):
+        shape = rng.integers(0, 5), rng.integers(0, 9)
+        values = [np.array([-1, 0, 2]), np.array([0.1, 0.5, 1.0]),
+                  np.array([0.1, np.nan, 1.0])][trial % 3]
+        a = rng.choice(values, shape)
+        cols, inverse = np.unique(a, axis=1, return_inverse=True)
+        got_cols, got_inverse = _unique_columns(a)
+        assert got_cols.dtype == cols.dtype
+        assert_array_equal(got_cols, cols)
+        assert_array_equal(got_inverse, inverse.reshape(-1))
 
 
 class TestShift:

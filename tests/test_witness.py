@@ -92,6 +92,24 @@ class TestCertify:
             certify(pair)
         assert pair.certified_max_diff > 1e-12
 
+    def test_one_copy_of_a_repeated_item_moved_by_1e9_rejected_at_j20(self):
+        # items 3, 6, ..., 18 of the 20 x 3 design are six copies of one row
+        # in both models; moving one entry of the last copy splits it from
+        # the others, and the grouped kernel still sees the move, as the two
+        # full 2^20 distributions do
+        q, _ = two_item_20x3_pair()
+        pair = gdina_two_item_attr(q, equal_effects_theta(q), np.full(8, 1 / 8), count=1, seed=3)[0]
+        theta = pair.alternative.theta.copy()
+        theta[17, 7] += 1e-9
+        moved = WitnessPair(truth=pair.truth, construction="moved",
+                            alternative=RlcmModel(pair.alternative.q, theta, pair.alternative.p))
+        with pytest.raises(NotCertified, match="differ by"):
+            certify(moved)
+        full = np.max(np.abs(response_distribution(pair.truth.theta, pair.truth.p)
+                             - response_distribution(theta, pair.alternative.p)))
+        assert moved.certified_max_diff == pytest.approx(full, rel=0, abs=1e-18)
+        assert full > 1e-12
+
     def test_nan_proportion_not_certified(self, rng):
         # the model refuses a NaN p; behind it, the difference kernel still
         # carries the NaN out, which certify's "not diff < CERT_TOL" refuses
@@ -337,6 +355,17 @@ class TestGdinaOneItemAttr:
         # the alternative design is a genuinely different matrix
         assert not q_equivalent(pair.truth.q, pair.alternative.q)
         assert (pair.alternative.q.entries[0] == 1).all()
+
+
+    def test_degenerate_denominator_is_skipped(self):
+        # item 4 alone requires attribute 1 and answers 1.0 with and without
+        # it, so a draw often clips both values to 1 - 1e-4: the re-solve's
+        # denominator vanishes and the draw is skipped, never divided by.  No
+        # other draw keeps the proportions in [0, 1]
+        theta = equal_effects_theta(Q5X2_LONELY_ATTRIBUTE)
+        theta[3] = 1.0
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(InvalidFreeValues):
+            gdina_one_item_attr(Q5X2_LONELY_ATTRIBUTE, theta, np.full(4, 0.25))
 
 
 class TestGdinaTwoItemAttr:
