@@ -108,9 +108,10 @@ def cmd_enumerate(args) -> int:
     rows = _design_rows(codes, args.attributes)
     if args.classify:
         scenarios = classify_batch(codes, args.attributes, args.model).tolist()
-        rows = [f"{row},{scenario}" for row, scenario in zip(rows, scenarios)]
-    lines = ["index,rows" + (",scenario" if args.classify else "")]
-    lines += [f"{idx},{row}" for idx, row in enumerate(rows)]
+        lines = ["index,rows,scenario"] + [
+            f"{idx},{row},{scenario}" for idx, (row, scenario) in enumerate(zip(rows, scenarios))]
+    else:
+        lines = ["index,rows"] + [f"{idx},{row}" for idx, row in enumerate(rows)]
     _emit(args, "\n".join(lines) + "\n", "designs.csv", f" ({len(codes)} designs)")
     return 0
 

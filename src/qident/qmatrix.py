@@ -21,10 +21,13 @@ recovered from response data:
 once, computing only the flags its model reads: C from column sums, A from
 unit rows and B from column-bit differences for DINA, generic completeness,
 D and E by Hall's condition over attribute subsets for GDINA; then the
-model's decision rules run in order.  ``classify_dina`` and
-``classify_gdina`` run it on a batch of one, with all six flags, and return
-a structured verdict for the conjunctive two-parameter model and the
-saturated general model, respectively.  ``check_generic_completeness`` and
+model's decision rules run in order.  It decides each row multiset once:
+every rule is invariant under row permutation, and at K <= 4 the pooled
+cover search behind E cannot overflow, so no verdict depends on which other
+designs share the batch.  ``classify_dina`` and ``classify_gdina`` run it
+on a batch of one, with all six flags, and return a structured verdict for
+the conjunctive two-parameter model and the saturated general model,
+respectively.  ``check_generic_completeness`` and
 ``check_conditions_DE`` are the per-design certificate checks: they return
 the matching and the D/E partition behind those flags.  Both paths share
 two kernels over row masks: ``_cover_sets``, the one search for the minimal
@@ -44,6 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AllRowsZero, HasZeroRows, TooLarge, WrongShape
+from .tmatrix import _unique_columns
 
 __all__ = [
     "QMatrix",
@@ -650,21 +654,37 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     (N, J) array of row masks with no zero row, under ``"dina"`` or
     ``"gdina"``: the verdicts of ``classify_dina`` / ``classify_gdina``,
     decided for the whole batch at once.  Only the flags the model reads
-    are computed, and both models share one column sum per chunk."""
+    are computed, and both models share one column sum per chunk.
+
+    There is one verdict per row multiset.  The designs are grouped by
+    their sorted row masks, the rules run on the first design of each group
+    in order of first occurrence, in chunks of ``_CHUNK``, and every design
+    gets its group's verdict.  This is exact: every rule is invariant under
+    row permutation, and the one batch-dependent step, the pooled cover
+    search for E, can only overflow past K = 4 (at K <= 4 a pool holds at
+    most 15 masks and the search at most 1,940 sets, far below
+    ``_MAX_COVER_SETS``).  A batch with no repeated multiset is chunked as
+    it is given."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     masks = _check_masks(masks, n_attributes)
     if (masks == 0).any():
         raise HasZeroRows("strip zero rows before classifying")
     _, decide = _MODELS[model]
+    _, multiset = _unique_columns(np.sort(masks, axis=1).T)
+    _, first = np.unique(multiset, return_index=True)
+    order = np.argsort(first)
+    distinct = masks[first[order]]
     out = [np.array([], dtype=object)]
-    for start in range(0, len(masks), _CHUNK):
-        chunk = masks[start:start + _CHUNK]
+    for start in range(0, len(distinct), _CHUNK):
+        chunk = distinct[start:start + _CHUNK]
         sums = _column_sums(chunk, n_attributes)
         rules = decide(chunk, n_attributes, sums, _flags(chunk, n_attributes, sums, model))
         names = np.array([scenario.value for scenario, *_ in rules], dtype=object)
         out.append(names[np.argmax([cond for _, cond, _, _ in rules], axis=0)])
-    return np.concatenate(out)
+    verdicts = np.empty(len(first), dtype=object)
+    verdicts[order] = np.concatenate(out)
+    return verdicts[multiset]
 
 
 def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:

@@ -430,6 +430,15 @@ def _certificate_flags(q: QMatrix) -> dict:
     return {**_abc(q), "generic_complete": check_generic_completeness(q)[0], "D": d, "E": e}
 
 
+def _relabeled(rng, codes: np.ndarray, K: int) -> np.ndarray:
+    """Each design of an (N, J) array of row masks with its attributes and
+    its items in a random order of its own."""
+    tables = np.array([qmatrix._bit_permutation_table(perm, K)
+                       for perm in itertools.permutations(range(K))])
+    pick = rng.integers(0, len(tables), size=len(codes))
+    return rng.permuted(tables[pick[:, None], codes], axis=1)
+
+
 # every shape with J * K <= 15 whose enumeration takes under a second; the
 # single-row shapes J = 1, K >= 8 have one design, the all-ones row
 _ORACLE_SHAPES = [(J, K) for K in range(1, 8) for J in range(1, 16) if J * K <= 15]
@@ -548,6 +557,17 @@ class TestBatchedClassifier:
         for i, verdict in enumerate(verdicts):
             assert verdict in (undetermined, classify_batch(codes[i:i + 1], 8, "gdina")[0])
         assert (verdicts == Scenario.GENERIC_DE.value).sum() >= 246
+        assert (verdicts == undetermined).sum() <= 3
+
+    def test_relabeled_copies_read_as_alone(self, rng):
+        # one verdict per row multiset: in a shuffled batch of every canonical
+        # 5 x 3 design and a relabeled copy of each, every design reads as it
+        # does in a batch of its own
+        codes = enumerate_canonical(5, 3)
+        batch = np.vstack([codes, _relabeled(rng, codes, 3)])[rng.permutation(2 * len(codes))]
+        for model in ("dina", "gdina"):
+            assert classify_batch(batch, 3, model).tolist() == [
+                classify_batch(batch[i:i + 1], 3, model)[0] for i in range(len(batch))]
 
 
 class TestEnumeration:
@@ -747,6 +767,25 @@ class TestPermutationInvariance:
             assert (d1, e1 and d1) == (d2, e2 and d2)
             assert classify_dina(q).scenario == classify_dina(q2).scenario
             assert classify_gdina(q).scenario == classify_gdina(q2).scenario
+
+    @pytest.mark.parametrize("J, K", [(9, 3), (12, 4)])
+    def test_batched_kernels_invariant(self, rng, J, K):
+        # J = 3K, where three copies per attribute decide E for most D
+        # designs.  The designs and their relabeled copies go in batches of
+        # their own, so that grouping by row multiset cannot hide a kernel
+        # that reads the order of rows or attributes.  Half the designs draw
+        # rows of weight <= 2, which the DINA two-item rules need.
+        light = np.array([m for m in range(1, 1 << K) if bin(m).count("1") <= 2])
+        codes = np.vstack([light[rng.integers(0, len(light), size=(200, J))],
+                           rng.integers(1, 1 << K, size=(200, J))])
+        copies = _relabeled(rng, codes, K)
+        for model in ("dina", "gdina"):
+            flags, relabeled = (qmatrix._flags(c, K, qmatrix._column_sums(c, K), model)
+                                for c in (codes, copies))
+            assert all(np.array_equal(flags[key], relabeled[key]) for key in flags)
+            verdicts = classify_batch(codes, K, model).tolist()
+            assert classify_batch(copies, K, model).tolist() == verdicts
+            assert len(set(verdicts)) >= 3
 
 
 class TestGammaMatrix:

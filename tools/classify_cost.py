@@ -13,7 +13,9 @@ drawn uniformly from the 36 masks of weight 1 or 2 with
 ``np.random.default_rng(20261019)``, the batch whose pooled cover search
 for condition E overflows its budget.  Each time is the median over
 ``--reps`` calls, after one warm-up call; the undet columns count the
-Undetermined verdicts.
+Undetermined verdicts.  The multisets column counts the distinct row
+multisets among the designs: ``classify_batch`` runs its rules once per
+multiset (211 at 5 x 3, 36 at 8 x 2, 483 at 6 x 3 and 994 at 7 x 3).
 
 With ``--src`` both trees load into this one process through
 ``em_sweep_cost``'s loader, and their calls interleave rep by rep (the tree
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
         print(f"{label}: qident from {Path(qmatrix.__file__).parent}")
     labels = ("checkout", "other")[: len(trees)]
     head = " ".join(f"{label + '_s':>11} {'undet':>6}" for label in labels)
-    print(f"{'shape':>6} {'designs':>8} {'model':>6} {head}"
+    print(f"{'shape':>6} {'designs':>8} {'multisets':>9} {'model':>6} {head}"
           + (f" {'ratio':>6} {'equal':>5}" if len(trees) == 2 else ""))
     rows = []
     for J, K in SHAPES:
@@ -83,7 +85,8 @@ def main(argv=None) -> int:
                 times[i].append(_timed(trees[i], codes, K, model)[0])
         secs = [statistics.median(t) for t in times]
         undet = ["-" if model == "text" else int((v == "Undetermined").sum()) for v in verdicts]
-        line = f"{shape:>6} {len(codes):>8} {model:>6} " + " ".join(
+        multisets = len(np.unique(np.sort(codes, axis=1), axis=0))
+        line = f"{shape:>6} {len(codes):>8} {multisets:>9} {model:>6} " + " ".join(
             f"{s:>11.4f} {u:>6}" for s, u in zip(secs, undet))
         if len(trees) == 2:
             line += f" {secs[1] / secs[0]:>6.3f} {str(list(verdicts[0]) == list(verdicts[1])):>5}"
