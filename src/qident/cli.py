@@ -37,8 +37,9 @@ from .io import (
     load_responses_csv,
 )
 from .qmatrix import (
-    _design_rows,
-    classify_batch,
+    Scenario,
+    _design_bytes,
+    _verdict_codes,
     classify_dina,
     classify_gdina,
     enumerate_canonical,
@@ -103,16 +104,52 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    codes = enumerate_canonical(args.items, args.attributes)
-    rows = _design_rows(codes, args.attributes)
-    if args.classify:
-        scenarios = classify_batch(codes, args.attributes, args.model).tolist()
-        lines = ["index,rows,scenario"] + [
-            f"{idx},{row},{scenario}" for idx, (row, scenario) in enumerate(zip(rows, scenarios))]
+# each scenario value's bytes, NUL-padded to the longest, one row per verdict code
+_VERDICT_BYTES = np.array([s.value.encode() for s in Scenario]).view(np.uint8).reshape(
+    len(Scenario), -1)
+
+
+def _index_bytes(n: int) -> np.ndarray:
+    """0..n-1 in decimal, each right-aligned in a NUL-padded field and
+    followed by ',': an (n, width + 1) uint8 table.  Column i cycles through
+    the digits, each repeated 10^(width - 1 - i) times."""
+    width = len(str(max(n - 1, 0)))
+    out = np.full((n, width + 1), ord(","), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for i in range(width):
+        place = 10 ** (width - 1 - i)
+        out[:, i] = np.resize(np.repeat(digits, place), n)
+        if i < width - 1:
+            out[:place, i] = 0  # a leading zero
+    return out
+
+
+def _designs_csv(codes: np.ndarray, n_attributes: int, verdicts=None) -> str:
+    """The text of ``designs.csv`` for an (N, J) array of row masks, with a
+    scenario column when given each design's verdict code (see
+    ``qmatrix._verdict_codes``).  The N lines are one uint8 table: the
+    index field of ``_index_bytes``, the rows of ``qmatrix._design_bytes``
+    and the verdict's bytes, NUL-padded to the longest scenario value and
+    gathered by verdict code.  One boolean compress drops the NULs and one
+    decode makes the text."""
+    n = len(codes)
+    if verdicts is None:
+        head, fields = "index,rows\n", [_design_bytes(codes, n_attributes, "\n")]
     else:
-        lines = ["index,rows"] + [f"{idx},{row}" for idx, row in enumerate(rows)]
-    _emit(args, "\n".join(lines) + "\n", "designs.csv", f" ({len(codes)} designs)")
+        head, fields = "index,rows,scenario\n", [
+            _design_bytes(codes, n_attributes, ","), _VERDICT_BYTES[verdicts],
+            np.full((n, 1), ord("\n"), dtype=np.uint8)]
+    table = np.concatenate([_index_bytes(n)] + fields, axis=1)
+    return head + table[table != 0].tobytes().decode()
+
+
+def cmd_enumerate(args) -> int:
+    """Write the canonical designs of a shape, classified under ``--model``
+    with ``--classify``, as ``designs.csv`` (see ``_designs_csv``)."""
+    codes = enumerate_canonical(args.items, args.attributes)
+    verdicts = _verdict_codes(codes, args.attributes, args.model) if args.classify else None
+    _emit(args, _designs_csv(codes, args.attributes, verdicts), "designs.csv",
+          f" ({len(codes)} designs)")
     return 0
 
 

@@ -24,15 +24,18 @@ D and E by Hall's condition over attribute subsets for GDINA; then the
 model's decision rules run in order.  It decides each row multiset once:
 every rule is invariant under row permutation, and at K <= 4 the pooled
 cover search behind E cannot overflow, so no verdict depends on which other
-designs share the batch.  ``classify_dina`` and ``classify_gdina`` run it
-on a batch of one, with all six flags, and return a structured verdict for
-the conjunctive two-parameter model and the saturated general model,
-respectively.  ``check_generic_completeness`` and
-``check_conditions_DE`` are the per-design certificate checks: they return
-the matching and the D/E partition behind those flags.  Both paths share
-two kernels over row masks: ``_cover_sets``, the one search for the minimal
-covers behind E, and ``_match_attributes``, the one bipartite matcher
-behind generic completeness, D and E.
+designs share the batch.  The multisets are found in one stable sort of
+each design's sorted row masks, packed floor(63 / K) to an int64 key, and
+each is decided on its first design, the first of its run in that sort.
+``classify_dina`` and ``classify_gdina`` run it on a batch of one, with
+all six flags, and return a structured verdict for the conjunctive
+two-parameter model and the saturated general model, respectively.
+``check_generic_completeness`` and ``check_conditions_DE`` are the
+per-design certificate checks: they return the matching and the D/E
+partition behind those flags.  Both paths share two kernels over row
+masks: ``_cover_sets``, the one search for the minimal covers behind E,
+and ``_match_attributes``, the one bipartite matcher behind generic
+completeness, D and E.
 
 Conventions: attribute patterns and item rows are encoded little-endian as
 bit masks (bit k = attribute k+1), and all checks are invariant under row and
@@ -380,15 +383,21 @@ def _check_masks(masks, K: int) -> np.ndarray:
     return masks
 
 
-def _design_rows(masks: np.ndarray, n_attributes: int) -> list[str]:
+def _design_bytes(masks: np.ndarray, n_attributes: int, end: str) -> np.ndarray:
     """Each design of an (N, J) array of row masks as its rows, '0'/'1'
-    strings with attribute 1 first, joined by ';', written into one buffer
-    of N * J * (K + 1) bytes: no table over all 2^K row masks is built."""
+    with attribute 1 first, joined by ';' and followed by the one character
+    ``end``: an (N, J * (K + 1)) uint8 table, one line of bytes per design.
+    No table over all 2^K row masks is built."""
     text = np.full(masks.shape + (n_attributes + 1,), ord(";"), dtype=np.uint8)
     for k in range(n_attributes):
         text[..., k] = ord("0") + ((masks >> k) & 1)
-    text[:, -1, -1] = ord("\n")  # one line per design
-    return text.tobytes().decode().splitlines()
+    text[:, -1, -1] = ord(end)
+    return text.reshape(len(masks), masks.shape[1] * (n_attributes + 1))
+
+
+def _design_rows(masks: np.ndarray, n_attributes: int) -> list[str]:
+    """Each design's rows as one string, the lines of ``_design_bytes``."""
+    return _design_bytes(masks, n_attributes, "\n").tobytes().decode().splitlines()
 
 
 def _bits(masks: np.ndarray, K: int) -> np.ndarray:
@@ -647,6 +656,51 @@ def _gdina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
 
 _MODELS = {"dina": ("DINA", _dina_rules), "gdina": ("GDINA", _gdina_rules)}
 _CHUNK = 1 << 10  # designs per kernel call: bounds the temporaries and peak RSS
+_CODES = {scenario: code for code, scenario in enumerate(Scenario)}
+_VALUES = np.array([scenario.value for scenario in Scenario], dtype=object)
+
+
+def _multisets(masks: np.ndarray, n_attributes: int):
+    """The distinct row multisets of an (N, J) array of row masks, as
+    ``(first, inverse)``: the index of each multiset's first design, in
+    order of first occurrence, and each design's index among them.
+
+    Each design's sorted masks are packed into int64 keys, P = floor(63 /
+    K) to a key and mask t of a key in bits K t to K t + K - 1.  This is
+    exact, as every mask is below 2^K, and a design becomes
+    ceil(J / P) keys rather than J masks: one key at 5 x 3, 8 x 2 and 12 x
+    4, one mask per key at K >= 32.  ``_unique_columns`` groups the keys
+    and gives each group's first occurrence, the first design of its run in
+    the stable sort."""
+    J = masks.shape[1]
+    per = 63 // n_attributes
+    keys = np.zeros((-(-J // per), len(masks)), dtype=np.int64)
+    for t, column in enumerate(np.sort(masks, axis=1).T):
+        keys[t // per] |= column << n_attributes * (t % per)
+    _, first, group = _unique_columns(keys)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group]
+
+
+def _verdict_codes(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarray:
+    """``classify_batch`` as codes: each design's verdict as its index in
+    ``Scenario``'s order of definition."""
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    masks = _check_masks(masks, n_attributes)
+    if (masks == 0).any():
+        raise HasZeroRows("strip zero rows before classifying")
+    _, decide = _MODELS[model]
+    first, multiset = _multisets(masks, n_attributes)
+    distinct = masks[first]
+    codes = np.empty(len(first), dtype=np.intp)
+    for start in range(0, len(distinct), _CHUNK):
+        chunk = distinct[start:start + _CHUNK]
+        sums = _column_sums(chunk, n_attributes)
+        rules = decide(chunk, n_attributes, sums, _flags(chunk, n_attributes, sums, model))
+        named = np.array([_CODES[scenario] for scenario, *_ in rules])
+        codes[start:start + _CHUNK] = named[np.argmax([cond for _, cond, _, _ in rules], axis=0)]
+    return codes[multiset]
 
 
 def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarray:
@@ -657,34 +711,16 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
     are computed, and both models share one column sum per chunk.
 
     There is one verdict per row multiset.  The designs are grouped by
-    their sorted row masks, the rules run on the first design of each group
-    in order of first occurrence, in chunks of ``_CHUNK``, and every design
-    gets its group's verdict.  This is exact: every rule is invariant under
-    row permutation, and the one batch-dependent step, the pooled cover
-    search for E, can only overflow past K = 4 (at K <= 4 a pool holds at
-    most 15 masks and the search at most 1,940 sets, far below
-    ``_MAX_COVER_SETS``).  A batch with no repeated multiset is chunked as
-    it is given."""
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    masks = _check_masks(masks, n_attributes)
-    if (masks == 0).any():
-        raise HasZeroRows("strip zero rows before classifying")
-    _, decide = _MODELS[model]
-    _, multiset = _unique_columns(np.sort(masks, axis=1).T)
-    _, first = np.unique(multiset, return_index=True)
-    order = np.argsort(first)
-    distinct = masks[first[order]]
-    out = [np.array([], dtype=object)]
-    for start in range(0, len(distinct), _CHUNK):
-        chunk = distinct[start:start + _CHUNK]
-        sums = _column_sums(chunk, n_attributes)
-        rules = decide(chunk, n_attributes, sums, _flags(chunk, n_attributes, sums, model))
-        names = np.array([scenario.value for scenario, *_ in rules], dtype=object)
-        out.append(names[np.argmax([cond for _, cond, _, _ in rules], axis=0)])
-    verdicts = np.empty(len(first), dtype=object)
-    verdicts[order] = np.concatenate(out)
-    return verdicts[multiset]
+    their sorted row masks, packed into int64 keys (``_multisets``); the
+    rules run on the first design of each group, found in the stable sort
+    that groups the keys, in order of first occurrence, in chunks of
+    ``_CHUNK``, and every design gets its group's verdict.  This is exact:
+    every rule is invariant under row permutation, and the one
+    batch-dependent step, the pooled cover search for E, can only overflow
+    past K = 4 (at K <= 4 a pool holds at most 15 masks and the search at
+    most 1,940 sets, far below ``_MAX_COVER_SETS``).  A batch with no
+    repeated multiset is chunked as it is given."""
+    return _VALUES[_verdict_codes(masks, n_attributes, model)]
 
 
 def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:

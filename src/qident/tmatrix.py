@@ -44,17 +44,19 @@ _BLOCK = 1 << 17  # entries (1 MB of float64) of the blocked difference's buffer
 
 
 def _unique_columns(a: np.ndarray):
-    """``np.unique(a, axis=1, return_inverse=True)`` for a 2-d array, by one
-    lexsort (row 0 the first key) and a compare of adjacent columns: the
-    distinct columns in lexicographic order, and each column's index among
-    them.  NaN sorts last and equals nothing, as in ``np.unique``."""
+    """``np.unique(a, axis=1, return_index=True, return_inverse=True)`` for a
+    2-d array, by one stable lexsort (row 0 the first key) and a compare of
+    adjacent columns: the distinct columns in lexicographic order, the index
+    of each one's first occurrence in ``a`` (the first column of its run in
+    the stable order), and each column's index among them.  NaN sorts last
+    and equals nothing, as in ``np.unique``."""
     order = np.lexsort(a[::-1]) if len(a) else np.arange(a.shape[1])
     ordered = a[:, order]
     new = np.ones(a.shape[1], bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
     inverse = np.empty(a.shape[1], np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[:, new], inverse
+    return ordered[:, new], order[new], inverse
 
 
 def _product_table(out: np.ndarray, hi, lo, copies, weight=1.0) -> np.ndarray:
@@ -91,7 +93,7 @@ def _half_tables(hi: np.ndarray, lo: np.ndarray, weight: np.ndarray, copies):
     # the low half: the most leading rows whose pattern count is at most the
     # square root of the whole (h = J // 2 with one copy per row)
     h, keep = np.count_nonzero(count * count <= np.prod(radix)), weight != 0
-    cols, pool = _unique_columns(np.vstack([hi[h:, keep], lo[h:, keep]]))
+    cols, _, pool = _unique_columns(np.vstack([hi[h:, keep], lo[h:, keep]]))
     low = _product_table(np.empty((np.prod(radix[:h]), keep.sum())),
                          hi[:h, keep], lo[:h, keep], copies[:h], weight[keep])
     high = _product_table(np.empty((np.prod(radix[h:]), cols.shape[1])),
@@ -129,11 +131,10 @@ def _max_abs_difference(theta_a, p_a, theta_b, p_b) -> float:
     max |x| is max(max x, -min x), and NaN propagates to the result."""
     hi = np.stack([theta_a, theta_b], axis=-1).reshape(len(theta_a), -1)
     weight = np.stack([p_a, -p_b], axis=-1).reshape(-1)
-    _, group = _unique_columns(hi[:, weight != 0].T)
-    _, first, copies = np.unique(group, return_index=True, return_counts=True)
+    _, first, group = _unique_columns(hi[:, weight != 0].T)
     order = np.argsort(first)
     hi = hi[first[order]]
-    high, low = _half_tables(hi, 1.0 - hi, weight, copies[order])
+    high, low = _half_tables(hi, 1.0 - hi, weight, np.bincount(group)[order])
     rows = max(1, _BLOCK // low.shape[1])
     buf, worst = np.empty((rows, low.shape[1])), 0.0
     for start in range(0, len(high), rows):

@@ -520,7 +520,7 @@ def incomplete_gamma_merge(
     if len(p) != n:
         raise WrongShape("proportion length does not match the design")
     # one code per distinct ideal-response column, under q then under q_bar
-    _, code = _unique_columns(np.hstack([gamma_matrix(q), gamma_matrix(q_bar)]))
+    _, _, code = _unique_columns(np.hstack([gamma_matrix(q), gamma_matrix(q_bar)]))
     col, col_bar = code[:n], code[n:]
     codes, first = np.unique(col_bar, return_index=True)  # each code's first carrier
     rep = np.full(2 * n, -1)

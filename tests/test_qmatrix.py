@@ -559,6 +559,39 @@ class TestBatchedClassifier:
         assert (verdicts == Scenario.GENERIC_DE.value).sum() >= 246
         assert (verdicts == undetermined).sum() <= 3
 
+    def test_chunks_follow_first_occurrence(self):
+        # 1,100 designs with no repeated multiset, more than one _CHUNK, are
+        # chunked as they are given: the verdicts are those of consecutive
+        # _CHUNK-sized slices.  The pooled cover search reads its chunk, so
+        # representatives in another order (lexicographic by sorted rows)
+        # change a verdict here.
+        pool = np.array([m for m in range(1, 256) if bin(m).count("1") <= 2])
+        codes = pool[np.random.default_rng(20261019).integers(0, 36, size=(1_100, 30))]
+        assert len(np.unique(np.sort(codes, axis=1), axis=0)) == len(codes) > qmatrix._CHUNK
+        slices = range(0, len(codes), qmatrix._CHUNK)
+        assert classify_batch(codes, 8, "gdina").tolist() == [
+            v for s in slices for v in classify_batch(codes[s:s + qmatrix._CHUNK], 8, "gdina")]
+
+    @pytest.mark.parametrize("J, K, shared, last", [
+        (12, 6, [1, 2, 3, 4, 5, 6, 8, 9, 16, 32, 48], (63, 49)),
+        (3, 40, [1, (1 << 40) - 2], ((1 << 40) - 1, (1 << 40) - 2)),
+    ], ids=["12x6", "3x40"])
+    def test_multisets_span_several_keys(self, rng, J, K, shared, last):
+        # floor(63 / K) sorted masks share an int64 key: two keys of 10 and
+        # 2 masks at 12 x 6, one mask per key at 3 x 40.  The pair shares
+        # every sorted mask but the last, so its two designs agree on the
+        # first key and differ in the last, and some model reads them
+        # differently.  In a shuffled batch with random designs and a
+        # row-permuted copy of each, every design reads as it does alone.
+        pair = np.array([shared + [last[0]], shared + [last[1]]])
+        codes = np.vstack([pair, rng.integers(1, 1 << K, size=(100, J))])
+        batch = np.vstack([codes, rng.permuted(codes, axis=1)])[rng.permutation(2 * len(codes))]
+        models = ("dina", "gdina")
+        assert any(len(set(classify_batch(pair, K, model))) == 2 for model in models)
+        for model in models:
+            assert classify_batch(batch, K, model).tolist() == [
+                classify_batch(batch[i:i + 1], K, model)[0] for i in range(len(batch))]
+
     def test_relabeled_copies_read_as_alone(self, rng):
         # one verdict per row multiset: in a shuffled batch of every canonical
         # 5 x 3 design and a relabeled copy of each, every design reads as it
@@ -579,6 +612,7 @@ class TestEnumeration:
         codes = enumerate_canonical(4, 2)
         assert qmatrix._design_rows(codes, 2) == [
             ";".join(m.row_strings()) for m in as_qmatrices(codes, 2)]
+        assert qmatrix._design_rows(codes[:0], 2) == []
 
     def test_census_5x2(self):
         mats = as_qmatrices(enumerate_canonical(5, 2), 2)
@@ -668,6 +702,20 @@ class TestEnumeration:
         assert main(["enumerate", str(J), str(K)]) == 0
         assert capsys.readouterr().out.splitlines() == ["index,rows"] + [
             f"{n},{';'.join(q.row_strings())}" for n, q in enumerate(as_qmatrices(codes, K))]
+
+    @pytest.mark.parametrize("model", ["dina", "gdina"])
+    @pytest.mark.parametrize("J,K", [(1, 1), (5, 2), (5, 3), (6, 3)])
+    def test_classified_contract(self, J, K, model, capsys):
+        # indices of 1 to 5 digits, each design's rows and its verdict from
+        # classify_batch; no NUL from the padded fields, one final newline
+        codes = enumerate_canonical(J, K)
+        assert main(["enumerate", str(J), str(K), "--classify", "--model", model]) == 0
+        out = capsys.readouterr().out
+        assert "\0" not in out and out.endswith("\n") and not out.endswith("\n\n")
+        rows = [";".join(q.row_strings()) for q in as_qmatrices(codes, K)]
+        verdicts = classify_batch(codes, K, model)
+        assert out.split("\n")[:-1] == ["index,rows,scenario"] + [
+            f"{n},{row},{verdict}" for n, (row, verdict) in enumerate(zip(rows, verdicts))]
 
     @staticmethod
     def _burnside(J, K):

@@ -238,17 +238,19 @@ class TestPerItemOracle:
 
 
 def test_unique_columns_is_np_unique(rng):
-    # sorted distinct columns and the inverse of np.unique(axis=1), dtype
-    # and NaN (sorted last, equal to nothing) included, on 0 rows or columns
+    # sorted distinct columns, first occurrences and the inverse of
+    # np.unique(axis=1), dtype and NaN (sorted last, equal to nothing)
+    # included, on 0 rows or columns
     for trial in range(400):
         shape = rng.integers(0, 5), rng.integers(0, 9)
         values = [np.array([-1, 0, 2]), np.array([0.1, 0.5, 1.0]),
                   np.array([0.1, np.nan, 1.0])][trial % 3]
         a = rng.choice(values, shape)
-        cols, inverse = np.unique(a, axis=1, return_inverse=True)
-        got_cols, got_inverse = _unique_columns(a)
+        cols, first, inverse = np.unique(a, axis=1, return_index=True, return_inverse=True)
+        got_cols, got_first, got_inverse = _unique_columns(a)
         assert got_cols.dtype == cols.dtype
         assert_array_equal(got_cols, cols)
+        assert_array_equal(got_first, first)
         assert_array_equal(got_inverse, inverse.reshape(-1))
 
 
