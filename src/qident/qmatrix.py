@@ -351,22 +351,6 @@ def check_conditions_DE(q: QMatrix):
     return True, e_flag, (tuple(blocks[0]), tuple(blocks[1]), rest)
 
 
-def _b1_constraint(attr: int) -> str:
-    return (
-        f"exists patterns a1, a2 with attribute {attr + 1} absent such that "
-        f"p[a1] * p[a2 + e{attr + 1}] != p[a2] * p[a1 + e{attr + 1}]"
-    )
-
-
-def _b2_constraints(K: int) -> list[str]:
-    if K == 2:
-        return ["p(01) * p(10) != p(00) * p(11)"]
-    return [
-        f"for every attribute k: exists patterns a1, a2 with attribute k absent "
-        f"such that p[a1] * p[a2 + ek] != p[a2] * p[a1 + ek]"
-    ]
-
-
 # The batched kernels below take an (N, J) int64 array of row masks, one
 # design per row, all with K attributes, and return one value per design.
 
@@ -374,11 +358,12 @@ def _b2_constraints(K: int) -> list[str]:
 def _check_masks(masks, K: int) -> np.ndarray:
     """``masks`` as an (N, J) int64 array of row masks; raises
     :class:`TooLarge` past K = 63 and :class:`WrongShape` unless it is 2-d
-    and every mask lies in [0, 2^K)."""
+    with J >= 1 and every mask lies in [0, 2^K)."""
     _check_width(K)
     masks = np.asarray(masks, dtype=np.int64)
-    if masks.ndim != 2 or K < 1 or not ((masks >= 0) & (masks < 1 << K)).all():
-        raise WrongShape(f"expected an (N, J) array of row masks in [0, 2^K) with K >= 1, "
+    if (masks.ndim != 2 or masks.shape[1] < 1 or K < 1
+            or not ((masks >= 0) & (masks < 1 << K)).all()):
+        raise WrongShape(f"expected an (N, J) array of row masks in [0, 2^K) with J, K >= 1, "
                          f"got shape {masks.shape} and K = {K}")
     return masks
 
@@ -549,18 +534,14 @@ def _flags(masks: np.ndarray, K: int, sums: np.ndarray, model: str) -> dict:
     return {"C": c, "generic_complete": gc, "D": d, "E": e}
 
 
-def _note(*texts: str):
-    return lambda attr, sums: ([], list(texts))
-
-
-def _listed(hits: np.ndarray) -> list[int]:
-    return [int(k) + 1 for k in np.flatnonzero(hits)]
-
-
-_FREE_GUESS = (
-    "free guessing value restricted to a neighborhood of the truth "
-    "(local identifiability only)"
-)
+# Rule texts used in two rows or too long for one: ``str.format`` templates,
+# as every rule text is (see ``_dina_rules``)
+_B1 = ("exists patterns a1, a2 with attribute {attr} absent such that "
+       "p[a1] * p[a2 + e{attr}] != p[a2] * p[a1 + e{attr}]")
+_B2 = ("for every attribute k: exists patterns a1, a2 with attribute k absent "
+       "such that p[a1] * p[a2 + ek] != p[a2] * p[a1 + ek]")
+_FREE_GUESS = ("free guessing value restricted to a neighborhood of the truth "
+               "(local identifiability only)")
 
 
 def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
@@ -593,13 +574,15 @@ def _two_item_scenarios(masks: np.ndarray, K: int) -> dict:
 
 
 def _dina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
-    """The DINA decision rules in the order they are tried, each as
-    ``(scenario, condition, attribute, render)``: which designs the rule
-    decides, the attribute it names (-1 for none), and render(attribute,
-    column sums) giving the constraints and the notes.  The last rule holds
-    for every design.  ``sums`` are the designs' column sums.  The two-item
-    scenarios are searched only in designs that the rules before them leave
-    open."""
+    """The DINA decision rules in the order they are tried, each one row
+    ``(scenario, condition, attribute, constraints, notes)``: which designs
+    the rule decides, the attribute it names (-1 for none), and the texts of
+    its constraints and notes.  The texts are ``str.format`` templates that
+    ``_classify`` fills: ``{attr}`` is the named attribute, ``{one}`` and
+    ``{few}`` list the attributes required by at most one item and by fewer
+    than three, all counted from 1.  The last rule holds for every design.
+    ``sums`` are the designs' column sums.  The two-item scenarios are
+    searched only in designs that the rules before them leave open."""
     N = len(masks)
     a, b, c = flags["A"], flags["B"], flags["C"]
     found = {s: np.zeros((N, K), dtype=bool) for s in ("a", "b2", "b1", "c")}
@@ -610,26 +593,26 @@ def _dina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
     hit = {s: (f.any(axis=1), f.argmax(axis=1)) for s, f in found.items()}
     no = np.full(N, -1)
     return [
-        (Scenario.STRICT, a & b & c, no, _note()),
-        (Scenario.NOT_GENERIC_ONE_ITEM, (K == 1) & (sums[:, 0] == 1), no, _note()),
-        (Scenario.NOT_LOCALLY_GENERIC_A, np.full(N, K == 1), no,  # K = 1, two items
-         _note("two items on a single attribute admit a continuum of alternatives")),
-        (Scenario.NOT_GENERIC_ONE_ITEM, (sums <= 1).any(axis=1), no, lambda attr, sums: (
-            [], [f"attributes required by at most one item: {_listed(sums <= 1)}"])),
-        (Scenario.NOT_LOCALLY_GENERIC_A, *hit["a"], lambda attr, sums: ([], [
-            f"attribute {attr + 1} is required by exactly two items, one of which "
-            "requires every attribute"])),
-        (Scenario.GENERIC_B2, *hit["b2"], lambda attr, sums: (_b2_constraints(K), [])),
-        (Scenario.GENERIC_B1, *hit["b1"], lambda attr, sums: ([_b1_constraint(attr)], [])),
-        (Scenario.LOCAL_GENERIC_C, *hit["c"], lambda attr, sums: (
-            [_b1_constraint(attr), _FREE_GUESS], [])),
-        (Scenario.NOT_LOCALLY_GENERIC_A, ~a, no,
-         _note("incomplete design: some latent classes stay equivalent")),
-        (Scenario.NOT_LOCALLY_GENERIC_A, (K == 2) & ~b, no,
-         _note("K = 2 residual columns coincide: alternatives exist everywhere")),
-        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no,
-         _note("no classified structure applies (e.g. a twice-required attribute "
-               "without a unit row, with K > 2)")),
+        (Scenario.STRICT, a & b & c, no, (), ()),
+        (Scenario.NOT_GENERIC_ONE_ITEM, (K == 1) & (sums[:, 0] == 1), no, (), ()),
+        (Scenario.NOT_LOCALLY_GENERIC_A, np.full(N, K == 1), no, (),  # K = 1, two items
+         ("two items on a single attribute admit a continuum of alternatives",)),
+        (Scenario.NOT_GENERIC_ONE_ITEM, (sums <= 1).any(axis=1), no, (),
+         ("attributes required by at most one item: {one}",)),
+        (Scenario.NOT_LOCALLY_GENERIC_A, *hit["a"], (),
+         ("attribute {attr} is required by exactly two items, one of which "
+          "requires every attribute",)),
+        (Scenario.GENERIC_B2, *hit["b2"],
+         ("p(01) * p(10) != p(00) * p(11)",) if K == 2 else (_B2,), ()),
+        (Scenario.GENERIC_B1, *hit["b1"], (_B1,), ()),
+        (Scenario.LOCAL_GENERIC_C, *hit["c"], (_B1, _FREE_GUESS), ()),
+        (Scenario.NOT_LOCALLY_GENERIC_A, ~a, no, (),
+         ("incomplete design: some latent classes stay equivalent",)),
+        (Scenario.NOT_LOCALLY_GENERIC_A, (K == 2) & ~b, no, (),
+         ("K = 2 residual columns coincide: alternatives exist everywhere",)),
+        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no, (),
+         ("no classified structure applies (e.g. a twice-required attribute "
+          "without a unit row, with K > 2)",)),
     ]
 
 
@@ -641,16 +624,14 @@ def _gdina_rules(masks: np.ndarray, K: int, sums: np.ndarray, flags: dict):
     no = np.full(N, -1)
     return [
         (Scenario.GENERIC_DE, np.zeros(N, dtype=bool) if d is None else d & e.astype(bool), no,
-         lambda attr, sums: ([
-             "det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
-             "T(Q*) . diag(p) has pairwise-distinct columns",
-         ], [])),
-        (Scenario.NOT_GENERIC_C_GDINA, ~flags["C"], no, lambda attr, sums: (
-            [], [f"attributes required by fewer than three items: {_listed(sums < 3)}"])),
-        (Scenario.NOT_GENERIC_GC, ~flags["generic_complete"], no, _note()),
-        (Scenario.NOT_GENERIC_K2_DE, np.full(N, K == 2), no,
-         _note("for two attributes the block conditions are also necessary")),
-        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no, _note()),
+         ("det T(Q1) != 0 and det T(Q2) != 0 for the two diagonal blocks",
+          "T(Q*) . diag(p) has pairwise-distinct columns"), ()),
+        (Scenario.NOT_GENERIC_C_GDINA, ~flags["C"], no, (),
+         ("attributes required by fewer than three items: {few}",)),
+        (Scenario.NOT_GENERIC_GC, ~flags["generic_complete"], no, (), ()),
+        (Scenario.NOT_GENERIC_K2_DE, np.full(N, K == 2), no, (),
+         ("for two attributes the block conditions are also necessary",)),
+        (Scenario.UNDETERMINED, np.ones(N, dtype=bool), no, (), ()),
     ]
 
 
@@ -699,7 +680,7 @@ def _verdict_codes(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
         sums = _column_sums(chunk, n_attributes)
         rules = decide(chunk, n_attributes, sums, _flags(chunk, n_attributes, sums, model))
         named = np.array([_CODES[scenario] for scenario, *_ in rules])
-        codes[start:start + _CHUNK] = named[np.argmax([cond for _, cond, _, _ in rules], axis=0)]
+        codes[start:start + _CHUNK] = named[np.argmax([cond for _, cond, *_ in rules], axis=0)]
     return codes[multiset]
 
 
@@ -724,14 +705,19 @@ def classify_batch(masks: np.ndarray, n_attributes: int, model: str) -> np.ndarr
 
 
 def _classify(q: QMatrix, model: str) -> IdentifiabilityVerdict:
+    """The verdict of one design: the first of ``model``'s rules that
+    decides it, with all six flags and the rule's texts filled in (see
+    ``_dina_rules``)."""
     if q.has_zero_rows:
         raise HasZeroRows("strip zero rows before classifying")
     name, decide = _MODELS[model]
     K, masks = q.n_attributes, q.row_masks[None, :]
     sums = _column_sums(masks, K)
     flags = {**_flags(masks, K, sums, "dina"), **_flags(masks, K, sums, "gdina")}
-    scenario, _, attr, render = next(rule for rule in decide(masks, K, sums, flags) if rule[1][0])
-    constraints, notes = render(int(attr[0]), sums[0])
+    scenario, _, attr, *texts = next(rule for rule in decide(masks, K, sums, flags) if rule[1][0])
+    one, few = ((np.flatnonzero(sums[0] < n) + 1).tolist() for n in (2, 3))
+    fields = {"attr": int(attr[0]) + 1, "one": one, "few": few}
+    constraints, notes = ([text.format(**fields) for text in t] for t in texts)
     flags = {key: None if v is None or v[0] is None else bool(v[0]) for key, v in flags.items()}
     return IdentifiabilityVerdict(name, flags, scenario, constraints, notes)
 

@@ -455,6 +455,7 @@ def test_flip_batch_matches_per_design_reference(rng):
     (np.array([1, 2, 3]), 2),  # one design, not a batch
     (np.ones((1, 2, 3), dtype=np.int64), 2),
     (np.array([[1, 1, 1]]), 0),
+    (np.zeros((2, 0), dtype=np.int64), 2),  # designs with no items
 ])
 @pytest.mark.parametrize("entry", ["classify_batch", "exhaustive_search"])
 def test_bulk_masks_checked(masks, K, entry):

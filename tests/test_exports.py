@@ -1,5 +1,5 @@
 """Every public name the package and its modules export resolves, and every
-top-level definition in the package is used or exported."""
+top-level definition or constant in the package is used or exported."""
 
 import ast
 import collections
@@ -29,9 +29,24 @@ def _names(node) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _defined(stmt) -> list:
+    """Names a top-level statement defines: a function, a class, or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_definition_is_used():
-    """A top-level function or class that no code in the package names outside
-    its own body, and that its module does not export, is dead code."""
+    """A top-level function, class or constant that no code in the package
+    names outside its own statement, and that its module does not export, is
+    dead code.  Dunders such as ``__all__`` do not count."""
     statements = [
         (name, stmt)
         for name in MODULES
@@ -39,10 +54,11 @@ def test_every_definition_is_used():
     ]
     uses = collections.Counter(n for _, stmt in statements for n in _names(stmt))
     unused = [
-        f"{name}.{stmt.name}"
+        f"{name}.{defined}"
         for name, stmt in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and stmt.name not in getattr(importlib.import_module(name), "__all__", ())
-        and uses[stmt.name] == (stmt.name in _names(stmt))
+        for defined in _defined(stmt)
+        if not defined.startswith("__")
+        and defined not in getattr(importlib.import_module(name), "__all__", ())
+        and uses[defined] == (defined in _names(stmt))
     ]
     assert unused == []

@@ -1,6 +1,8 @@
 """Condition checks, classification, enumeration, and their invariants."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -397,6 +399,36 @@ class TestClassifyGdina:
         assert classify_gdina(q).scenario is Scenario.UNDETERMINED
 
 
+# the censuses whose verdict texts are pinned, about a second in all, in this
+# order; B1 and LocalGenericC first appear at 7 x 3
+_TEXT_SHAPES = [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3), (7, 3),
+                (3, 4), (4, 4), (2, 6)]
+
+
+def test_verdict_texts_pinned():
+    # the DINA and the GDINA verdict of one design per row multiset of each
+    # census, flags, constraints and notes included, hashed in order: a
+    # verdict does not change under row permutation, so these stand for
+    # every design.  A change to the rules or their texts that means to
+    # keep every verdict must leave the digest as it is.
+    digest = hashlib.sha256()
+    scenarios, constraints, count = set(), set(), 0
+    for J, K in _TEXT_SHAPES:
+        codes = enumerate_canonical(J, K)
+        for q in as_qmatrices(codes[qmatrix._multisets(codes, K)[0]], K):
+            for classify in (classify_dina, classify_gdina):
+                verdict = classify(q).to_json_dict()
+                digest.update(json.dumps(verdict, sort_keys=True).encode())
+                scenarios.add(verdict["scenario"])
+                constraints.update(verdict["constraints"])
+                count += 1
+    assert count == 4_886
+    assert scenarios == {s.value for s in Scenario}
+    assert len(constraints) >= 8
+    assert digest.hexdigest() == (
+        "ed3f2ae72c6886fbc66276c746b5be1bb5ee3730c6f2001788e14d7f9d581287")
+
+
 def _hall_violator(q: QMatrix, copies: int, banned=()):
     """An attribute subset S whose items outside ``banned`` number fewer
     than ``copies`` * |S|, or None."""
@@ -563,14 +595,33 @@ class TestBatchedClassifier:
         # 1,100 designs with no repeated multiset, more than one _CHUNK, are
         # chunked as they are given: the verdicts are those of consecutive
         # _CHUNK-sized slices.  The pooled cover search reads its chunk, so
-        # representatives in another order (lexicographic by sorted rows)
-        # change a verdict here.
+        # some other orders of the representatives (lexicographic by sorted
+        # rows) change a verdict here; the packed-key order does not, and
+        # test_multisets_keep_first_occurrence pins the order itself.
         pool = np.array([m for m in range(1, 256) if bin(m).count("1") <= 2])
         codes = pool[np.random.default_rng(20261019).integers(0, 36, size=(1_100, 30))]
         assert len(np.unique(np.sort(codes, axis=1), axis=0)) == len(codes) > qmatrix._CHUNK
         slices = range(0, len(codes), qmatrix._CHUNK)
         assert classify_batch(codes, 8, "gdina").tolist() == [
             v for s in slices for v in classify_batch(codes[s:s + qmatrix._CHUNK], 8, "gdina")]
+
+    def test_multisets_keep_first_occurrence(self, rng):
+        # _multisets lists each row multiset once, on its first design, in
+        # order of first occurrence: on a shuffled 5 x 3 census with a
+        # relabeled copy of each design, and on a 30 x 8 batch in which
+        # most multisets recur with their rows permuted
+        census = enumerate_canonical(5, 3)
+        census = np.vstack([census, _relabeled(rng, census, 3)])[rng.permutation(2 * len(census))]
+        pool = np.array([m for m in range(1, 256) if bin(m).count("1") <= 2])
+        base = pool[rng.integers(0, 36, size=(200, 30))]
+        wide = rng.permuted(base[rng.integers(0, 200, size=600)], axis=1)
+        for masks, K in ((census, 3), (wide, 8)):
+            first, inverse = qmatrix._multisets(masks, K)
+            rows = np.sort(masks, axis=1)
+            assert len(first) == len(np.unique(rows, axis=0)) < len(masks)
+            assert (np.diff(first) > 0).all()
+            assert np.array_equal(rows[first][inverse], rows)
+            assert (first[inverse] <= np.arange(len(masks))).all()
 
     @pytest.mark.parametrize("J, K, shared, last", [
         (12, 6, [1, 2, 3, 4, 5, 6, 8, 9, 16, 32, 48], (63, 49)),
